@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign.h"
 #include "core/parallel_campaign.h"
 #include "report/figures.h"
 #include "resolver/registry.h"
@@ -18,17 +17,12 @@ namespace ednsm::bench {
 
 inline constexpr std::uint64_t kDefaultSeed = 20250704;
 
-// Campaign over every registry resolver from the given vantages.
-//
-// threads == 0 (the default) runs the legacy single-world engine, preserving
-// the exact record streams of earlier releases. threads >= 1 runs the
-// shard-per-vantage engine of core/parallel_campaign.h on that many workers;
-// its output is identical for every threads value, but is a different (also
-// deterministic) decomposition than the legacy engine's.
+// Campaign over every registry resolver from the given vantages, on the
+// shard-per-vantage engine of core/parallel_campaign.h (one world per
+// vantage, one worker thread; the output is the same for any thread count).
 inline core::CampaignResult run_paper_campaign(const std::vector<std::string>& vantage_ids,
                                                int rounds,
-                                               std::uint64_t seed = kDefaultSeed,
-                                               int threads = 0) {
+                                               std::uint64_t seed = kDefaultSeed) {
   core::MeasurementSpec spec;
   for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
   spec.vantage_ids = vantage_ids;
@@ -38,13 +32,7 @@ inline core::CampaignResult run_paper_campaign(const std::vector<std::string>& v
   // ednsm-lint: allow(determinism-wallclock) — harness-side wall timing of
   // the simulation; never feeds simulated results.
   const auto wall_start = std::chrono::steady_clock::now();
-  core::CampaignResult result;
-  if (threads <= 0) {
-    core::SimWorld world(seed);
-    result = core::CampaignRunner(world, spec).run();
-  } else {
-    result = core::run_parallel_campaign(spec, threads);
-  }
+  core::CampaignResult result = core::run_parallel_campaign(spec);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            // ednsm-lint: allow(determinism-wallclock) — harness wall timing
                            std::chrono::steady_clock::now() - wall_start)

@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/figures.h"
 #include "stats/quantile.h"
 
@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   const int rounds = argc > 1 ? std::atoi(argv[1]) : 15;
   const char* out_path = argc > 2 ? argv[2] : "global_vantage_results.json";
 
-  core::SimWorld world(7);
   core::MeasurementSpec spec;
   spec.resolvers = {
       "dns.google", "security.cloudflare-dns.com", "dns.quad9.net",  // mainstream
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
   spec.rounds = rounds;
   spec.seed = 7;
 
-  const core::CampaignResult result = core::CampaignRunner(world, spec).run();
+  const core::CampaignResult result = core::run_parallel_campaign(spec);
 
   for (const std::string& vantage : spec.vantage_ids) {
     std::printf("=== ranking from %s ===\n", vantage.c_str());

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/table.h"
 #include "stats/quantile.h"
 
@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   using namespace ednsm;
 
   const int rounds = argc > 1 ? std::atoi(argv[1]) : 20;
-  core::SimWorld world(11);
   core::MeasurementSpec spec;
   spec.resolvers = {"dns.google", "dns.quad9.net", "ordns.he.net",
                     "doh.la.ahadns.net", "dns.twnic.tw", "kronos.plan9-dns.com"};
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
   spec.rounds = rounds;
   spec.seed = 11;
 
-  const core::CampaignResult result = core::CampaignRunner(world, spec).run();
+  const core::CampaignResult result = core::run_parallel_campaign(spec);
 
   // Pool the four home devices into one sample per resolver.
   auto home_samples = [&](const std::string& host) {

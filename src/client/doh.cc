@@ -1,6 +1,9 @@
 #include "client/doh.h"
 
+#include <memory>
+
 #include "http/doh_media.h"
+#include "http/h2.h"
 #include "obs/trace.h"
 
 namespace ednsm::client {
@@ -30,7 +33,6 @@ void DohClient::query(netsim::IpAddr server, const std::string& sni, const dns::
   state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
 
   const netsim::Endpoint remote{server, netsim::kPortHttps};
-  const transport::SessionKey session_key{remote, sni};
 
   auto finish = [this, state, cb](QueryOutcome outcome) {
     outcome.protocol = Protocol::DoH;
@@ -40,9 +42,8 @@ void DohClient::query(netsim::IpAddr server, const std::string& sni, const dns::
   };
 
   state->guard = std::make_unique<SingleFire>(
-      net_.queue(), options_.timeout, [this, state, remote, sni, session_key, finish] {
+      net_.queue(), options_.timeout, [this, state, remote, sni, finish] {
         pool_.invalidate(remote, sni);
-        h2_sessions_.erase(session_key);
         QueryOutcome timeout;
         // A deadline that fires before the connection was ever established is
         // a connection-establishment failure, like dig's "connection timed
@@ -102,12 +103,10 @@ void DohClient::query(netsim::IpAddr server, const std::string& sni, const dns::
 
   pool_.acquire(
       remote, sni, options_.reuse, std::move(early_data),
-      [this, state, remote, sni, session_key, request, complete,
-       finish](Result<transport::ConnectionPool::Lease> lease) {
+      [this, state, request, complete, finish](Result<transport::ConnectionPool::Lease> lease) {
         if (state->guard == nullptr || state->guard->fired()) return;
         if (!lease) {
           if (!state->guard->fire()) return;
-          h2_sessions_.erase(session_key);
           QueryOutcome fail;
           fail.error = QueryError{classify_transport_error(lease.error()), lease.error()};
           fail.timing.connect = net_.queue().now() - state->started;
@@ -139,23 +138,24 @@ void DohClient::query(netsim::IpAddr server, const std::string& sni, const dns::
           return;
         }
 
-        // HTTP/2 path: (re)create session state on a fresh connection.
-        auto h2_it = h2_sessions_.find(session_key);
-        if (l.fresh || h2_it == h2_sessions_.end()) {
-          h2_sessions_[session_key] = std::make_shared<H2State>();
-          h2_it = h2_sessions_.find(session_key);
-        }
-        std::shared_ptr<H2State> h2 = h2_it->second;
+        // HTTP/2 path. Stream ids and HPACK tables are per-connection, so the
+        // session state lives in the pooled connection's protocol slot: a
+        // later probe that re-uses the connection continues its streams
+        // instead of re-sending the preface into a live server session.
+        std::shared_ptr<void>& slot = *l.protocol_state;
+        if (slot == nullptr) slot = std::make_shared<http::H2ClientSession>();
+        std::shared_ptr<http::H2ClientSession> h2 =
+            std::static_pointer_cast<http::H2ClientSession>(slot);
 
         std::uint32_t stream_id = 0;
-        const util::Bytes frames = h2->session.serialize_request(request, stream_id);
-        h2->session.stamp_request(stream_id, net_.queue().now());
+        const util::Bytes frames = h2->serialize_request(request, stream_id);
+        h2->stamp_request(stream_id, net_.queue().now());
 
         l.tls->on_data([this, h2, stream_id, timing, complete](util::Bytes data) {
-          h2->session.feed(data, [&](std::uint32_t sid, Result<http::Response> resp) {
+          h2->feed(data, [&](std::uint32_t sid, Result<http::Response> resp) {
             if (sid != stream_id) return;  // a stale stream's frames
             QueryTiming t = timing;
-            t.exchange = h2->session.finish_exchange(sid, net_.queue().now());
+            t.exchange = h2->finish_exchange(sid, net_.queue().now());
             OBS_COMPLETE(net_.queue(), "http", "h2-exchange",
                          net_.queue().now() - t.exchange, t.exchange);
             complete(t, std::move(resp));

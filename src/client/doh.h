@@ -3,13 +3,10 @@
 // data through the shared pool. This is the protocol the paper measures.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "client/query.h"
 #include "client/session.h"
-#include "http/h2.h"
 #include "netsim/network.h"
 #include "transport/pool.h"
 
@@ -36,20 +33,10 @@ class DohClient : public ResolverSession {
   [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
 
  private:
-  // HTTP/2 session state must live as long as the underlying TLS session
-  // (stream ids and HPACK tables are per-connection).
-  struct H2State {
-    http::H2ClientSession session;
-  };
-
   netsim::Network& net_;
   transport::ConnectionPool& pool_;
   SessionTarget target_;
   QueryOptions options_;
-  // Point access only (never iterated) — hashed, keyed like the pool's
-  // session cache.
-  std::unordered_map<transport::SessionKey, std::shared_ptr<H2State>, transport::SessionKeyHash>
-      h2_sessions_;
 };
 
 }  // namespace ednsm::client

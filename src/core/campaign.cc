@@ -119,17 +119,24 @@ CampaignResult CampaignRunner::run() {
   if (auto v = spec_.validate(); !v) {
     throw std::invalid_argument("CampaignRunner: invalid spec: " + v.error());
   }
+  if (spec_.vantage_ids.size() != 1) {
+    throw std::invalid_argument("CampaignRunner: a world measures exactly one vantage (got " +
+                                std::to_string(spec_.vantage_ids.size()) +
+                                "); run multi-vantage campaigns with run_parallel_campaign");
+  }
 
   CampaignResult result;
   result.spec = spec_;
-  const ProbeScheduler scheduler(spec_);
+  const std::string& vantage_id = spec_.vantage_ids.front();
   // Campaigns may run back-to-back in one world (the paper's monthly
-  // follow-up spans); schedule relative to the current simulated time.
+  // follow-up spans); rounds are spaced by round_interval from the current
+  // simulated time.
   const netsim::SimTime base = world_.queue().now();
+  const auto round_start = [&](int round) { return base + spec_.round_interval * round; };
 
-  // Touch every vantage up front so host attachment order (and therefore the
-  // RNG consumption order) is independent of round scheduling.
-  for (const std::string& vid : spec_.vantage_ids) (void)world_.vantage(vid);
+  // Touch the vantage up front so host attachment (and therefore the RNG
+  // consumption order) is independent of round scheduling.
+  (void)world_.vantage(vantage_id);
 
   // Scripted outages: take the resolver offline at the start of from_round
   // and restore it at the start of to_round. Scheduled before the round
@@ -137,36 +144,29 @@ CampaignResult CampaignRunner::run() {
   // apply the fault before any query of that round. set_behavior draws no
   // RNG, so an empty fault list leaves the run byte-identical.
   for (const FaultWindow& w : spec_.fault_windows) {
-    world_.queue().schedule_at(base + scheduler.round_start(w.from_round, 0),
-                               [this, hostname = w.resolver] {
-                                 world_.fleet().set_offline(hostname, true);
-                               });
-    world_.queue().schedule_at(base + scheduler.round_start(w.to_round, 0),
-                               [this, hostname = w.resolver] {
-                                 world_.fleet().set_offline(hostname, false);
-                               });
+    world_.queue().schedule_at(round_start(w.from_round), [this, hostname = w.resolver] {
+      world_.fleet().set_offline(hostname, true);
+    });
+    world_.queue().schedule_at(round_start(w.to_round), [this, hostname = w.resolver] {
+      world_.fleet().set_offline(hostname, false);
+    });
   }
 
   for (int round = 0; round < spec_.rounds; ++round) {
-    for (std::size_t vi = 0; vi < spec_.vantage_ids.size(); ++vi) {
-      const std::string vantage_id = spec_.vantage_ids[vi];
-      const netsim::SimTime start = base + scheduler.round_start(round, vi);
-      world_.queue().schedule_at(start, [this, &result, vantage_id, round] {
-        OBS_SPAN(world_.queue(), "core", "round-dispatch");
-        for (const std::string& hostname : spec_.resolvers) {
-          PingProbe::run(world_, vantage_id, hostname, spec_.ping_timeout, round,
-                         [&result](PingRecord rec) { result.pings.push_back(std::move(rec)); });
-          DnsProbe::run(world_, vantage_id, hostname, spec_.domains, spec_.protocol,
-                        spec_.query_options, round,
-                        [&result](std::vector<ResultRecord> recs) {
-                          for (ResultRecord& r : recs) {
-                            result.availability.record(r);
-                            result.records.push_back(std::move(r));
-                          }
-                        });
-        }
-      });
-    }
+    world_.queue().schedule_at(round_start(round), [this, &result, vantage_id, round] {
+      OBS_SPAN(world_.queue(), "core", "round-dispatch");
+      for (const std::string& hostname : spec_.resolvers) {
+        PingProbe::run(world_, vantage_id, hostname, spec_.ping_timeout, round,
+                       [&result](PingRecord rec) { result.pings.push_back(std::move(rec)); });
+        DnsProbe::run(world_, vantage_id, hostname, spec_.domains, spec_.protocol,
+                      spec_.query_options, round, [&result](std::vector<ResultRecord> recs) {
+                        for (ResultRecord& r : recs) {
+                          result.availability.record(r);
+                          result.records.push_back(std::move(r));
+                        }
+                      });
+      }
+    });
   }
 
   world_.run();

@@ -1,7 +1,11 @@
-// CampaignRunner: executes a MeasurementSpec end-to-end in a SimWorld.
+// CampaignRunner: the per-world campaign kernel. It measures one vantage of a
+// MeasurementSpec end-to-end in a SimWorld, the way one of the paper's
+// probing machines runs its own copy of the tool; multi-vantage campaigns go
+// through run_parallel_campaign (core/parallel_campaign.h), which gives each
+// vantage its own world.
 //
-// Per round and vantage, every resolver gets one PingProbe and one DnsProbe
-// (three domains, sequential) — the §3.2 measurement procedure. Probes to
+// Per round, every resolver gets one PingProbe and one DnsProbe (three
+// domains, sequential) — the §3.2 measurement procedure. Probes to
 // different resolvers run concurrently, like the tool's per-resolver loop
 // pipelined across a round. Results accumulate into CampaignResult, which
 // can be serialized to the tool's JSON output format and re-loaded.
@@ -15,7 +19,6 @@
 #include "core/availability.h"
 #include "util/intern.h"
 #include "core/probe.h"
-#include "core/scheduler.h"
 #include "core/spec.h"
 #include "core/world.h"
 
@@ -87,7 +90,8 @@ class CampaignRunner {
 
   // Schedules all rounds and drains the event queue. Deterministic for a
   // given (spec, world seed). Throws std::invalid_argument on a spec that
-  // fails validation (programming error at this layer).
+  // fails validation or names more than one vantage (programming errors at
+  // this layer).
   [[nodiscard]] CampaignResult run();
 
  private:

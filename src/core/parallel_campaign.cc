@@ -1,7 +1,6 @@
 #include "core/parallel_campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -19,43 +18,6 @@ namespace {
 // are large (a full single-vantage result) and the collector drains eagerly.
 constexpr std::size_t kTaskRingCapacity = 64;
 constexpr std::size_t kOutcomeRingCapacity = 8;
-
-// Run work(0..n-1) on up to `threads` workers pulling indices from a shared
-// counter. With one worker everything runs inline on the calling thread, so
-// threads=1 has no pool overhead at all. The first exception thrown by any
-// unit is rethrown on the caller after all workers join. Used by the
-// seed-sweep workload, where the unit of parallelism is a whole campaign.
-void for_each_shard(std::size_t n, int threads, const std::function<void(std::size_t)>& work) {
-  const std::size_t workers =
-      std::min<std::size_t>(n, static_cast<std::size_t>(std::max(threads, 1)));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) work(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        work(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(drain);
-  drain();
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 }  // namespace
 
@@ -194,10 +156,6 @@ void run_pipeline(const MeasurementSpec& spec, const std::vector<ShardPlan>& pla
   if (first_error) std::rethrow_exception(first_error);
 }
 
-CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads) {
-  return run_parallel_campaign(spec, threads, CampaignObsOptions{}, nullptr);
-}
-
 CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads,
                                      const CampaignObsOptions& obs_options,
                                      CampaignObsData* obs_out) {
@@ -206,9 +164,9 @@ CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads,
   }
 
   // Sim-domain observability (trace/metrics) is only collected when there is
-  // somewhere to put it, so the plain overload keeps its exact legacy
-  // behavior (and cost). Runtime telemetry is independent of that: it has its
-  // own sink (the RuntimeTelemetry hub) and survives the reset.
+  // somewhere to put it, so a call without `obs_out` pays nothing for it.
+  // Runtime telemetry is independent of that: it has its own sink (the
+  // RuntimeTelemetry hub) and survives the reset.
   CampaignObsOptions obs = obs_options;
   if (obs_out == nullptr) {
     obs = CampaignObsOptions{};
@@ -226,23 +184,6 @@ CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads,
     }
   });
   return collector.finish(obs_out);
-}
-
-std::vector<CampaignResult> run_seed_sweep(const MeasurementSpec& spec, std::size_t sweeps,
-                                           int threads) {
-  if (auto v = spec.validate(); !v) {
-    throw std::invalid_argument("run_seed_sweep: invalid spec: " + v.error());
-  }
-  const std::vector<std::uint64_t> seeds = shard_seeds(spec.seed, sweeps);
-  std::vector<CampaignResult> results(sweeps);
-  for_each_shard(sweeps, threads, [&](std::size_t i) {
-    MeasurementSpec sweep_spec = spec;
-    sweep_spec.seed = seeds[i];
-    // Shards inside each sweep run serially; the sweep itself is the unit of
-    // parallelism here.
-    results[i] = run_parallel_campaign(sweep_spec, 1);
-  });
-  return results;
 }
 
 }  // namespace ednsm::core

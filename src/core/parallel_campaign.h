@@ -20,12 +20,10 @@
 // per-shard encode work (round bucketing) concurrently with shards still
 // simulating, and finally assembles the canonical merge (the sink stage).
 //
-// Note the decomposition is *defined* this way rather than derived from the
-// legacy single-world run: a single SimWorld threads one RNG stream through
-// every vantage's traffic, so its exact output cannot be reproduced shard by
-// shard. A sharded run is instead exactly "each vantage measured as its own
-// single-vantage campaign", which is also the more faithful model of the
-// paper's fleet of independent probing machines.
+// This is the only multi-vantage engine. Each vantage is measured as its own
+// single-vantage campaign (CampaignRunner, the per-world kernel) in its own
+// SimWorld — the faithful model of the paper's fleet of independent probing
+// machines, each running its own copy of the tool.
 #pragma once
 
 #include <functional>
@@ -46,22 +44,13 @@ void run_pipeline(const MeasurementSpec& spec, const std::vector<ShardPlan>& pla
                   const std::function<void(ShardOutcome&&)>& sink);
 
 // Run `spec` sharded per vantage across at most `threads` worker threads.
-// Throws std::invalid_argument on an invalid spec, and propagates the first
-// shard exception otherwise.
-[[nodiscard]] CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads);
-
-// Same engine with observability: when `obs_options` enables tracing or
-// metrics and `obs_out` is non-null, shard traces/metrics are merged into it
-// deterministically. Tracing never perturbs the simulation — the returned
-// CampaignResult is byte-identical to the plain overload's.
-[[nodiscard]] CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads,
-                                                   const CampaignObsOptions& obs_options,
-                                                   CampaignObsData* obs_out);
-
-// Re-run `spec` under `sweeps` derived seeds (splitmix64 from spec.seed),
-// sweeping whole campaigns across the worker pool — the "many more seeds
-// than the paper's runs" workload. Results come back in seed order.
-[[nodiscard]] std::vector<CampaignResult> run_seed_sweep(const MeasurementSpec& spec,
-                                                         std::size_t sweeps, int threads);
+// When `obs_options` enables tracing or metrics and `obs_out` is non-null,
+// shard traces/metrics are merged into it deterministically; tracing never
+// perturbs the simulation, so the returned CampaignResult is byte-identical
+// either way. Throws std::invalid_argument on an invalid spec, and
+// propagates the first shard exception otherwise.
+[[nodiscard]] CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads = 1,
+                                                   const CampaignObsOptions& obs_options = {},
+                                                   CampaignObsData* obs_out = nullptr);
 
 }  // namespace ednsm::core

@@ -27,8 +27,8 @@
 
 namespace ednsm::core {
 
-// What to observe during a sharded campaign. Everything defaults off, so the
-// plain overloads keep their exact legacy behavior (and cost).
+// What to observe during a sharded campaign. Everything defaults off, so a
+// default-constructed value observes nothing and costs nothing.
 struct CampaignObsOptions {
   bool trace = false;  // enable each shard world's Tracer
   std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;  // ring slots/shard

@@ -1,5 +1,9 @@
 #include "core/spec.h"
 
+#include <algorithm>
+
+#include "geo/vantage.h"
+
 namespace ednsm::core {
 
 namespace {
@@ -55,6 +59,13 @@ Result<void> MeasurementSpec::validate() const {
   if (resolvers.empty()) return Err{std::string("spec: no resolvers")};
   if (domains.empty()) return Err{std::string("spec: no domains")};
   if (vantage_ids.empty()) return Err{std::string("spec: no vantage points")};
+  const auto& known = geo::paper_vantage_points();
+  for (const std::string& id : vantage_ids) {
+    if (std::none_of(known.begin(), known.end(),
+                     [&](const geo::VantagePoint& v) { return v.id == id; })) {
+      return Err{"spec: unknown vantage point: " + id};
+    }
+  }
   if (rounds <= 0) return Err{std::string("spec: rounds must be positive")};
   if (round_interval <= netsim::kZeroDuration) {
     return Err{std::string("spec: round interval must be positive")};

@@ -43,8 +43,8 @@ struct MeasurementSpec {
   // campaign behavior byte-identical to specs written before the field.
   std::vector<FaultWindow> fault_windows;
 
-  // Validate invariants (non-empty lists, positive rounds); returns an
-  // explanation on failure.
+  // Validate invariants (non-empty lists, known vantage ids, positive
+  // rounds); returns an explanation on failure.
   [[nodiscard]] Result<void> validate() const;
 
   [[nodiscard]] Json to_json() const;

@@ -53,6 +53,7 @@ void ConnectionPool::acquire(const netsim::Endpoint& remote, const std::string& 
       lease.tcp = &it->second->tcp;
       lease.tls = &it->second->tls;
       lease.fresh = false;
+      lease.protocol_state = &it->second->protocol_state;
       cb(lease);
       return;
     }
@@ -103,6 +104,7 @@ void ConnectionPool::acquire(const netsim::Endpoint& remote, const std::string& 
           lease.tcp = &raw->tcp;
           lease.tls = &raw->tls;
           lease.fresh = true;
+          lease.protocol_state = &raw->protocol_state;
           lease.mode = mode;
           lease.early_data_accepted = hs.value().early_data_accepted;
           lease.tcp_handshake = raw->tcp.handshake_duration();

@@ -79,6 +79,12 @@ class ConnectionPool {
     netsim::SimDuration tcp_handshake{0};
     netsim::SimDuration tls_handshake{0};
     netsim::SimDuration wait_in_pool{0};
+    // The connection's application-protocol slot (e.g. an HTTP/2 session's
+    // stream ids and HPACK tables), set on every lease the pool hands out.
+    // Empty on a fresh connection; whatever a client stores there lives
+    // exactly as long as the pooled connection, so the next lease of the
+    // same connection finds it.
+    std::shared_ptr<void>* protocol_state = nullptr;
   };
   using AcquireCallback = std::function<void(Result<Lease>)>;
 
@@ -110,6 +116,7 @@ class ConnectionPool {
   struct Session {
     TcpConnection tcp;
     TlsClient tls;
+    std::shared_ptr<void> protocol_state;  // see Lease::protocol_state
     Session(netsim::Network& net, netsim::Endpoint local, netsim::Endpoint remote,
             std::uint32_t conn_id, TlsClientConfig config)
         : tcp(net, local, remote, conn_id), tls(tcp, std::move(config)) {}

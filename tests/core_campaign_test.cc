@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "core/campaign.h"
+#include "core/parallel_campaign.h"
 
 namespace ednsm::core {
 namespace {
@@ -14,29 +17,6 @@ MeasurementSpec tiny_spec() {
   spec.rounds = 4;
   spec.seed = 77;
   return spec;
-}
-
-TEST(Scheduler, RoundTimesSpacedByInterval) {
-  MeasurementSpec spec = tiny_spec();
-  spec.rounds = 3;
-  const ProbeScheduler sched(spec);
-  const auto t = sched.timeline(0);
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_EQ(t[1] - t[0], spec.round_interval);
-  EXPECT_EQ(t[2] - t[1], spec.round_interval);
-}
-
-TEST(Scheduler, VantagesAreStaggered) {
-  MeasurementSpec spec = tiny_spec();
-  spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt"};
-  const ProbeScheduler sched(spec);
-  EXPECT_GT(sched.round_start(0, 1), sched.round_start(0, 0));
-  EXPECT_LT(sched.round_start(0, 1) - sched.round_start(0, 0), spec.round_interval);
-}
-
-TEST(Scheduler, SpanCoversAllRounds) {
-  const ProbeScheduler sched(tiny_spec());
-  EXPECT_GE(sched.span(), sched.round_start(3, 0));
 }
 
 TEST(Campaign, RecordCountsMatchSpec) {
@@ -109,6 +89,40 @@ TEST(Campaign, InvalidSpecThrows) {
   EXPECT_THROW((void)runner.run(), std::invalid_argument);
 }
 
+TEST(Campaign, RunnerRejectsMultiVantageSpec) {
+  // A world is one probing machine; several vantages take the sharded engine.
+  SimWorld world(1);
+  MeasurementSpec spec = tiny_spec();
+  spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt"};
+  CampaignRunner runner(world, spec);
+  try {
+    (void)runner.run();
+    FAIL() << "a two-vantage spec must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_parallel_campaign"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Campaign, RoundsStartAtMultiplesOfInterval) {
+  // On a fresh world, round r's first query goes out at exactly
+  // r x round_interval of simulated time.
+  SimWorld world(6);
+  MeasurementSpec spec = tiny_spec();
+  spec.rounds = 3;
+  const CampaignResult result = CampaignRunner(world, spec).run();
+  std::vector<double> earliest(static_cast<std::size_t>(spec.rounds),
+                               std::numeric_limits<double>::infinity());
+  for (const ResultRecord& r : result.records) {
+    double& e = earliest.at(static_cast<std::size_t>(r.round));
+    e = std::min(e, r.issued_at_ms);
+  }
+  for (int r = 0; r < spec.rounds; ++r) {
+    EXPECT_EQ(earliest[static_cast<std::size_t>(r)], netsim::to_ms(spec.round_interval * r))
+        << "round " << r;
+  }
+}
+
 TEST(Campaign, ResponseTimeAccessors) {
   SimWorld world(5);
   const CampaignResult result = CampaignRunner(world, tiny_spec()).run();
@@ -142,11 +156,10 @@ TEST(Campaign, JsonRoundTrip) {
 }
 
 TEST(Campaign, MultiVantageRecordsAllVantages) {
-  SimWorld world(3);
   MeasurementSpec spec = tiny_spec();
   spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "home-chicago-1"};
   spec.rounds = 2;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  const CampaignResult result = run_parallel_campaign(spec);
   for (const std::string& vid : spec.vantage_ids) {
     int count = 0;
     for (const ResultRecord& r : result.records) {

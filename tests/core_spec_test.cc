@@ -36,6 +36,20 @@ TEST(Spec, ValidationCatchesEmptyLists) {
   EXPECT_FALSE(spec.validate().has_value());
 }
 
+TEST(Spec, ValidationRejectsUnknownVantage) {
+  // Every paper vantage is accepted...
+  MeasurementSpec spec = small_spec();
+  spec.vantage_ids = {"ec2-ohio",       "ec2-frankfurt",  "ec2-seoul",     "home-chicago-1",
+                      "home-chicago-2", "home-chicago-3", "home-chicago-4"};
+  EXPECT_TRUE(spec.validate().has_value());
+
+  // ...and one unknown id anywhere in the list rejects the spec, naming it.
+  spec.vantage_ids = {"ec2-ohio", "ec2-bogus"};
+  const auto v = spec.validate();
+  ASSERT_FALSE(v.has_value());
+  EXPECT_NE(v.error().find("ec2-bogus"), std::string::npos) << v.error();
+}
+
 TEST(Spec, ValidationCatchesBadNumbers) {
   MeasurementSpec spec = small_spec();
   spec.rounds = 0;

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/figures.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
@@ -22,7 +23,6 @@ using core::SimWorld;
 // classes. Built once; the assertions below slice it.
 const CampaignResult& shared_campaign() {
   static const CampaignResult kResult = [] {
-    SimWorld world(20250704);
     MeasurementSpec spec;
     spec.resolvers = {
         // mainstream
@@ -39,7 +39,7 @@ const CampaignResult& shared_campaign() {
     spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "ec2-seoul", "home-chicago-1"};
     spec.rounds = 20;
     spec.seed = 20250704;
-    return CampaignRunner(world, spec).run();
+    return core::run_parallel_campaign(spec);
   }();
   return kResult;
 }

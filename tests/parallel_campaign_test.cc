@@ -95,8 +95,8 @@ TEST(ParallelCampaign, SpecIsPreservedVerbatim) {
 
 TEST(ParallelCampaign, MatchesSingleVantageLegacyRunPerShard) {
   // Shard semantics are *defined* as "each vantage is its own single-vantage
-  // campaign under its derived seed": check one shard against the legacy
-  // runner configured that way.
+  // campaign under its derived seed": check one shard against the
+  // per-world CampaignRunner kernel configured that way.
   const MeasurementSpec spec = small_spec();
   const auto seeds = shard_seeds(spec.seed, spec.vantage_ids.size());
   const CampaignResult merged = run_parallel_campaign(spec, 2);
@@ -119,30 +119,27 @@ TEST(ParallelCampaign, MatchesSingleVantageLegacyRunPerShard) {
   }
 }
 
-TEST(ParallelCampaign, SeedSweepIsDeterministicAcrossThreads) {
-  const MeasurementSpec spec = small_spec();
-  const auto serial = run_seed_sweep(spec, 3, 1);
-  const auto parallel = run_seed_sweep(spec, 3, 2);
-  ASSERT_EQ(serial.size(), 3u);
-  ASSERT_EQ(parallel.size(), 3u);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(dump(serial[i]), dump(parallel[i])) << "sweep " << i;
-  }
-  // Different derived seeds actually vary the samples.
-  EXPECT_NE(dump(serial[0]), dump(serial[1]));
-}
-
 TEST(ParallelCampaign, InvalidSpecThrows) {
   MeasurementSpec bad = small_spec();
   bad.rounds = 0;
   EXPECT_THROW((void)run_parallel_campaign(bad, 2), std::invalid_argument);
-  EXPECT_THROW((void)run_seed_sweep(bad, 2, 2), std::invalid_argument);
 }
 
 TEST(ParallelCampaign, UnknownVantagePropagatesFromWorkers) {
+  // The campaign entry point rejects an unknown vantage up front...
   MeasurementSpec bad = small_spec();
   bad.vantage_ids = {"ec2-ohio", "not-a-vantage"};
-  EXPECT_THROW((void)run_parallel_campaign(bad, 2), std::out_of_range);
+  EXPECT_THROW((void)run_parallel_campaign(bad, 2), std::invalid_argument);
+
+  // ...and a plan that reaches a worker anyway (the pipeline does not
+  // validate) fails in that worker: the healthy shard still reaches the
+  // sink, and the error is rethrown on the caller.
+  const std::vector<ShardPlan> plans = expand_spec(bad);
+  std::size_t sunk = 0;
+  EXPECT_THROW(run_pipeline(bad, plans, 2, CampaignObsOptions{},
+                            [&](ShardOutcome&&) { ++sunk; }),
+               std::invalid_argument);
+  EXPECT_EQ(sunk, 1u);
 }
 
 // ---- sample index -----------------------------------------------------------

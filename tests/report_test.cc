@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/boxplot.h"
 #include "report/decomposition.h"
 #include "report/figures.h"
@@ -110,7 +112,6 @@ class FigureTest : public ::testing::Test {
  protected:
   static const core::CampaignResult& result() {
     static const core::CampaignResult kResult = [] {
-      core::SimWorld world(31);
       core::MeasurementSpec spec;
       spec.resolvers = {"dns.google", "security.cloudflare-dns.com", "dns.quad9.net",
                         "ordns.he.net", "freedns.controld.com", "doh.ffmuc.net",
@@ -118,7 +119,7 @@ class FigureTest : public ::testing::Test {
       spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "ec2-seoul"};
       spec.rounds = 12;
       spec.seed = 31;
-      return core::CampaignRunner(world, spec).run();
+      return core::run_parallel_campaign(spec);
     }();
     return kResult;
   }
@@ -214,6 +215,20 @@ TEST_F(DecompositionTest, TableSplitsColdAndWarm) {
   std::size_t ok_records = 0;
   for (const core::ResultRecord& r : result().records) ok_records += r.ok ? 1 : 0;
   EXPECT_EQ(std::stoul(t.row(0)[2]) + std::stoul(t.row(1)[2]), ok_records);
+}
+
+TEST_F(DecompositionTest, OnlyTheFirstQueryPerPairIsCold) {
+  // Keepalive carries each pair's connection, and the HTTP/2 session state
+  // on it, across probes and rounds: exactly one cold success per resolver,
+  // and no query stalls on a reused connection.
+  std::map<std::string, int> cold_successes;
+  for (const core::ResultRecord& r : result().records) {
+    EXPECT_NE(r.error_class, "timeout") << r.resolver << " round " << r.round << " " << r.domain;
+    if (r.ok && !r.connection_reused) ++cold_successes[r.resolver];
+  }
+  for (const std::string& host : result().spec.resolvers) {
+    EXPECT_EQ(cold_successes[host], 1) << host;
+  }
 }
 
 TEST_F(DecompositionTest, ColdWarmRowsCarryBothDistributions) {

@@ -67,6 +67,26 @@ TEST(Pool, KeepaliveReusesLiveSession) {
   EXPECT_EQ(w.pool->live_sessions(), 1u);
 }
 
+TEST(Pool, ProtocolStateLivesWithTheConnection) {
+  PoolWorld w;
+  const auto first = w.acquire(ReusePolicy::Keepalive);
+  ASSERT_NE(first.protocol_state, nullptr);
+  EXPECT_EQ(*first.protocol_state, nullptr);  // fresh connection: empty slot
+  *first.protocol_state = std::make_shared<int>(7);
+
+  // A re-used lease of the same connection finds what the first one stored.
+  const auto second = w.acquire(ReusePolicy::Keepalive);
+  ASSERT_FALSE(second.fresh);
+  ASSERT_NE(*second.protocol_state, nullptr);
+  EXPECT_EQ(*std::static_pointer_cast<int>(*second.protocol_state), 7);
+
+  // A new connection starts empty again.
+  w.pool->invalidate(w.server_ep, "dns.example");
+  const auto third = w.acquire(ReusePolicy::Keepalive);
+  ASSERT_TRUE(third.fresh);
+  EXPECT_EQ(*third.protocol_state, nullptr);
+}
+
 TEST(Pool, PolicyNoneNeverReuses) {
   PoolWorld w;
   const auto first = w.acquire(ReusePolicy::None);

@@ -11,7 +11,7 @@
 // Suites:
 //   fig2 (default) — the paper's Fig. 2 workload: the full Appendix A.2
 //     registry from the four global vantages, 30 rounds, on the staged
-//     pipeline engine (--threads N; 0 = legacy single-world engine).
+//     pipeline engine with --threads N workers (default 1).
 //   monitor — the longitudinal epoch driver: a 7-resolver watchlist over 30
 //     daily epochs with one scripted outage (bench_monitor's scenario).
 //   micro — engine micro-costs: uncontended SPSC ring throughput plus a
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign.h"
 #include "util/json.h"
 #include "core/parallel_campaign.h"
 #include "lint/lint.h"
@@ -86,7 +85,7 @@ core::Json make_header(const std::string& bench, std::uint64_t seed, int threads
   header["seed"] = core::Json(static_cast<double>(seed));
   header["threads"] = core::Json(static_cast<double>(threads));
   const std::size_t effective =
-      threads <= 0 ? 1 : std::min(static_cast<std::size_t>(threads), std::max<std::size_t>(shards, 1));
+      std::min(static_cast<std::size_t>(threads), std::max<std::size_t>(shards, 1));
   header["effective_threads"] = core::Json(static_cast<double>(effective));
   header["rounds"] = core::Json(static_cast<double>(rounds));
   return core::Json(std::move(header));
@@ -128,9 +127,14 @@ int main(int argc, char** argv) {
   if (const auto it = options.find("seed"); it != options.end()) {
     seed = std::strtoull(it->second.c_str(), nullptr, 10);
   }
-  int threads = 0;
+  int threads = 1;
   if (const auto it = options.find("threads"); it != options.end()) {
     threads = std::atoi(it->second.c_str());
+    if (threads < 1) {
+      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n",
+                   it->second.c_str());
+      return 1;
+    }
   }
   int repeat = 1;
   if (const auto it = options.find("repeat"); it != options.end()) {
@@ -160,18 +164,11 @@ int main(int argc, char** argv) {
     // One timed campaign run; `with_trace` enables tracing for the overhead
     // comparison (the trace itself is discarded — only the cost matters).
     const auto timed_run = [&](bool with_trace, double& wall_ms) {
-      core::CampaignResult r;
+      core::CampaignObsOptions obs_options;
+      obs_options.trace = with_trace;
+      core::CampaignObsData obs_data;
       const auto start = WallClock::now();
-      if (threads <= 0) {
-        core::SimWorld world(seed);
-        if (with_trace) world.tracer().enable();
-        r = core::CampaignRunner(world, spec).run();
-      } else {
-        core::CampaignObsOptions obs_options;
-        obs_options.trace = with_trace;
-        core::CampaignObsData obs_data;
-        r = core::run_parallel_campaign(spec, threads, obs_options, &obs_data);
-      }
+      core::CampaignResult r = core::run_parallel_campaign(spec, threads, obs_options, &obs_data);
       wall_ms = elapsed_ms(start);
       return r;
     };
@@ -206,7 +203,6 @@ int main(int argc, char** argv) {
 
     o["bench"] = core::Json(std::string("paper_campaign"));
     o["header"] = make_header("paper_campaign", seed, threads, vantages.size(), rounds);
-    o["engine"] = core::Json(std::string(threads > 0 ? "sharded" : "legacy"));
     o["threads"] = core::Json(static_cast<double>(threads));
     o["resolvers"] = core::Json(static_cast<double>(spec.resolvers.size()));
     o["vantages"] = core::Json(static_cast<double>(vantages.size()));
@@ -252,14 +248,13 @@ int main(int argc, char** argv) {
     spec.epochs = 30;
     spec.outages.push_back(monitor::OutageScript{"kronos.plan9-dns.com", 12, 15});
 
-    const int workers = threads <= 0 ? 1 : threads;
     double best_wall_ms = 0.0;
     monitor::MonitorResult mon;
     {
       const auto scope = profiler.scope("monitor");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        auto result = monitor::run_monitor(spec, workers);
+        auto result = monitor::run_monitor(spec, threads);
         const double wall_ms = elapsed_ms(start);
         if (!result) {
           std::fprintf(stderr, "monitor bench failed: %s\n", result.error().c_str());
@@ -279,7 +274,7 @@ int main(int argc, char** argv) {
       const auto scope = profiler.scope("diagnose");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        auto report = monitor::diagnose_events(mon, workers);
+        auto report = monitor::diagnose_events(mon, threads);
         const double wall_ms = elapsed_ms(start);
         if (!report) {
           std::fprintf(stderr, "diagnose bench failed: %s\n", report.error().c_str());
@@ -369,7 +364,7 @@ int main(int argc, char** argv) {
       const auto scope = profiler.scope("campaign");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        result = core::run_parallel_campaign(spec, threads <= 0 ? 1 : threads);
+        result = core::run_parallel_campaign(spec, threads);
         const double wall_ms = elapsed_ms(start);
         if (run == 0 || wall_ms < campaign_wall_ms) campaign_wall_ms = wall_ms;
       }

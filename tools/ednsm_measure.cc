@@ -8,17 +8,16 @@
 //                 [--rounds 10] [--protocol DoH|DoT|Do53|DoQ|ODoH] [--seed 1]
 //                 [--reuse none|keepalive|ticket-resumption]
 //                 [--domains google.com,amazon.com] [--out results.json]
-//                 [--threads N]
+//                 [--threads N (default 1)]
 //   ednsm_measure --all-resolvers --vantages ec2-ohio,ec2-seoul
 //   ednsm_measure ... --trace trace.json [--trace-filter transport]
 //                 [--trace-capacity 65536] [--metrics metrics.jsonl]
 //   ednsm_measure ... --shard k/N --out shard_k.json
 //   ednsm_measure ... --progress-file heartbeat.json --manifest manifest.json
 //
-// --threads N selects the shard-per-vantage parallel engine with N workers
-// (see core/parallel_campaign.h); its JSON output is byte-identical for every
-// N, including --threads 1. Omitting the flag keeps the legacy single-world
-// engine, whose record stream matches earlier releases exactly.
+// Every campaign runs on the shard-per-vantage engine (one simulated world
+// per vantage, see core/parallel_campaign.h). --threads N (default 1) sets
+// its worker count; the JSON output is byte-identical for every N.
 //
 // --shard k/N runs only slice k of N of the campaign's shard plan list (the
 // multi-process split; slices are contiguous and balanced) and writes a
@@ -49,7 +48,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/campaign.h"
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
 #include "obs/runtime.h"
@@ -159,7 +157,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  int threads = 0;  // 0 = legacy single-world engine
+  int threads = 1;
   if (const std::string* t = args.value().get("threads")) {
     threads = std::atoi(t->c_str());
     if (threads < 1) {
@@ -168,11 +166,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::fprintf(stderr, "measuring %zu resolvers x %zu vantages x %d rounds over %s%s...\n",
+  std::fprintf(stderr,
+               "measuring %zu resolvers x %zu vantages x %d rounds over %s (%d threads)...\n",
                spec.value().resolvers.size(), spec.value().vantage_ids.size(),
                spec.value().rounds,
-               std::string(client::to_string(spec.value().protocol)).c_str(),
-               threads > 0 ? (" (sharded, " + std::to_string(threads) + " threads)").c_str() : "");
+               std::string(client::to_string(spec.value().protocol)).c_str(), threads);
 
   const std::string* trace_path = args.value().get("trace");
   const std::string* metrics_path = args.value().get("metrics");
@@ -259,7 +257,7 @@ int main(int argc, char** argv) {
 
     if (telemetry_on) {
       telemetry.describe_run(core::spec_fingerprint(spec.value()), slice.value().k,
-                             slice.value().n, threads > 0 ? threads : 1);
+                             slice.value().n, threads);
       telemetry.begin_run(mine.size());
       if (heartbeat.has_value()) heartbeat->write_update();  // initial "starting"
     }
@@ -271,7 +269,7 @@ int main(int argc, char** argv) {
     file.has_trace = obs_options.trace;
     file.has_metrics = obs_options.metrics;
     file.outcomes.reserve(mine.size());
-    core::run_pipeline(spec.value(), mine, threads > 0 ? threads : 1, obs_options,
+    core::run_pipeline(spec.value(), mine, threads, obs_options,
                        [&](core::ShardOutcome&& outcome) {
                          file.outcomes.push_back(std::move(outcome));
                        });
@@ -341,34 +339,15 @@ int main(int argc, char** argv) {
 
   const std::size_t plan_count = spec.value().vantage_ids.size();
   if (telemetry_on) {
-    telemetry.describe_run(core::spec_fingerprint(spec.value()), 0, 1,
-                           threads > 0 ? threads : 1);
+    telemetry.describe_run(core::spec_fingerprint(spec.value()), 0, 1, threads);
     telemetry.begin_run(plan_count);
     if (heartbeat.has_value()) heartbeat->write_update();  // initial "starting"
   }
 
-  core::CampaignResult result;
-  if (threads > 0) {
-    result = core::run_parallel_campaign(spec.value(), threads, obs_options, &obs_data);
-  } else {
-    core::SimWorld world(spec.value().seed);
-    if (obs_options.trace) world.tracer().enable(obs_options.trace_capacity);
-    result = core::CampaignRunner(world, spec.value()).run();
-    if (obs_options.trace) obs_data.trace.add_shard("world", world.tracer().drain());
-    if (obs_options.metrics) {
-      world.collect_metrics(obs_data.metrics);
-      core::collect_result_metrics(result, obs_data.metrics);
-    }
-    // The legacy engine has no pipeline hooks; report the whole run as done
-    // after the fact so its heartbeat/manifest still describe completion.
-    if (telemetry_on) {
-      for (std::size_t i = 0; i < plan_count; ++i) telemetry.note_plan_done(0);
-      telemetry.note_sink_items(plan_count, 0);
-    }
-  }
+  const core::CampaignResult result =
+      core::run_parallel_campaign(spec.value(), threads, obs_options, &obs_data);
 
-  const std::string* out_path = args.value().get("out");
-  const std::string path = out_path != nullptr ? *out_path : "results.json";
+  const std::string path = out_path_opt != nullptr ? *out_path_opt : "results.json";
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
