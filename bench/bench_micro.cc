@@ -155,12 +155,12 @@ void BM_CacheInsertEvict(benchmark::State& state) {
 BENCHMARK(BM_CacheInsertEvict);
 
 void BM_JsonDumpRecord(benchmark::State& state) {
-  core::JsonObject o;
-  o["vantage"] = core::Json("ec2-ohio");
-  o["resolver"] = core::Json("dns.google");
-  o["response_ms"] = core::Json(31.25);
-  o["ok"] = core::Json(true);
-  const core::Json j(std::move(o));
+  util::JsonObject o;
+  o["vantage"] = util::Json("ec2-ohio");
+  o["resolver"] = util::Json("dns.google");
+  o["response_ms"] = util::Json(31.25);
+  o["ok"] = util::Json(true);
+  const util::Json j(std::move(o));
   for (auto _ : state) {
     benchmark::DoNotOptimize(j.dump());
   }
@@ -171,7 +171,7 @@ void BM_JsonParseRecord(benchmark::State& state) {
   const std::string text =
       R"({"ok":true,"resolver":"dns.google","response_ms":31.25,"vantage":"ec2-ohio"})";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Json::parse(text));
+    benchmark::DoNotOptimize(util::Json::parse(text));
   }
 }
 BENCHMARK(BM_JsonParseRecord);

@@ -17,10 +17,10 @@ void bump(AvailabilityCounts& c, const ResultRecord& r) {
 
 void AvailabilityLedger::record(const ResultRecord& r) {
   bump(overall_, r);
-  const InternTable::Symbol host = hostnames_.intern(r.resolver);
-  const InternTable::Symbol vantage = vantages_.intern(r.vantage);
+  const util::InternTable::Symbol host = hostnames_.intern(r.resolver);
+  const util::InternTable::Symbol vantage = vantages_.intern(r.vantage);
   bump(by_resolver_[host], r);
-  bump(by_pair_[InternTable::pair_key(vantage, host)], r);
+  bump(by_pair_[util::InternTable::pair_key(vantage, host)], r);
 }
 
 AvailabilityCounts AvailabilityLedger::per_resolver(const std::string& hostname) const {
@@ -35,7 +35,7 @@ AvailabilityCounts AvailabilityLedger::per_pair(const std::string& vantage,
   const auto v = vantages_.find(vantage);
   const auto h = hostnames_.find(hostname);
   if (!v.has_value() || !h.has_value()) return {};
-  const auto it = by_pair_.find(InternTable::pair_key(*v, *h));
+  const auto it = by_pair_.find(util::InternTable::pair_key(*v, *h));
   return it == by_pair_.end() ? AvailabilityCounts{} : it->second;
 }
 

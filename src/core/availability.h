@@ -53,10 +53,10 @@ class AvailabilityLedger {
   [[nodiscard]] std::string dominant_error_class() const;
 
  private:
-  InternTable vantages_;
-  InternTable hostnames_;
+  util::InternTable vantages_;
+  util::InternTable hostnames_;
   AvailabilityCounts overall_;
-  std::unordered_map<InternTable::Symbol, AvailabilityCounts> by_resolver_;
+  std::unordered_map<util::InternTable::Symbol, AvailabilityCounts> by_resolver_;
   std::unordered_map<std::uint64_t, AvailabilityCounts> by_pair_;
 };
 

@@ -13,13 +13,13 @@ PairSampleIndex PairSampleIndex::build(const std::vector<ResultRecord>& records,
   for (const ResultRecord& r : records) {
     if (!r.ok) continue;
     const auto key =
-        InternTable::pair_key(idx.vantages_.intern(r.vantage), idx.resolvers_.intern(r.resolver));
+        util::InternTable::pair_key(idx.vantages_.intern(r.vantage), idx.resolvers_.intern(r.resolver));
     idx.responses_[key].push_back(r.response_ms);
   }
   for (const PingRecord& p : pings) {
     if (!p.ok) continue;
     const auto key =
-        InternTable::pair_key(idx.vantages_.intern(p.vantage), idx.resolvers_.intern(p.resolver));
+        util::InternTable::pair_key(idx.vantages_.intern(p.vantage), idx.resolvers_.intern(p.resolver));
     idx.pings_[key].push_back(p.rtt_ms);
   }
   idx.records_indexed_ = records.size();
@@ -29,13 +29,13 @@ PairSampleIndex PairSampleIndex::build(const std::vector<ResultRecord>& records,
 
 namespace {
 const std::vector<double>* lookup_pair(
-    const InternTable& vantages, const InternTable& resolvers,
+    const util::InternTable& vantages, const util::InternTable& resolvers,
     const std::unordered_map<std::uint64_t, std::vector<double>>& samples,
     std::string_view vantage, std::string_view resolver) {
   const auto v = vantages.find(vantage);
   const auto r = resolvers.find(resolver);
   if (!v.has_value() || !r.has_value()) return nullptr;
-  const auto it = samples.find(InternTable::pair_key(*v, *r));
+  const auto it = samples.find(util::InternTable::pair_key(*v, *r));
   return it == samples.end() ? nullptr : &it->second;
 }
 }  // namespace
@@ -70,21 +70,21 @@ std::vector<double> CampaignResult::ping_times(const std::string& vantage,
   return samples == nullptr ? std::vector<double>{} : *samples;
 }
 
-Json CampaignResult::to_json() const {
-  JsonObject o;
+util::Json CampaignResult::to_json() const {
+  util::JsonObject o;
   o["spec"] = spec.to_json();
-  JsonArray recs;
+  util::JsonArray recs;
   recs.reserve(records.size());
   for (const ResultRecord& r : records) recs.push_back(r.to_json());
-  o["records"] = Json(std::move(recs));
-  JsonArray pngs;
+  o["records"] = util::Json(std::move(recs));
+  util::JsonArray pngs;
   pngs.reserve(pings.size());
   for (const PingRecord& p : pings) pngs.push_back(p.to_json());
-  o["pings"] = Json(std::move(pngs));
-  return Json(std::move(o));
+  o["pings"] = util::Json(std::move(pngs));
+  return util::Json(std::move(o));
 }
 
-Result<CampaignResult> CampaignResult::from_json(const Json& j) {
+Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("campaign: not an object")};
   CampaignResult out;
   auto spec = MeasurementSpec::from_json(j.at("spec"));
@@ -92,14 +92,14 @@ Result<CampaignResult> CampaignResult::from_json(const Json& j) {
   out.spec = std::move(spec).value();
 
   if (!j.at("records").is_array()) return Err{std::string("campaign: missing records")};
-  for (const Json& e : j.at("records").as_array()) {
+  for (const util::Json& e : j.at("records").as_array()) {
     auto r = ResultRecord::from_json(e);
     if (!r) return Err{r.error()};
     out.availability.record(r.value());
     out.records.push_back(std::move(r).value());
   }
   if (j.at("pings").is_array()) {
-    for (const Json& e : j.at("pings").as_array()) {
+    for (const util::Json& e : j.at("pings").as_array()) {
       auto p = PingRecord::from_json(e);
       if (!p) return Err{p.error()};
       out.pings.push_back(std::move(p).value());

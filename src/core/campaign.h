@@ -43,8 +43,8 @@ class PairSampleIndex {
   [[nodiscard]] std::size_t pings_indexed() const noexcept { return pings_indexed_; }
 
  private:
-  InternTable vantages_;
-  InternTable resolvers_;
+  util::InternTable vantages_;
+  util::InternTable resolvers_;
   std::unordered_map<std::uint64_t, std::vector<double>> responses_;
   std::unordered_map<std::uint64_t, std::vector<double>> pings_;
   std::size_t records_indexed_ = 0;
@@ -73,8 +73,8 @@ struct CampaignResult {
   [[nodiscard]] const PairSampleIndex& index() const;
 
   // The tool's JSON output (object with "spec", "records", "pings").
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<CampaignResult> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<CampaignResult> from_json(const util::Json& j);
 
   void write_json(std::ostream& os, int indent = 2) const;
 

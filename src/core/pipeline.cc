@@ -1,9 +1,9 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "netsim/rng.h"
+#include "util/strings.h"
 
 namespace ednsm::core {
 
@@ -70,19 +70,14 @@ std::vector<ShardPlan> expand_spec(const MeasurementSpec& spec) {
 
 Result<ShardSlice> ShardSlice::parse(const std::string& text) {
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
-    return Err{"shard slice must be k/N, e.g. 0/4: " + text};
+  const std::string_view view(text);
+  unsigned long long k = 0;
+  unsigned long long n = 0;
+  if (slash == std::string::npos || !util::parse_u64(view.substr(0, slash), k) ||
+      !util::parse_u64(view.substr(slash + 1), n)) {
+    return Err{"shard slice must be k/N with decimal k and N, e.g. 0/4: " + text};
   }
-  const std::string k_part = text.substr(0, slash);
-  const std::string n_part = text.substr(slash + 1);
-  for (const std::string& part : {k_part, n_part}) {
-    if (part.find_first_not_of("0123456789") != std::string::npos) {
-      return Err{"shard slice must be k/N with decimal k and N: " + text};
-    }
-  }
-  ShardSlice slice;
-  slice.k = static_cast<std::size_t>(std::strtoull(k_part.c_str(), nullptr, 10));
-  slice.n = static_cast<std::size_t>(std::strtoull(n_part.c_str(), nullptr, 10));
+  const ShardSlice slice{static_cast<std::size_t>(k), static_cast<std::size_t>(n)};
   if (!slice.valid()) {
     return Err{"shard slice needs 0 <= k < N: " + text};
   }

@@ -23,43 +23,43 @@ Result<std::uint64_t> u64_from_hex(const std::string& s) {
   return v;
 }
 
-Json ShardFile::to_json() const {
-  JsonObject o;
+util::Json ShardFile::to_json() const {
+  util::JsonObject o;
   o["magic"] = std::string(kMagic);
   o["version"] = kVersion;
   o["spec"] = spec.to_json();
   o["spec_fingerprint"] = u64_to_hex(spec_fingerprint(spec));
-  JsonObject slice_o;
+  util::JsonObject slice_o;
   slice_o["k"] = static_cast<std::uint64_t>(slice.k);
   slice_o["n"] = static_cast<std::uint64_t>(slice.n);
-  o["slice"] = Json(std::move(slice_o));
+  o["slice"] = util::Json(std::move(slice_o));
   o["total_shards"] = static_cast<std::uint64_t>(total_shards);
   o["has_trace"] = has_trace;
   o["has_metrics"] = has_metrics;
-  JsonArray outs;
+  util::JsonArray outs;
   outs.reserve(outcomes.size());
   for (const ShardOutcome& out : outcomes) {
-    JsonObject oo;
+    util::JsonObject oo;
     oo["index"] = static_cast<std::uint64_t>(out.index);
     oo["vantage"] = out.vantage;
     oo["seed"] = u64_to_hex(out.seed);
-    JsonArray records;
+    util::JsonArray records;
     records.reserve(out.result.records.size());
     for (const ResultRecord& r : out.result.records) records.push_back(r.to_json());
-    oo["records"] = Json(std::move(records));
-    JsonArray pings;
+    oo["records"] = util::Json(std::move(records));
+    util::JsonArray pings;
     pings.reserve(out.result.pings.size());
     for (const PingRecord& p : out.result.pings) pings.push_back(p.to_json());
-    oo["pings"] = Json(std::move(pings));
+    oo["pings"] = util::Json(std::move(pings));
     if (has_trace) oo["trace"] = out.trace.to_json();
     if (has_metrics) oo["metrics"] = out.metrics.to_json();
     outs.emplace_back(std::move(oo));
   }
-  o["outcomes"] = Json(std::move(outs));
-  return Json(std::move(o));
+  o["outcomes"] = util::Json(std::move(outs));
+  return util::Json(std::move(o));
 }
 
-Result<ShardFile> ShardFile::from_json(const Json& j) {
+Result<ShardFile> ShardFile::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("shard file: not a JSON object")};
   if (!j.at("magic").is_string() || j.at("magic").as_string() != kMagic) {
     return Err{std::string("shard file: bad magic (expected \"ednsm-shard\")")};
@@ -82,7 +82,7 @@ Result<ShardFile> ShardFile::from_json(const Json& j) {
     return Err{std::string("shard file: spec_fingerprint does not match embedded spec")};
   }
 
-  const Json& slice_j = j.at("slice");
+  const util::Json& slice_j = j.at("slice");
   if (!slice_j.is_object() || !slice_j.at("k").is_number() || !slice_j.at("n").is_number()) {
     return Err{std::string("shard file: slice must be {k, n}")};
   }
@@ -99,7 +99,7 @@ Result<ShardFile> ShardFile::from_json(const Json& j) {
   f.has_metrics = j.at("has_metrics").as_bool();
 
   if (!j.at("outcomes").is_array()) return Err{std::string("shard file: missing outcomes")};
-  for (const Json& oj : j.at("outcomes").as_array()) {
+  for (const util::Json& oj : j.at("outcomes").as_array()) {
     if (!oj.is_object() || !oj.at("index").is_number() || !oj.at("vantage").is_string() ||
         !oj.at("seed").is_string() || !oj.at("records").is_array() ||
         !oj.at("pings").is_array()) {
@@ -111,12 +111,12 @@ Result<ShardFile> ShardFile::from_json(const Json& j) {
     auto seed = u64_from_hex(oj.at("seed").as_string());
     if (!seed) return Err{"shard file: bad outcome seed: " + seed.error()};
     out.seed = seed.value();
-    for (const Json& rj : oj.at("records").as_array()) {
+    for (const util::Json& rj : oj.at("records").as_array()) {
       auto r = ResultRecord::from_json(rj);
       if (!r) return Err{"shard file: bad record: " + r.error()};
       out.result.records.push_back(std::move(r).value());
     }
-    for (const Json& pj : oj.at("pings").as_array()) {
+    for (const util::Json& pj : oj.at("pings").as_array()) {
       auto p = PingRecord::from_json(pj);
       if (!p) return Err{"shard file: bad ping: " + p.error()};
       out.result.pings.push_back(std::move(p).value());
@@ -178,7 +178,7 @@ Result<void> ShardFile::write(const std::string& path) const {
 Result<ShardFile> ShardFile::load(const std::string& path) {
   auto text = util::read_file(path);
   if (!text) return Err{"shard file: " + text.error()};
-  auto j = Json::parse(text.value());
+  auto j = util::Json::parse(text.value());
   if (!j) return Err{"shard file " + path + ": " + j.error()};
   auto f = from_json(j.value());
   if (!f) return Err{path + ": " + f.error()};

@@ -46,8 +46,8 @@ struct ShardFile {
   bool has_metrics = false;
   std::vector<ShardOutcome> outcomes;  // this slice's plans, in index order
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<ShardFile> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<ShardFile> from_json(const util::Json& j);
 
   // Structural validation against the spec's derived plan list (see header
   // comment). from_json calls this; it is public so tests can probe it.

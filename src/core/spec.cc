@@ -8,17 +8,17 @@ namespace ednsm::core {
 
 namespace {
 
-Json string_array(const std::vector<std::string>& v) {
-  JsonArray arr;
+util::Json string_array(const std::vector<std::string>& v) {
+  util::JsonArray arr;
   arr.reserve(v.size());
   for (const std::string& s : v) arr.emplace_back(s);
-  return Json(std::move(arr));
+  return util::Json(std::move(arr));
 }
 
-Result<std::vector<std::string>> parse_string_array(const Json& j, const char* what) {
+Result<std::vector<std::string>> parse_string_array(const util::Json& j, const char* what) {
   if (!j.is_array()) return Err{std::string("spec: ") + what + " must be an array"};
   std::vector<std::string> out;
-  for (const Json& e : j.as_array()) {
+  for (const util::Json& e : j.as_array()) {
     if (!e.is_string()) return Err{std::string("spec: ") + what + " entries must be strings"};
     out.push_back(e.as_string());
   }
@@ -34,15 +34,15 @@ Result<client::Protocol> parse_protocol(const std::string& s) {
 
 }  // namespace
 
-Json FaultWindow::to_json() const {
-  JsonObject o;
+util::Json FaultWindow::to_json() const {
+  util::JsonObject o;
   o["resolver"] = resolver;
   o["from_round"] = from_round;
   o["to_round"] = to_round;
-  return Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<FaultWindow> FaultWindow::from_json(const Json& j) {
+Result<FaultWindow> FaultWindow::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("fault window: not an object")};
   FaultWindow w;
   if (!j.at("resolver").is_string() || !j.at("from_round").is_number() ||
@@ -85,8 +85,8 @@ Result<void> MeasurementSpec::validate() const {
   return {};
 }
 
-Json MeasurementSpec::to_json() const {
-  JsonObject o;
+util::Json MeasurementSpec::to_json() const {
+  util::JsonObject o;
   o["resolvers"] = string_array(resolvers);
   o["domains"] = string_array(domains);
   o["vantage_ids"] = string_array(vantage_ids);
@@ -103,15 +103,15 @@ Json MeasurementSpec::to_json() const {
   o["pad_block"] = static_cast<std::uint64_t>(query_options.pad_block);
   o["seed"] = seed;
   if (!fault_windows.empty()) {
-    JsonArray arr;
+    util::JsonArray arr;
     arr.reserve(fault_windows.size());
     for (const FaultWindow& w : fault_windows) arr.push_back(w.to_json());
-    o["fault_windows"] = Json(std::move(arr));
+    o["fault_windows"] = util::Json(std::move(arr));
   }
-  return Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<MeasurementSpec> MeasurementSpec::from_json(const Json& j) {
+Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
   MeasurementSpec spec;
   auto resolvers = parse_string_array(j.at("resolvers"), "resolvers");
   if (!resolvers) return Err{resolvers.error()};
@@ -157,7 +157,7 @@ Result<MeasurementSpec> MeasurementSpec::from_json(const Json& j) {
   }
   if (j.at("seed").is_number()) spec.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
   if (j.at("fault_windows").is_array()) {
-    for (const Json& e : j.at("fault_windows").as_array()) {
+    for (const util::Json& e : j.at("fault_windows").as_array()) {
       auto w = FaultWindow::from_json(e);
       if (!w) return Err{w.error()};
       spec.fault_windows.push_back(std::move(w).value());
@@ -180,8 +180,8 @@ std::string_view derive_failure_stage(std::string_view error_class) noexcept {
   return {};
 }
 
-Json ResultRecord::to_json() const {
-  JsonObject o;
+util::Json ResultRecord::to_json() const {
+  util::JsonObject o;
   o["vantage"] = vantage;
   o["resolver"] = resolver;
   o["domain"] = domain;
@@ -205,10 +205,10 @@ Json ResultRecord::to_json() const {
   }
   if (http_status != 0) o["http_status"] = http_status;
   o["answers"] = answer_count;
-  return Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<ResultRecord> ResultRecord::from_json(const Json& j) {
+Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("record: not an object")};
   ResultRecord r;
   if (!j.at("vantage").is_string() || !j.at("resolver").is_string() ||
@@ -256,17 +256,17 @@ Result<ResultRecord> ResultRecord::from_json(const Json& j) {
   return r;
 }
 
-Json PingRecord::to_json() const {
-  JsonObject o;
+util::Json PingRecord::to_json() const {
+  util::JsonObject o;
   o["vantage"] = vantage;
   o["resolver"] = resolver;
   o["round"] = round;
   o["ok"] = ok;
   if (ok) o["rtt_ms"] = rtt_ms;
-  return Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<PingRecord> PingRecord::from_json(const Json& j) {
+Result<PingRecord> PingRecord::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("ping: not an object")};
   PingRecord p;
   if (!j.at("vantage").is_string() || !j.at("resolver").is_string() || !j.at("ok").is_bool()) {

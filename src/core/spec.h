@@ -25,8 +25,8 @@ struct FaultWindow {
   int from_round = 0;
   int to_round = 0;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<FaultWindow> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<FaultWindow> from_json(const util::Json& j);
 };
 
 struct MeasurementSpec {
@@ -47,8 +47,8 @@ struct MeasurementSpec {
   // rounds); returns an explanation on failure.
   [[nodiscard]] Result<void> validate() const;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<MeasurementSpec> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<MeasurementSpec> from_json(const util::Json& j);
 };
 
 // One DNS query result.
@@ -81,8 +81,8 @@ struct ResultRecord {
   int http_status = 0;
   int answer_count = 0;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<ResultRecord> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<ResultRecord> from_json(const util::Json& j);
 };
 
 // Maps an error_class string to the query phase it failed in. Returns "" for
@@ -97,8 +97,8 @@ struct PingRecord {
   bool ok = false;
   double rtt_ms = 0;  // valid when ok
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<PingRecord> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<PingRecord> from_json(const util::Json& j);
 };
 
 }  // namespace ednsm::core

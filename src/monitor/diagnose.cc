@@ -162,16 +162,16 @@ std::vector<CauseVerdict> rank_causes(const Diagnosis& d) {
 
 }  // namespace
 
-core::Json CauseVerdict::to_json() const {
-  core::JsonObject o;
+util::Json CauseVerdict::to_json() const {
+  util::JsonObject o;
   o["cause"] = cause;
   o["score"] = score;
   o["evidence"] = evidence;
   o["rationale"] = rationale;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<CauseVerdict> CauseVerdict::from_json(const core::Json& j) {
+Result<CauseVerdict> CauseVerdict::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("cause verdict: not an object")};
   CauseVerdict v;
   if (!j.at("cause").is_string()) return Err{std::string("cause verdict: missing cause")};
@@ -184,22 +184,22 @@ Result<CauseVerdict> CauseVerdict::from_json(const core::Json& j) {
   return v;
 }
 
-core::Json DiagnosisScope::to_json() const {
-  core::JsonObject o;
+util::Json DiagnosisScope::to_json() const {
+  util::JsonObject o;
   o["classification"] = classification;
-  core::JsonArray vantages;
+  util::JsonArray vantages;
   vantages.reserve(affected_vantages.size());
   for (const std::string& v : affected_vantages) vantages.push_back(v);
-  o["affected_vantages"] = core::Json(std::move(vantages));
-  core::JsonArray region_arr;
+  o["affected_vantages"] = util::Json(std::move(vantages));
+  util::JsonArray region_arr;
   region_arr.reserve(affected_regions.size());
   for (const std::string& r : affected_regions) region_arr.push_back(r);
-  o["affected_regions"] = core::Json(std::move(region_arr));
+  o["affected_regions"] = util::Json(std::move(region_arr));
   o["vantages_observed"] = vantages_observed;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<DiagnosisScope> DiagnosisScope::from_json(const core::Json& j) {
+Result<DiagnosisScope> DiagnosisScope::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("diagnosis scope: not an object")};
   DiagnosisScope s;
   if (!j.at("classification").is_string()) {
@@ -207,13 +207,13 @@ Result<DiagnosisScope> DiagnosisScope::from_json(const core::Json& j) {
   }
   s.classification = j.at("classification").as_string();
   if (j.at("affected_vantages").is_array()) {
-    for (const core::Json& v : j.at("affected_vantages").as_array()) {
+    for (const util::Json& v : j.at("affected_vantages").as_array()) {
       if (!v.is_string()) return Err{std::string("diagnosis scope: vantage must be a string")};
       s.affected_vantages.push_back(v.as_string());
     }
   }
   if (j.at("affected_regions").is_array()) {
-    for (const core::Json& r : j.at("affected_regions").as_array()) {
+    for (const util::Json& r : j.at("affected_regions").as_array()) {
       if (!r.is_string()) return Err{std::string("diagnosis scope: region must be a string")};
       s.affected_regions.push_back(r.as_string());
     }
@@ -224,8 +224,8 @@ Result<DiagnosisScope> DiagnosisScope::from_json(const core::Json& j) {
   return s;
 }
 
-core::Json Diagnosis::to_json() const {
-  core::JsonObject o;
+util::Json Diagnosis::to_json() const {
+  util::JsonObject o;
   o["version"] = version;
   o["event"] = event.to_json();
   o["baseline_from"] = baseline_from;
@@ -236,18 +236,18 @@ core::Json Diagnosis::to_json() const {
   o["window"] = window.to_json();
   o["delta"] = delta.to_json();
   o["scope"] = scope.to_json();
-  core::JsonArray verdict_arr;
+  util::JsonArray verdict_arr;
   verdict_arr.reserve(verdicts.size());
   for (const CauseVerdict& v : verdicts) verdict_arr.push_back(v.to_json());
-  o["verdicts"] = core::Json(std::move(verdict_arr));
-  core::JsonArray exemplar_arr;
+  o["verdicts"] = util::Json(std::move(verdict_arr));
+  util::JsonArray exemplar_arr;
   exemplar_arr.reserve(exemplars.size());
   for (const obs::Exemplar& e : exemplars) exemplar_arr.push_back(e.to_json());
-  o["exemplars"] = core::Json(std::move(exemplar_arr));
-  return core::Json(std::move(o));
+  o["exemplars"] = util::Json(std::move(exemplar_arr));
+  return util::Json(std::move(o));
 }
 
-Result<Diagnosis> Diagnosis::from_json(const core::Json& j) {
+Result<Diagnosis> Diagnosis::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("diagnosis: not an object")};
   Diagnosis d;
   if (j.at("version").is_number()) d.version = static_cast<int>(j.at("version").as_number());
@@ -290,14 +290,14 @@ Result<Diagnosis> Diagnosis::from_json(const core::Json& j) {
     d.scope = std::move(scope).value();
   }
   if (j.at("verdicts").is_array()) {
-    for (const core::Json& v : j.at("verdicts").as_array()) {
+    for (const util::Json& v : j.at("verdicts").as_array()) {
       auto verdict = CauseVerdict::from_json(v);
       if (!verdict) return Err{verdict.error()};
       d.verdicts.push_back(std::move(verdict).value());
     }
   }
   if (j.at("exemplars").is_array()) {
-    for (const core::Json& e : j.at("exemplars").as_array()) {
+    for (const util::Json& e : j.at("exemplars").as_array()) {
       auto exemplar = obs::Exemplar::from_json(e);
       if (!exemplar) return Err{exemplar.error()};
       d.exemplars.push_back(std::move(exemplar).value());
@@ -306,17 +306,17 @@ Result<Diagnosis> Diagnosis::from_json(const core::Json& j) {
   return d;
 }
 
-core::Json DiagnosisReport::to_json() const {
-  core::JsonObject o;
+util::Json DiagnosisReport::to_json() const {
+  util::JsonObject o;
   o["version"] = version;
-  core::JsonArray arr;
+  util::JsonArray arr;
   arr.reserve(diagnoses.size());
   for (const Diagnosis& d : diagnoses) arr.push_back(d.to_json());
-  o["diagnoses"] = core::Json(std::move(arr));
-  return core::Json(std::move(o));
+  o["diagnoses"] = util::Json(std::move(arr));
+  return util::Json(std::move(o));
 }
 
-Result<DiagnosisReport> DiagnosisReport::from_json(const core::Json& j) {
+Result<DiagnosisReport> DiagnosisReport::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("diagnosis report: not an object")};
   DiagnosisReport report;
   if (j.at("version").is_number()) {
@@ -327,7 +327,7 @@ Result<DiagnosisReport> DiagnosisReport::from_json(const core::Json& j) {
                std::to_string(report.version)};
   }
   if (j.at("diagnoses").is_array()) {
-    for (const core::Json& d : j.at("diagnoses").as_array()) {
+    for (const util::Json& d : j.at("diagnoses").as_array()) {
       auto diagnosis = Diagnosis::from_json(d);
       if (!diagnosis) return Err{diagnosis.error()};
       report.diagnoses.push_back(std::move(diagnosis).value());

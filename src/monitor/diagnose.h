@@ -43,8 +43,8 @@ struct CauseVerdict {
   std::uint64_t evidence = 0;  // queries backing the verdict
   std::string rationale;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<CauseVerdict> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<CauseVerdict> from_json(const util::Json& j);
 };
 
 // How widely the event window's impact was observed across the spec's
@@ -55,8 +55,8 @@ struct DiagnosisScope {
   std::vector<std::string> affected_regions;   // continents, sorted, deduped
   int vantages_observed = 0;  // vantages with evidence in the window
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<DiagnosisScope> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<DiagnosisScope> from_json(const util::Json& j);
 };
 
 struct Diagnosis {
@@ -75,16 +75,16 @@ struct Diagnosis {
   std::vector<CauseVerdict> verdicts;  // ranked, best first
   std::vector<obs::Exemplar> exemplars;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<Diagnosis> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<Diagnosis> from_json(const util::Json& j);
 };
 
 struct DiagnosisReport {
   int version = kDiagnosisVersion;
   std::vector<Diagnosis> diagnoses;  // one per MonitorResult event, same order
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<DiagnosisReport> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<DiagnosisReport> from_json(const util::Json& j);
   void write_json(std::ostream& os, int indent = 2) const;
 };
 

@@ -35,8 +35,8 @@ void emit_runs(const std::vector<const SloSample*>& group, std::string_view stat
 
 }  // namespace
 
-core::Json MonitorEvent::to_json() const {
-  core::JsonObject o;
+util::Json MonitorEvent::to_json() const {
+  util::JsonObject o;
   o["type"] = type;
   o["vantage"] = vantage;
   o["resolver"] = resolver;
@@ -44,10 +44,10 @@ core::Json MonitorEvent::to_json() const {
   o["start_epoch"] = start_epoch;
   o["end_epoch"] = end_epoch;
   if (transitions != 0) o["transitions"] = transitions;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<MonitorEvent> MonitorEvent::from_json(const core::Json& j) {
+Result<MonitorEvent> MonitorEvent::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("monitor event: not an object")};
   MonitorEvent e;
   if (!j.at("type").is_string() || !j.at("vantage").is_string() ||
@@ -120,11 +120,11 @@ std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,
   return out;
 }
 
-core::Json events_to_json(const std::vector<MonitorEvent>& events) {
-  core::JsonArray arr;
+util::Json events_to_json(const std::vector<MonitorEvent>& events) {
+  util::JsonArray arr;
   arr.reserve(events.size());
   for (const MonitorEvent& e : events) arr.push_back(e.to_json());
-  return core::Json(std::move(arr));
+  return util::Json(std::move(arr));
 }
 
 }  // namespace ednsm::monitor

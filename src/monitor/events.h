@@ -28,8 +28,8 @@ struct MonitorEvent {
   int end_epoch = 0;    // inclusive
   int transitions = 0;  // flap events: number of state changes observed
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<MonitorEvent> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<MonitorEvent> from_json(const util::Json& j);
 };
 
 // Detect events from samples produced by evaluate_slos (grouped by
@@ -40,6 +40,6 @@ struct MonitorEvent {
 
 // Serialize a list of events as a JSON array (the `ednsm_monitor events`
 // payload and the CI smoke job's golden format).
-[[nodiscard]] core::Json events_to_json(const std::vector<MonitorEvent>& events);
+[[nodiscard]] util::Json events_to_json(const std::vector<MonitorEvent>& events);
 
 }  // namespace ednsm::monitor

@@ -4,15 +4,15 @@
 
 namespace ednsm::monitor {
 
-core::Json OutageScript::to_json() const {
-  core::JsonObject o;
+util::Json OutageScript::to_json() const {
+  util::JsonObject o;
   o["resolver"] = resolver;
   o["from_epoch"] = from_epoch;
   o["to_epoch"] = to_epoch;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<OutageScript> OutageScript::from_json(const core::Json& j) {
+Result<OutageScript> OutageScript::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("outage script: not an object")};
   OutageScript s;
   if (!j.at("resolver").is_string() || !j.at("from_epoch").is_number() ||
@@ -38,19 +38,19 @@ Result<void> MonitorSpec::validate() const {
   return {};
 }
 
-core::Json MonitorSpec::to_json() const {
-  core::JsonObject o;
+util::Json MonitorSpec::to_json() const {
+  util::JsonObject o;
   o["base"] = base.to_json();
   o["epochs"] = epochs;
-  core::JsonArray arr;
+  util::JsonArray arr;
   arr.reserve(outages.size());
   for (const OutageScript& s : outages) arr.push_back(s.to_json());
-  o["outages"] = core::Json(std::move(arr));
+  o["outages"] = util::Json(std::move(arr));
   o["slo"] = slo.to_json();
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<MonitorSpec> MonitorSpec::from_json(const core::Json& j) {
+Result<MonitorSpec> MonitorSpec::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("monitor spec: not an object")};
   MonitorSpec spec;
   auto base = core::MeasurementSpec::from_json(j.at("base"));
@@ -58,7 +58,7 @@ Result<MonitorSpec> MonitorSpec::from_json(const core::Json& j) {
   spec.base = std::move(base).value();
   if (j.at("epochs").is_number()) spec.epochs = static_cast<int>(j.at("epochs").as_number());
   if (j.at("outages").is_array()) {
-    for (const core::Json& e : j.at("outages").as_array()) {
+    for (const util::Json& e : j.at("outages").as_array()) {
       auto s = OutageScript::from_json(e);
       if (!s) return Err{s.error()};
       spec.outages.push_back(std::move(s).value());
@@ -73,17 +73,17 @@ Result<MonitorSpec> MonitorSpec::from_json(const core::Json& j) {
   return spec;
 }
 
-core::Json EpochSummary::to_json() const {
-  core::JsonObject o;
+util::Json EpochSummary::to_json() const {
+  util::JsonObject o;
   o["epoch"] = epoch;
   o["seed"] = seed;
   o["queries"] = queries;
   o["failures"] = failures;
   o["availability"] = availability;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<EpochSummary> EpochSummary::from_json(const core::Json& j) {
+Result<EpochSummary> EpochSummary::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("epoch summary: not an object")};
   EpochSummary s;
   if (!j.at("epoch").is_number()) return Err{std::string("epoch summary: missing epoch")};
@@ -97,35 +97,35 @@ Result<EpochSummary> EpochSummary::from_json(const core::Json& j) {
   return s;
 }
 
-core::Json MonitorResult::to_json() const {
-  core::JsonObject o;
+util::Json MonitorResult::to_json() const {
+  util::JsonObject o;
   o["spec"] = spec.to_json();
-  core::JsonArray epoch_arr;
+  util::JsonArray epoch_arr;
   epoch_arr.reserve(epochs.size());
   for (const EpochSummary& e : epochs) epoch_arr.push_back(e.to_json());
-  o["epochs"] = core::Json(std::move(epoch_arr));
-  core::JsonObject series_obj;
+  o["epochs"] = util::Json(std::move(epoch_arr));
+  util::JsonObject series_obj;
   series_obj["bucket_width"] = series.bucket_width();
-  core::JsonArray points;
+  util::JsonArray points;
   for (const obs::SeriesPoint& p : series.snapshot()) points.push_back(p.to_json());
-  series_obj["points"] = core::Json(std::move(points));
-  o["series"] = core::Json(std::move(series_obj));
-  core::JsonArray slo_arr;
+  series_obj["points"] = util::Json(std::move(points));
+  o["series"] = util::Json(std::move(series_obj));
+  util::JsonArray slo_arr;
   slo_arr.reserve(slos.size());
   for (const SloSample& s : slos) slo_arr.push_back(s.to_json());
-  o["slos"] = core::Json(std::move(slo_arr));
+  o["slos"] = util::Json(std::move(slo_arr));
   o["events"] = events_to_json(events);
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<MonitorResult> MonitorResult::from_json(const core::Json& j) {
+Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("monitor result: not an object")};
   MonitorResult out;
   auto spec = MonitorSpec::from_json(j.at("spec"));
   if (!spec) return Err{spec.error()};
   out.spec = std::move(spec).value();
   if (j.at("epochs").is_array()) {
-    for (const core::Json& e : j.at("epochs").as_array()) {
+    for (const util::Json& e : j.at("epochs").as_array()) {
       auto s = EpochSummary::from_json(e);
       if (!s) return Err{s.error()};
       out.epochs.push_back(std::move(s).value());
@@ -137,7 +137,7 @@ Result<MonitorResult> MonitorResult::from_json(const core::Json& j) {
           obs::TimeSeries(static_cast<std::int64_t>(j.at("series").at("bucket_width").as_number()));
     }
     if (j.at("series").at("points").is_array()) {
-      for (const core::Json& e : j.at("series").at("points").as_array()) {
+      for (const util::Json& e : j.at("series").at("points").as_array()) {
         auto p = obs::SeriesPoint::from_json(e);
         if (!p) return Err{p.error()};
         if (auto ins = out.series.insert(p.value()); !ins) return Err{ins.error()};
@@ -145,14 +145,14 @@ Result<MonitorResult> MonitorResult::from_json(const core::Json& j) {
     }
   }
   if (j.at("slos").is_array()) {
-    for (const core::Json& e : j.at("slos").as_array()) {
+    for (const util::Json& e : j.at("slos").as_array()) {
       auto s = SloSample::from_json(e);
       if (!s) return Err{s.error()};
       out.slos.push_back(std::move(s).value());
     }
   }
   if (j.at("events").is_array()) {
-    for (const core::Json& e : j.at("events").as_array()) {
+    for (const util::Json& e : j.at("events").as_array()) {
       auto ev = MonitorEvent::from_json(e);
       if (!ev) return Err{ev.error()};
       out.events.push_back(std::move(ev).value());

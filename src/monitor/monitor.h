@@ -27,8 +27,8 @@ struct OutageScript {
   int from_epoch = 0;
   int to_epoch = 0;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<OutageScript> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<OutageScript> from_json(const util::Json& j);
 };
 
 struct MonitorSpec {
@@ -38,8 +38,8 @@ struct MonitorSpec {
   SloConfig slo;
 
   [[nodiscard]] Result<void> validate() const;
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<MonitorSpec> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<MonitorSpec> from_json(const util::Json& j);
 };
 
 // Aggregate tallies for one epoch's campaign.
@@ -50,8 +50,8 @@ struct EpochSummary {
   std::uint64_t failures = 0;
   double availability = 1.0;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<EpochSummary> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<EpochSummary> from_json(const util::Json& j);
 };
 
 struct MonitorResult {
@@ -61,8 +61,8 @@ struct MonitorResult {
   std::vector<SloSample> slos;
   std::vector<MonitorEvent> events;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<MonitorResult> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<MonitorResult> from_json(const util::Json& j);
   void write_json(std::ostream& os, int indent = 0) const;
 };
 

@@ -18,16 +18,16 @@ double finite_or_zero(double v) noexcept { return std::isnan(v) ? 0.0 : v; }
 
 }  // namespace
 
-core::Json SloThresholds::to_json() const {
-  core::JsonObject o;
+util::Json SloThresholds::to_json() const {
+  util::JsonObject o;
   o["min_availability"] = min_availability;
   o["max_p50_ms"] = max_p50_ms;
   o["max_p95_ms"] = max_p95_ms;
   o["max_p99_ms"] = max_p99_ms;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<SloThresholds> SloThresholds::from_json(const core::Json& j) {
+Result<SloThresholds> SloThresholds::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("slo thresholds: not an object")};
   SloThresholds t;
   if (j.at("min_availability").is_number()) t.min_availability = j.at("min_availability").as_number();
@@ -63,18 +63,18 @@ Result<void> SloConfig::validate() const {
   return {};
 }
 
-core::Json SloConfig::to_json() const {
-  core::JsonObject o;
+util::Json SloConfig::to_json() const {
+  util::JsonObject o;
   o["window_epochs"] = window_epochs;
   o["outage_availability"] = outage_availability;
   o["flap_transitions"] = flap_transitions;
   o["hyperscale"] = hyperscale.to_json();
   o["managed"] = managed.to_json();
   o["hobbyist"] = hobbyist.to_json();
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<SloConfig> SloConfig::from_json(const core::Json& j) {
+Result<SloConfig> SloConfig::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("slo config: not an object")};
   SloConfig c;
   if (j.at("window_epochs").is_number()) {
@@ -105,8 +105,8 @@ Result<SloConfig> SloConfig::from_json(const core::Json& j) {
   return c;
 }
 
-core::Json SloSample::to_json() const {
-  core::JsonObject o;
+util::Json SloSample::to_json() const {
+  util::JsonObject o;
   o["vantage"] = vantage;
   o["resolver"] = resolver;
   o["protocol"] = protocol;
@@ -121,10 +121,10 @@ core::Json SloSample::to_json() const {
   o["p95_ms"] = p95_ms;
   o["p99_ms"] = p99_ms;
   o["state"] = state;
-  return core::Json(std::move(o));
+  return util::Json(std::move(o));
 }
 
-Result<SloSample> SloSample::from_json(const core::Json& j) {
+Result<SloSample> SloSample::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("slo sample: not an object")};
   SloSample s;
   if (!j.at("vantage").is_string() || !j.at("resolver").is_string() ||

@@ -39,8 +39,8 @@ struct SloThresholds {
   double max_p95_ms = 1500.0;
   double max_p99_ms = 4000.0;
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<SloThresholds> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<SloThresholds> from_json(const util::Json& j);
 };
 
 struct SloConfig {
@@ -57,8 +57,8 @@ struct SloConfig {
   [[nodiscard]] const SloThresholds& for_resolver(std::string_view hostname) const noexcept;
 
   [[nodiscard]] Result<void> validate() const;
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<SloConfig> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<SloConfig> from_json(const util::Json& j);
 };
 
 // One (vantage, resolver, protocol, epoch) evaluation.
@@ -78,8 +78,8 @@ struct SloSample {
   double p99_ms = 0.0;
   std::string state;                  // "healthy" | "degraded" | "outage"
 
-  [[nodiscard]] core::Json to_json() const;
-  [[nodiscard]] static Result<SloSample> from_json(const core::Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<SloSample> from_json(const util::Json& j);
 };
 
 // Evaluate every (vantage, resolver) pair for epochs [0, epochs), in

@@ -80,10 +80,3 @@ class InternTable {
 };
 
 }  // namespace ednsm::util
-
-// Source-compatibility alias: InternTable lived in core/ until the layering
-// refactor moved it to the bottom layer (see tools/lint/layers.conf). New
-// code should spell ednsm::util::InternTable.
-namespace ednsm::core {
-using util::InternTable;
-}  // namespace ednsm::core

@@ -70,14 +70,3 @@ class Json {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace ednsm::util
-
-// Source-compatibility aliases: the JSON model lived in core/ until the
-// layering refactor moved it to the bottom layer (obs and other near-leaf
-// modules persist structured data; see tools/lint/layers.conf). New code
-// should spell ednsm::util::Json.
-namespace ednsm::core {
-using util::Json;
-using util::JsonArray;
-using util::JsonObject;
-using util::json_escape;
-}  // namespace ednsm::core

@@ -141,7 +141,7 @@ TEST(Campaign, JsonRoundTrip) {
 
   std::ostringstream os;
   result.write_json(os);
-  auto parsed = Json::parse(os.str());
+  auto parsed = util::Json::parse(os.str());
   ASSERT_TRUE(parsed.has_value()) << parsed.error();
   auto round = CampaignResult::from_json(parsed.value());
   ASSERT_TRUE(round.has_value()) << round.error();

@@ -4,7 +4,7 @@
 
 #include "util/json.h"
 
-namespace ednsm::core {
+namespace ednsm::util {
 namespace {
 
 TEST(Json, ScalarsDump) {
@@ -139,4 +139,4 @@ TEST(Json, AtOnNonObjectReturnsNull) {
 }
 
 }  // namespace
-}  // namespace ednsm::core
+}  // namespace ednsm::util

@@ -90,20 +90,20 @@ TEST(Spec, JsonRoundTrip) {
 }
 
 TEST(Spec, FromJsonRejectsBadInput) {
-  EXPECT_FALSE(MeasurementSpec::from_json(Json(nullptr)).has_value());
-  JsonObject o;
-  o["resolvers"] = Json("not-an-array");
-  EXPECT_FALSE(MeasurementSpec::from_json(Json(o)).has_value());
+  EXPECT_FALSE(MeasurementSpec::from_json(util::Json(nullptr)).has_value());
+  util::JsonObject o;
+  o["resolvers"] = util::Json("not-an-array");
+  EXPECT_FALSE(MeasurementSpec::from_json(util::Json(o)).has_value());
 
   // Unknown protocol.
   MeasurementSpec spec = small_spec();
-  Json j = spec.to_json();
-  j.as_object()["protocol"] = Json("DoX");
+  util::Json j = spec.to_json();
+  j.as_object()["protocol"] = util::Json("DoX");
   EXPECT_FALSE(MeasurementSpec::from_json(j).has_value());
 
   // Unknown reuse policy.
   j = spec.to_json();
-  j.as_object()["reuse"] = Json("sometimes");
+  j.as_object()["reuse"] = util::Json("sometimes");
   EXPECT_FALSE(MeasurementSpec::from_json(j).has_value());
 }
 
@@ -153,10 +153,10 @@ TEST(ResultRecord, JsonRoundTripError) {
 }
 
 TEST(ResultRecord, FromJsonRejectsMissingFields) {
-  JsonObject o;
-  o["vantage"] = Json("x");
-  EXPECT_FALSE(ResultRecord::from_json(Json(o)).has_value());
-  EXPECT_FALSE(ResultRecord::from_json(Json(3)).has_value());
+  util::JsonObject o;
+  o["vantage"] = util::Json("x");
+  EXPECT_FALSE(ResultRecord::from_json(util::Json(o)).has_value());
+  EXPECT_FALSE(ResultRecord::from_json(util::Json(3)).has_value());
 }
 
 TEST(PingRecord, JsonRoundTrip) {

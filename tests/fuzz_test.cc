@@ -129,9 +129,9 @@ TEST_P(FuzzSeeds, JsonParserNeverCrashes) {
   netsim::Rng rng(GetParam() ^ 0x6666);
   const std::string valid = R"({"a":[1,2,{"b":"c"}],"d":null,"e":true})";
   for (int i = 0; i < 400; ++i) {
-    (void)core::Json::parse(util::as_string(random_bytes(rng, 120)));
+    (void)util::Json::parse(util::as_string(random_bytes(rng, 120)));
     util::Bytes mutated = mutate(util::to_bytes(valid), rng);
-    (void)core::Json::parse(util::as_string(mutated));
+    (void)util::Json::parse(util::as_string(mutated));
   }
 }
 
@@ -140,9 +140,9 @@ TEST_P(FuzzSeeds, JsonRoundTripsWhenParseSucceeds) {
   const std::string valid = R"({"k":[1,2,3],"s":"text","n":-1.5e2})";
   for (int i = 0; i < 300; ++i) {
     util::Bytes mutated = mutate(util::to_bytes(valid), rng);
-    auto parsed = core::Json::parse(util::as_string(mutated));
+    auto parsed = util::Json::parse(util::as_string(mutated));
     if (!parsed.has_value()) continue;
-    auto again = core::Json::parse(parsed.value().dump());
+    auto again = util::Json::parse(parsed.value().dump());
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again.value(), parsed.value());
   }

@@ -696,8 +696,8 @@ TEST(Diagnose, ReportCodecRoundTripsAndChecksVersion) {
   ASSERT_TRUE(round) << round.error();
   EXPECT_EQ(round.value().to_json().dump(0), report.value().to_json().dump(0));
 
-  core::Json j = report.value().to_json();
-  j.as_object()["version"] = core::Json(99);
+  util::Json j = report.value().to_json();
+  j.as_object()["version"] = util::Json(99);
   EXPECT_FALSE(monitor::DiagnosisReport::from_json(j));
 }
 

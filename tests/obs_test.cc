@@ -192,7 +192,7 @@ TEST(Metrics, JsonlIsSortedAndParses) {
   while (start < jsonl.size()) {
     std::size_t end = jsonl.find('\n', start);
     if (end == std::string::npos) end = jsonl.size();
-    const auto parsed = core::Json::parse(jsonl.substr(start, end - start));
+    const auto parsed = util::Json::parse(jsonl.substr(start, end - start));
     ASSERT_TRUE(parsed) << jsonl.substr(start, end - start);
     ASSERT_TRUE(parsed.value().at("name").is_string());
     names.push_back(parsed.value().at("name").as_string());
@@ -212,11 +212,11 @@ TEST(MergedTrace, ChromeJsonParsesAndFilters) {
   EXPECT_EQ(merged.shard_count(), 1u);
   EXPECT_EQ(merged.total_events(), 2u);
 
-  const auto parsed = core::Json::parse(merged.chrome_json());
+  const auto parsed = util::Json::parse(merged.chrome_json());
   ASSERT_TRUE(parsed) << parsed.error();
-  const core::JsonArray& events = parsed.value().at("traceEvents").as_array();
+  const util::JsonArray& events = parsed.value().at("traceEvents").as_array();
   std::size_t payload = 0, metadata = 0;
-  for (const core::Json& e : events) {
+  for (const util::Json& e : events) {
     const std::string& ph = e.at("ph").as_string();
     if (ph == "M") {
       ++metadata;
@@ -229,10 +229,10 @@ TEST(MergedTrace, ChromeJsonParsesAndFilters) {
   EXPECT_GE(metadata, 1u);  // at least the shard thread_name record
 
   // Subsystem filter: only the resolver event survives (plus metadata).
-  const auto filtered = core::Json::parse(merged.chrome_json("resolver"));
+  const auto filtered = util::Json::parse(merged.chrome_json("resolver"));
   ASSERT_TRUE(filtered);
   std::size_t kept = 0;
-  for (const core::Json& e : filtered.value().at("traceEvents").as_array()) {
+  for (const util::Json& e : filtered.value().at("traceEvents").as_array()) {
     if (e.at("ph").as_string() != "M") {
       ++kept;
       EXPECT_EQ(e.at("cat").as_string(), "resolver");
@@ -300,7 +300,7 @@ TEST(FailureStage, JsonRoundTripAndLegacyDerivation) {
   r.ok = false;
   r.error_class = "tls-failure";
   r.failure_stage = "handshake";
-  const core::Json j = r.to_json();
+  const util::Json j = r.to_json();
   ASSERT_TRUE(j.at("failure_stage").is_string());
   const auto back = core::ResultRecord::from_json(j);
   ASSERT_TRUE(back);
@@ -308,9 +308,9 @@ TEST(FailureStage, JsonRoundTripAndLegacyDerivation) {
 
   // A file written before failure_stage existed: reader derives it from
   // error_class instead of leaving it empty.
-  core::JsonObject legacy = j.as_object();
+  util::JsonObject legacy = j.as_object();
   legacy.erase("failure_stage");
-  const auto derived = core::ResultRecord::from_json(core::Json(std::move(legacy)));
+  const auto derived = core::ResultRecord::from_json(util::Json(std::move(legacy)));
   ASSERT_TRUE(derived);
   EXPECT_EQ(derived.value().failure_stage, "handshake");
 

@@ -46,7 +46,8 @@ TEST(Pipeline, SliceParseAcceptsWellFormed) {
 
 TEST(Pipeline, SliceParseRejectsMalformed) {
   for (const char* bad : {"", "3", "/4", "3/", "a/4", "3/b", "3/4/5", "4/4", "5/4", "1/0",
-                          "-1/4", "1/-4", "1/4x"}) {
+                          "-1/4", "1/-4", "1/4x", "0/99999999999999999999",
+                          "99999999999999999999/1"}) {
     EXPECT_FALSE(ShardSlice::parse(bad).has_value()) << "accepted: " << bad;
   }
 }
@@ -242,32 +243,32 @@ TEST(ShardIo, EmptySliceRoundTrips) {
 TEST(ShardIo, FromJsonRejectsTampering) {
   const ShardFile file = make_shard_file(small_spec(), {0, 2}, {});
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     j.as_object()["magic"] = "not-a-shard";
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     j.as_object()["version"] = ShardFile::kVersion + 1;
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     j.as_object()["spec_fingerprint"] = u64_to_hex(0);  // fingerprint/spec mismatch
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     j.as_object()["total_shards"] = 99;  // inconsistent with the embedded spec
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     j.as_object()["slice"].as_object()["k"] = 9;  // k >= n
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    Json j = file.to_json();
+    util::Json j = file.to_json();
     // Drop one outcome: the file no longer covers its slice.
     j.as_object()["outcomes"].as_array().pop_back();
     EXPECT_FALSE(ShardFile::from_json(j).has_value());

@@ -6,7 +6,7 @@
 //   ednsm_bench [--suite fig2|monitor|micro]
 //               [--vantages ids] [--rounds N] [--seed S] [--threads N]
 //               [--repeat K] [--json] [--out BENCH_fig2.json]
-//               [--trace-overhead 1] [--profile 1]
+//               [--trace-overhead] [--profile]
 //
 // Suites:
 //   fig2 (default) — the paper's Fig. 2 workload: the full Appendix A.2
@@ -33,13 +33,11 @@
 // Exit codes: 0 ok, 1 bad usage, 3 I/O error.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "util/json.h"
+#include "cli.h"
 #include "core/parallel_campaign.h"
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
@@ -48,20 +46,12 @@
 #include "obs/runtime.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
+#include "util/json.h"
 #include "util/spsc_ring.h"
-#include "util/strings.h"
 
 using namespace ednsm;
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
 
 // ednsm-lint: allow(determinism-wallclock) — harness-side wall timing of
 // the simulation; never feeds simulated results.
@@ -77,75 +67,48 @@ double elapsed_ms(WallClock::time_point start) {
 // the worker count after the engine's clamp to [1, #shards], so rows from
 // over-provisioned runs compare honestly. The perf gate refuses to compare
 // rows whose headers differ.
-core::Json make_header(const std::string& bench, std::uint64_t seed, int threads,
+util::Json make_header(const std::string& bench, std::uint64_t seed, int threads,
                        std::size_t shards, int rounds) {
-  core::JsonObject header;
-  header["bench"] = core::Json(bench);
-  header["schema_version"] = core::Json(3.0);
-  header["seed"] = core::Json(static_cast<double>(seed));
-  header["threads"] = core::Json(static_cast<double>(threads));
+  util::JsonObject header;
+  header["bench"] = util::Json(bench);
+  header["schema_version"] = util::Json(3.0);
+  header["seed"] = util::Json(static_cast<double>(seed));
+  header["threads"] = util::Json(static_cast<double>(threads));
   const std::size_t effective =
       std::min(static_cast<std::size_t>(threads), std::max<std::size_t>(shards, 1));
-  header["effective_threads"] = core::Json(static_cast<double>(effective));
-  header["rounds"] = core::Json(static_cast<double>(rounds));
-  return core::Json(std::move(header));
+  header["effective_threads"] = util::Json(static_cast<double>(effective));
+  header["rounds"] = util::Json(static_cast<double>(rounds));
+  return util::Json(std::move(header));
 }
 
-}  // namespace
+constexpr cli::Flag kFlags[] = {
+    {"suite", "NAME", "fig2, monitor or micro (default fig2)"},
+    {"vantages", "ID,...", "fig2 vantages (default: the four global ones)"},
+    {"rounds", "N", "rounds per campaign (default 30; monitor 3)", cli::Type::Int},
+    {"seed", "S", "simulation seed (default 20250704)", cli::Type::U64},
+    {"threads", "N", "worker threads (default 1)", cli::Type::Int, 1},
+    {"repeat", "K", "time K runs and keep the fastest (default 1)", cli::Type::Int, 1},
+    {"json", "", "print the summary JSON (the default without --out)"},
+    {"out", "FILE", "write the summary JSON to FILE"},
+    {"trace-overhead", "", "fig2: also time a traced run"},
+    {"profile", "", "print a wall-clock stage breakdown to stderr"},
+};
+constexpr cli::Command kCli{"ednsm_bench", "", kFlags};
 
-int main(int argc, char** argv) {
-  std::map<std::string, std::string> options;
-  bool json_to_stdout = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json_to_stdout = true;
-      continue;
-    }
-    if (!arg.starts_with("--") || i + 1 >= argc) {
-      std::fprintf(stderr,
-                   "usage: ednsm_bench [--suite fig2|monitor|micro] [--vantages ids] "
-                   "[--rounds N] [--seed S] [--threads N] [--repeat K] [--json] [--out file]\n");
-      return 1;
-    }
-    options[std::string(arg.substr(2))] = argv[++i];
-  }
-
-  const std::string suite =
-      options.contains("suite") ? options.at("suite") : std::string("fig2");
-
+int tool_main(const cli::Args& args) {
+  const std::string suite = args.text("suite", "fig2");
   std::vector<std::string> vantages = {"home-chicago-1", "ec2-ohio", "ec2-frankfurt",
                                        "ec2-seoul"};
-  if (const auto it = options.find("vantages"); it != options.end()) {
-    vantages = split_list(it->second);
-  }
-  int rounds = suite == "monitor" ? 3 : 30;
-  if (const auto it = options.find("rounds"); it != options.end()) {
-    rounds = std::atoi(it->second.c_str());
-  }
-  std::uint64_t seed = 20250704;
-  if (const auto it = options.find("seed"); it != options.end()) {
-    seed = std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  int threads = 1;
-  if (const auto it = options.find("threads"); it != options.end()) {
-    threads = std::atoi(it->second.c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n",
-                   it->second.c_str());
-      return 1;
-    }
-  }
-  int repeat = 1;
-  if (const auto it = options.find("repeat"); it != options.end()) {
-    repeat = std::max(1, std::atoi(it->second.c_str()));
-  }
-
-  const bool trace_overhead = options.contains("trace-overhead");
-  const bool profile = options.contains("profile");
+  if (args.has("vantages")) vantages = args.list("vantages");
+  const int rounds = args.integer("rounds", suite == "monitor" ? 3 : 30);
+  const std::uint64_t seed = args.u64("seed", 20250704);
+  const int threads = args.integer("threads", 1);
+  const int repeat = args.integer("repeat", 1);
+  const bool trace_overhead = args.has("trace-overhead");
+  const bool profile = args.has("profile");
 
   obs::WallProfiler profiler;
-  core::JsonObject o;
+  util::JsonObject o;
 
   if (suite == "fig2") {
     core::MeasurementSpec spec;
@@ -201,25 +164,25 @@ int main(int argc, char** argv) {
         best_wall_ms > 0.0 ? static_cast<double>(result.records.size()) / (best_wall_ms / 1000.0)
                            : 0.0;
 
-    o["bench"] = core::Json(std::string("paper_campaign"));
+    o["bench"] = util::Json(std::string("paper_campaign"));
     o["header"] = make_header("paper_campaign", seed, threads, vantages.size(), rounds);
-    o["threads"] = core::Json(static_cast<double>(threads));
-    o["resolvers"] = core::Json(static_cast<double>(spec.resolvers.size()));
-    o["vantages"] = core::Json(static_cast<double>(vantages.size()));
-    o["rounds"] = core::Json(static_cast<double>(rounds));
-    o["seed"] = core::Json(static_cast<double>(seed));
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["records"] = core::Json(static_cast<double>(result.records.size()));
-    o["pings"] = core::Json(static_cast<double>(result.pings.size()));
-    o["error_rate"] = core::Json(result.availability.overall().error_rate());
-    o["wall_ms"] = core::Json(best_wall_ms);
-    o["records_per_sec"] = core::Json(records_per_sec);
+    o["threads"] = util::Json(static_cast<double>(threads));
+    o["resolvers"] = util::Json(static_cast<double>(spec.resolvers.size()));
+    o["vantages"] = util::Json(static_cast<double>(vantages.size()));
+    o["rounds"] = util::Json(static_cast<double>(rounds));
+    o["seed"] = util::Json(static_cast<double>(seed));
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["records"] = util::Json(static_cast<double>(result.records.size()));
+    o["pings"] = util::Json(static_cast<double>(result.pings.size()));
+    o["error_rate"] = util::Json(result.availability.overall().error_rate());
+    o["wall_ms"] = util::Json(best_wall_ms);
+    o["records_per_sec"] = util::Json(records_per_sec);
     if (trace_overhead) {
-      o["trace_on_wall_ms"] = core::Json(best_traced_wall_ms);
-      o["trace_overhead_pct"] = core::Json(
+      o["trace_on_wall_ms"] = util::Json(best_traced_wall_ms);
+      o["trace_overhead_pct"] = util::Json(
           best_wall_ms > 0.0 ? 100.0 * (best_traced_wall_ms - best_wall_ms) / best_wall_ms
                              : 0.0);
-      o["trace_identical"] = core::Json(trace_identical);
+      o["trace_identical"] = util::Json(trace_identical);
     }
 
     // Cold/warm medians of simulated response time, keyed off the per-record
@@ -230,10 +193,10 @@ int main(int argc, char** argv) {
       if (!r.ok) continue;
       (r.connection_reused ? warm_ms : cold_ms).push_back(r.response_ms);
     }
-    o["cold_queries"] = core::Json(static_cast<double>(cold_ms.size()));
-    o["warm_queries"] = core::Json(static_cast<double>(warm_ms.size()));
-    if (!cold_ms.empty()) o["cold_median_ms"] = core::Json(stats::median(std::move(cold_ms)));
-    if (!warm_ms.empty()) o["warm_median_ms"] = core::Json(stats::median(std::move(warm_ms)));
+    o["cold_queries"] = util::Json(static_cast<double>(cold_ms.size()));
+    o["warm_queries"] = util::Json(static_cast<double>(warm_ms.size()));
+    if (!cold_ms.empty()) o["cold_median_ms"] = util::Json(stats::median(std::move(cold_ms)));
+    if (!warm_ms.empty()) o["warm_median_ms"] = util::Json(stats::median(std::move(warm_ms)));
   } else if (suite == "monitor") {
     // bench_monitor's scenario: a watchlist across the four tiers, a month
     // of daily epochs, one scripted mid-span outage.
@@ -285,19 +248,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    o["bench"] = core::Json(std::string("monitor"));
+    o["bench"] = util::Json(std::string("monitor"));
     o["header"] = make_header("monitor", seed, threads, spec.base.vantage_ids.size(), rounds);
-    o["resolvers"] = core::Json(static_cast<double>(spec.base.resolvers.size()));
-    o["epochs"] = core::Json(static_cast<double>(spec.epochs));
-    o["rounds"] = core::Json(static_cast<double>(rounds));
-    o["seed"] = core::Json(static_cast<double>(seed));
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["series_points"] = core::Json(static_cast<double>(mon.series.size()));
-    o["slo_samples"] = core::Json(static_cast<double>(mon.slos.size()));
-    o["events"] = core::Json(static_cast<double>(mon.events.size()));
-    o["diagnoses"] = core::Json(static_cast<double>(diagnoses));
-    o["wall_ms"] = core::Json(best_wall_ms);
-    o["diagnose_wall_ms"] = core::Json(best_diagnose_ms);
+    o["resolvers"] = util::Json(static_cast<double>(spec.base.resolvers.size()));
+    o["epochs"] = util::Json(static_cast<double>(spec.epochs));
+    o["rounds"] = util::Json(static_cast<double>(rounds));
+    o["seed"] = util::Json(static_cast<double>(seed));
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["series_points"] = util::Json(static_cast<double>(mon.series.size()));
+    o["slo_samples"] = util::Json(static_cast<double>(mon.slos.size()));
+    o["events"] = util::Json(static_cast<double>(mon.events.size()));
+    o["diagnoses"] = util::Json(static_cast<double>(diagnoses));
+    o["wall_ms"] = util::Json(best_wall_ms);
+    o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
   } else if (suite == "micro") {
     // Uncontended ring throughput: the per-item handoff cost the pipeline
     // pays, measured without thread scheduling noise.
@@ -397,52 +360,56 @@ int main(int argc, char** argv) {
       }
     }
 
-    o["bench"] = core::Json(std::string("micro"));
+    o["bench"] = util::Json(std::string("micro"));
     o["header"] = make_header("micro", seed, threads, spec.vantage_ids.size(), spec.rounds);
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["lint_files"] = core::Json(static_cast<double>(lint_files));
-    o["lint_wall_ms"] = core::Json(lint_wall_ms);
-    o["ring_ops"] = core::Json(static_cast<double>(kRingOps));
-    o["ring_checksum"] = core::Json(static_cast<double>(checksum));
-    o["ring_ops_per_sec"] = core::Json(
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["lint_files"] = util::Json(static_cast<double>(lint_files));
+    o["lint_wall_ms"] = util::Json(lint_wall_ms);
+    o["ring_ops"] = util::Json(static_cast<double>(kRingOps));
+    o["ring_checksum"] = util::Json(static_cast<double>(checksum));
+    o["ring_ops_per_sec"] = util::Json(
         ring_wall_ms > 0.0 ? static_cast<double>(kRingOps) / (ring_wall_ms / 1000.0) : 0.0);
     // Wall-clock telemetry lane: outside the perf gate's deterministic field
     // set (like lint_wall_ms), tracked for trend only.
-    o["ring_telemetry_ops_per_sec"] = core::Json(
+    o["ring_telemetry_ops_per_sec"] = util::Json(
         ring_telemetry_wall_ms > 0.0
             ? static_cast<double>(kRingOps) / (ring_telemetry_wall_ms / 1000.0)
             : 0.0);
-    o["telemetry_overhead_pct"] = core::Json(
+    o["telemetry_overhead_pct"] = util::Json(
         ring_wall_ms > 0.0
             ? (ring_telemetry_wall_ms - ring_wall_ms) / ring_wall_ms * 100.0
             : 0.0);
     o["telemetry_checksum_identical"] =
-        core::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
-    o["records"] = core::Json(static_cast<double>(result.records.size()));
-    o["pings"] = core::Json(static_cast<double>(result.pings.size()));
-    o["error_rate"] = core::Json(result.availability.overall().error_rate());
-    o["wall_ms"] = core::Json(campaign_wall_ms);
+        util::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
+    o["records"] = util::Json(static_cast<double>(result.records.size()));
+    o["pings"] = util::Json(static_cast<double>(result.pings.size()));
+    o["error_rate"] = util::Json(result.availability.overall().error_rate());
+    o["wall_ms"] = util::Json(campaign_wall_ms);
   } else {
-    std::fprintf(stderr, "error: unknown suite \"%s\" (fig2, monitor, micro)\n", suite.c_str());
-    return 1;
+    return cli::usage_error(kCli, "unknown suite \"" + suite + "\" (fig2, monitor, micro)");
   }
 
-  const core::Json summary(std::move(o));
+  const util::Json summary(std::move(o));
 
-  if (const auto it = options.find("out"); it != options.end()) {
-    std::ofstream out(it->second);
+  const std::string* out_path = args.get("out");
+  if (out_path != nullptr) {
+    std::ofstream out(*out_path);
     if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", it->second.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", out_path->c_str());
       return 3;
     }
     out << summary.dump(2) << '\n';
   }
-  if (json_to_stdout || options.find("out") == options.end()) {
+  if (args.has("json") || out_path == nullptr) {
     std::printf("%s\n", summary.dump(2).c_str());
   } else {
     std::fprintf(stderr, "%s: wall %.1f ms -> %s\n", suite.c_str(),
-                 summary.at("wall_ms").as_number(), options.at("out").c_str());
+                 summary.at("wall_ms").as_number(), out_path->c_str());
   }
   if (profile) std::fprintf(stderr, "%s", profiler.report().c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

@@ -16,7 +16,6 @@
 //                                       #   skeleton (reasons stubbed) and exit
 //
 // Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage/config.
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -24,20 +23,23 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "lint/baseline.h"
 #include "lint/lint.h"
 
 namespace {
 
-int usage() {
-  std::cerr << "usage: ednsm_lint [--list-rules] [--json] [--json-out FILE]\n"
-               "                  [--layers FILE | --no-layers]\n"
-               "                  [--baseline FILE | --no-baseline]\n"
-               "                  [--write-baseline FILE] [root...]\n"
-               "Roots may be directories (scanned recursively for .h/.hpp/.cc/.cpp)\n"
-               "or single files; default roots are src, tools, and bench.\n";
-  return 2;
-}
+constexpr ednsm::cli::Flag kFlags[] = {
+    {"list-rules", "", "print the rule table and exit"},
+    {"layers", "FILE", "module DAG config (default tools/lint/layers.conf)"},
+    {"no-layers", "", "skip the default layers config"},
+    {"baseline", "FILE", "accepted findings (default tools/lint/baseline.json)"},
+    {"no-baseline", "", "skip the default baseline"},
+    {"json", "", "print the report as JSON"},
+    {"json-out", "FILE", "also write the JSON report to FILE"},
+    {"write-baseline", "FILE", "write the findings as a baseline skeleton and exit"},
+};
+constexpr ednsm::cli::Command kCli{"ednsm_lint", "[ROOT...]", kFlags, 2};
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -48,70 +50,26 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> roots;
-  std::string layers_path;
-  std::string baseline_path;
-  std::string json_out_path;
-  std::string write_baseline_path;
-  bool json_stdout = false;
-  bool no_layers = false;
-  bool no_baseline = false;
-
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "ednsm_lint: option '" << argv[i] << "' needs a value\n";
-      return nullptr;
+int tool_main(const ednsm::cli::Args& args) {
+  if (args.has("list-rules")) {
+    for (const ednsm::lint::RuleInfo& r : ednsm::lint::rules()) {
+      std::cout << r.id << ": " << r.summary << "\n";
     }
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--list-rules") {
-      for (const ednsm::lint::RuleInfo& r : ednsm::lint::rules()) {
-        std::cout << r.id << ": " << r.summary << "\n";
-      }
-      return 0;
-    }
-    if (arg == "--help" || arg == "-h") return usage();
-    if (arg == "--json") {
-      json_stdout = true;
-      continue;
-    }
-    if (arg == "--no-layers") {
-      no_layers = true;
-      continue;
-    }
-    if (arg == "--no-baseline") {
-      no_baseline = true;
-      continue;
-    }
-    if (arg == "--layers" || arg == "--baseline" || arg == "--json-out" ||
-        arg == "--write-baseline") {
-      const char* value = need_value(i);
-      if (value == nullptr) return usage();
-      if (arg == "--layers") layers_path = value;
-      if (arg == "--baseline") baseline_path = value;
-      if (arg == "--json-out") json_out_path = value;
-      if (arg == "--write-baseline") write_baseline_path = value;
-      continue;
-    }
-    if (arg[0] == '-') {
-      std::cerr << "ednsm_lint: unknown option '" << arg << "'\n";
-      return usage();
-    }
-    roots.emplace_back(arg);
+    return 0;
   }
+  std::vector<std::string> roots = args.positionals();
   if (roots.empty()) roots = {"src", "tools", "bench"};
+  std::string layers_path = args.text("layers", "");
+  std::string baseline_path = args.text("baseline", "");
+  const std::string json_out_path = args.text("json-out", "");
+  const std::string write_baseline_path = args.text("write-baseline", "");
+  const bool json_stdout = args.has("json");
   // Committed defaults, picked up when running from the repo root.
-  if (layers_path.empty() && !no_layers &&
+  if (layers_path.empty() && !args.has("no-layers") &&
       std::filesystem::is_regular_file("tools/lint/layers.conf")) {
     layers_path = "tools/lint/layers.conf";
   }
-  if (baseline_path.empty() && !no_baseline &&
+  if (baseline_path.empty() && !args.has("no-baseline") &&
       std::filesystem::is_regular_file("tools/lint/baseline.json")) {
     baseline_path = "tools/lint/baseline.json";
   }
@@ -219,3 +177,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return ednsm::cli::run(kCli, argc, argv, tool_main); }

@@ -43,85 +43,62 @@
 // Exit codes: 0 ok, 1 bad usage, 2 invalid spec, 3 I/O error.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
+#include "cli.h"
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
 #include "obs/runtime.h"
 #include "report/figures.h"
 #include "resolver/registry.h"
 #include "util/fs.h"
-#include "util/strings.h"
 
 using namespace ednsm;
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> options;
-  bool all_resolvers = false;
-
-  [[nodiscard]] const std::string* get(const std::string& key) const {
-    const auto it = options.find(key);
-    return it == options.end() ? nullptr : &it->second;
-  }
+constexpr cli::Flag kFlags[] = {
+    {"spec", "FILE", "campaign spec JSON instead of the flags below"},
+    {"resolvers", "HOST,...", "resolver hostnames to measure"},
+    {"all-resolvers", "", "measure every resolver in the paper's list"},
+    {"vantages", "ID,...", "vantage ids (ec2-ohio, home-chicago-1, ...)"},
+    {"domains", "NAME,...", "query names (default: the paper's domains)"},
+    {"rounds", "N", "rounds per vantage (default 10)", cli::Type::Int},
+    {"seed", "S", "simulation seed (default 1)", cli::Type::U64},
+    {"protocol", "NAME", "DoH, DoT, Do53, DoQ or ODoH (default DoH)"},
+    {"reuse", "POLICY", "none, keepalive or ticket-resumption (default none)"},
+    {"threads", "N", "worker threads, same output for any N (default 1)", cli::Type::Int, 1},
+    {"out", "FILE", "results JSON, or the shard file with --shard"},
+    {"shard", "K/N", "run slice K of N and write a shard file for ednsm_merge"},
+    {"trace", "FILE", "write a Chrome trace-event JSON in simulated time"},
+    {"trace-filter", "CAT", "keep only this trace category"},
+    {"trace-capacity", "N", "trace ring slots per shard (default 65536)", cli::Type::Int, 1},
+    {"metrics", "FILE", "write a JSONL metrics dump"},
+    {"progress-file", "FILE", "write a wall-clock heartbeat as the run goes"},
+    {"manifest", "FILE", "write the end-of-run manifest ednsm_merge checks"},
 };
+constexpr cli::Command kCli{"ednsm_measure", "", kFlags};
 
-Result<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--all-resolvers") {
-      args.all_resolvers = true;
-      continue;
-    }
-    if (!arg.starts_with("--")) return Err{std::string("unexpected argument: ") + argv[i]};
-    if (i + 1 >= argc) return Err{std::string(arg) + " requires a value"};
-    args.options[std::string(arg.substr(2))] = argv[++i];
-  }
-  return args;
-}
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
-
-Result<core::MeasurementSpec> build_spec(const Args& args) {
+Result<core::MeasurementSpec> build_spec(const cli::Args& args) {
   if (const std::string* spec_path = args.get("spec")) {
-    std::ifstream in(*spec_path);
-    if (!in) return Err{std::string("cannot open spec file: ") + *spec_path};
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto json = core::Json::parse(buffer.str());
+    auto text = util::read_file(*spec_path);
+    if (!text) return Err{"spec file: " + text.error()};
+    auto json = util::Json::parse(text.value());
     if (!json) return Err{"spec file is not valid JSON: " + json.error()};
     return core::MeasurementSpec::from_json(json.value());
   }
 
   core::MeasurementSpec spec;
-  if (args.all_resolvers) {
+  if (args.has("all-resolvers")) {
     for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
-  } else if (const std::string* resolvers = args.get("resolvers")) {
-    spec.resolvers = split_list(*resolvers);
+  } else {
+    spec.resolvers = args.list("resolvers");
   }
-  if (const std::string* vantages = args.get("vantages")) {
-    spec.vantage_ids = split_list(*vantages);
-  }
-  if (const std::string* domains = args.get("domains")) {
-    spec.domains = split_list(*domains);
-  }
-  if (const std::string* rounds = args.get("rounds")) {
-    spec.rounds = std::atoi(rounds->c_str());
-  }
-  if (const std::string* seed = args.get("seed")) {
-    spec.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  }
+  spec.vantage_ids = args.list("vantages");
+  if (args.has("domains")) spec.domains = args.list("domains");
+  spec.rounds = args.integer("rounds", spec.rounds);
+  spec.seed = args.u64("seed", spec.seed);
   if (const std::string* protocol = args.get("protocol")) {
     if (auto p = client::protocol_from_string(*protocol); p.has_value()) {
       spec.protocol = *p;
@@ -139,15 +116,8 @@ Result<core::MeasurementSpec> build_spec(const Args& args) {
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  auto args = parse_args(argc, argv);
-  if (!args) {
-    std::fprintf(stderr, "error: %s\n", args.error().c_str());
-    return 1;
-  }
-  auto spec = build_spec(args.value());
+int tool_main(const cli::Args& args) {
+  auto spec = build_spec(args);
   if (!spec) {
     std::fprintf(stderr, "error: %s\n", spec.error().c_str());
     return 2;
@@ -157,14 +127,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  int threads = 1;
-  if (const std::string* t = args.value().get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
-  }
+  const int threads = args.integer("threads", 1);
 
   std::fprintf(stderr,
                "measuring %zu resolvers x %zu vantages x %d rounds over %s (%d threads)...\n",
@@ -172,28 +135,22 @@ int main(int argc, char** argv) {
                spec.value().rounds,
                std::string(client::to_string(spec.value().protocol)).c_str(), threads);
 
-  const std::string* trace_path = args.value().get("trace");
-  const std::string* metrics_path = args.value().get("metrics");
+  const std::string* trace_path = args.get("trace");
+  const std::string* metrics_path = args.get("metrics");
   core::CampaignObsOptions obs_options;
   obs_options.trace = trace_path != nullptr;
   obs_options.metrics = metrics_path != nullptr;
-  if (const std::string* cap = args.value().get("trace-capacity")) {
-    const long long parsed = std::atoll(cap->c_str());
-    if (parsed < 1) {
-      std::fprintf(stderr, "error: --trace-capacity requires a positive integer (got %s)\n",
-                   cap->c_str());
-      return 1;
-    }
-    obs_options.trace_capacity = static_cast<std::size_t>(parsed);
+  if (args.has("trace-capacity")) {
+    obs_options.trace_capacity = static_cast<std::size_t>(args.integer("trace-capacity", 1));
   }
-  const std::string* filter = args.value().get("trace-filter");
+  const std::string* filter = args.get("trace-filter");
   core::CampaignObsData obs_data;
-  const std::string* out_path_opt = args.value().get("out");
+  const std::string* out_path_opt = args.get("out");
 
   // Runtime telemetry (wall-clock domain; never touches the deterministic
   // outputs). The hub collects whenever either artifact was requested.
-  const std::string* progress_path = args.value().get("progress-file");
-  const std::string* manifest_path = args.value().get("manifest");
+  const std::string* progress_path = args.get("progress-file");
+  const std::string* manifest_path = args.get("manifest");
   obs::RuntimeTelemetry telemetry;
   std::optional<obs::HeartbeatWriter> heartbeat;
   const bool telemetry_on = progress_path != nullptr || manifest_path != nullptr;
@@ -246,12 +203,9 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  if (const std::string* shard = args.value().get("shard")) {
+  if (const std::string* shard = args.get("shard")) {
     auto slice = core::ShardSlice::parse(*shard);
-    if (!slice) {
-      std::fprintf(stderr, "error: --shard: %s\n", slice.error().c_str());
-      return 1;
-    }
+    if (!slice) return cli::usage_error(kCli, "--shard: " + slice.error());
     const std::vector<core::ShardPlan> plans = core::expand_spec(spec.value());
     const std::vector<core::ShardPlan> mine = core::slice_plans(plans, slice.value());
 
@@ -390,3 +344,7 @@ int main(int argc, char** argv) {
                result.availability.overall().error_rate() * 100.0, path.c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

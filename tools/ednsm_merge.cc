@@ -31,66 +31,38 @@
 //
 // Exit codes: 0 ok, 1 bad usage, 2 inconsistent/invalid shard set, 3 I/O.
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli.h"
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
 #include "obs/runtime.h"
 #include "util/fs.h"
-#include "util/strings.h"
 
 using namespace ednsm;
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> options;
-  std::vector<std::string> inputs;
-  bool stats = false;
-
-  [[nodiscard]] const std::string* get(const std::string& key) const {
-    const auto it = options.find(key);
-    return it == options.end() ? nullptr : &it->second;
-  }
+constexpr cli::Flag kFlags[] = {
+    {"out", "FILE", "merged results JSON (default results.json)"},
+    {"trace", "FILE", "merged Chrome trace (shards measured with --trace)"},
+    {"trace-filter", "CAT", "keep only this trace category"},
+    {"metrics", "FILE", "merged JSONL metrics (shards measured with --metrics)"},
+    {"manifests", "FILE,...", "per-shard run manifests to cross-check"},
+    {"manifest-out", "FILE", "fold the manifests into one campaign manifest"},
+    {"stats", "", "print the per-shard wall-time table"},
 };
+constexpr cli::Command kCli{"ednsm_merge", "SHARD...", kFlags};
 
-Result<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) {
-      args.inputs.emplace_back(arg);
-      continue;
-    }
-    if (arg == "--stats") {  // boolean flag: consumes no value
-      args.stats = true;
-      continue;
-    }
-    if (i + 1 >= argc) return Err{std::string(arg) + " requires a value"};
-    args.options[std::string(arg.substr(2))] = argv[++i];
-  }
-  if (args.inputs.empty()) {
-    return Err{std::string("usage: ednsm_merge --out results.json shard0.json shard1.json ...")};
-  }
-  return args;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  auto args = parse_args(argc, argv);
-  if (!args) {
-    std::fprintf(stderr, "error: %s\n", args.error().c_str());
-    return 1;
-  }
+int tool_main(const cli::Args& args) {
+  if (args.positionals().empty()) return cli::usage_error(kCli, "no shard files given");
 
   std::vector<core::ShardFile> shards;
-  shards.reserve(args.value().inputs.size());
-  for (const std::string& path : args.value().inputs) {
+  shards.reserve(args.positionals().size());
+  for (const std::string& path : args.positionals()) {
     auto loaded = core::ShardFile::load(path);
     if (!loaded) {
       std::fprintf(stderr, "error: %s\n", loaded.error().c_str());
@@ -130,8 +102,8 @@ int main(int argc, char** argv) {
     slice_seen[shard.slice.k] = true;
   }
 
-  const std::string* trace_path = args.value().get("trace");
-  const std::string* metrics_path = args.value().get("metrics");
+  const std::string* trace_path = args.get("trace");
+  const std::string* metrics_path = args.get("metrics");
   if (trace_path != nullptr && !first.has_trace) {
     std::fprintf(stderr, "error: --trace requires shards measured with --trace\n");
     return 2;
@@ -143,17 +115,14 @@ int main(int argc, char** argv) {
 
   // Run-manifest cross-check: telemetry-side provenance must agree with the
   // data-side shard files before we merge anything.
-  const std::string* manifests_csv = args.value().get("manifests");
-  const std::string* manifest_out = args.value().get("manifest-out");
-  if ((manifest_out != nullptr || args.value().stats) && manifests_csv == nullptr) {
-    std::fprintf(stderr, "error: --manifest-out/--stats require --manifests\n");
-    return 1;
+  const std::string* manifest_out = args.get("manifest-out");
+  if ((manifest_out != nullptr || args.has("stats")) && !args.has("manifests")) {
+    return cli::usage_error(kCli, "--manifest-out/--stats require --manifests");
   }
   std::vector<obs::RunManifest> manifests;
-  if (manifests_csv != nullptr) {
-    for (std::string_view part : util::split(*manifests_csv, ',')) {
-      if (part.empty()) continue;
-      auto loaded = obs::RunManifest::manifest_load(std::string(part));
+  if (args.has("manifests")) {
+    for (const std::string& path : args.list("manifests")) {
+      auto loaded = obs::RunManifest::manifest_load(path);
       if (!loaded) {
         std::fprintf(stderr, "error: %s\n", loaded.error().c_str());
         return 2;
@@ -226,8 +195,7 @@ int main(int argc, char** argv) {
   }
   const core::CampaignResult result = collector.finish(&obs_data);
 
-  const std::string* out_path = args.value().get("out");
-  const std::string path = out_path != nullptr ? *out_path : "results.json";
+  const std::string path = args.text("out", "results.json");
   std::ostringstream out;
   result.write_json(out);
   if (auto written = util::write_file_atomic(path, std::move(out).str()); !written) {
@@ -236,7 +204,7 @@ int main(int argc, char** argv) {
   }
 
   if (trace_path != nullptr) {
-    const std::string* filter = args.value().get("trace-filter");
+    const std::string* filter = args.get("trace-filter");
     std::ostringstream trace_out;
     obs_data.trace.write_chrome_json(trace_out,
                                      filter != nullptr ? *filter : std::string_view{});
@@ -261,7 +229,7 @@ int main(int argc, char** argv) {
       return 3;
     }
   }
-  if (args.value().stats) {
+  if (args.has("stats")) {
     std::fputs(obs::shard_stats_table(manifests).c_str(), stdout);
     const std::vector<std::size_t> stragglers = obs::straggler_shards(manifests);
     if (!stragglers.empty()) {
@@ -275,3 +243,7 @@ int main(int argc, char** argv) {
                path.c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

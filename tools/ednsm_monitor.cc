@@ -27,110 +27,79 @@
 //
 // Exit codes: 0 ok, 1 bad usage, 2 invalid spec, 3 I/O error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
 #include "monitor/prom.h"
 #include "resolver/registry.h"
-#include "util/strings.h"
+#include "util/fs.h"
 
 using namespace ednsm;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> outages;  // repeatable --outage
-  bool all_resolvers = false;
-  bool json = false;
-  bool prom = false;
-
-  [[nodiscard]] const std::string* get(const std::string& key) const {
-    const auto it = options.find(key);
-    return it == options.end() ? nullptr : &it->second;
-  }
+constexpr cli::Flag kFlags[] = {
+    {"spec", "FILE", "run: monitor spec JSON instead of the flags below"},
+    {"resolvers", "HOST,...", "run: resolver hostnames to watch"},
+    {"all-resolvers", "", "run: watch every resolver in the paper's list"},
+    {"vantages", "ID,...", "run: vantage ids"},
+    {"domains", "NAME,...", "run: query names (default: the paper's domains)"},
+    {"epochs", "N", "run: simulated epochs (days; default 8)", cli::Type::Int},
+    {"rounds", "N", "run: rounds per epoch (default 3)", cli::Type::Int},
+    {"protocol", "NAME", "run: DoH, DoT, Do53, DoQ or ODoH (default DoH)"},
+    {"seed", "S", "run: simulation seed (default 1)", cli::Type::U64},
+    {"outage", "HOST:FROM:TO", "run: HOST offline in epochs [FROM, TO); repeatable"},
+    {"window", "N", "run: rolling SLO window in epochs (default 3)", cli::Type::Int},
+    {"threads", "N", "run, diagnose: worker threads (default 1)", cli::Type::Int, 1},
+    {"out", "FILE", "run: output (default monitor.json); diagnose: report"},
+    {"series-out", "FILE", "run: time series as JSONL"},
+    {"series-bin", "FILE", "run: time series in the EDTS binary format"},
+    {"slo-out", "FILE", "run: SLO samples JSON"},
+    {"events-out", "FILE", "run: events JSON"},
+    {"in", "FILE", "slo, events, diagnose, export: a run's monitor JSON"},
+    {"json", "", "slo, diagnose: print JSON instead of a table"},
+    {"baseline", "N", "diagnose: baseline epochs per event (default 3)", cli::Type::Int, 1},
+    {"exemplars", "N", "diagnose: exemplar queries per event (default 3)", cli::Type::Int, 0},
+    {"prom", "", "export: Prometheus text exposition"},
 };
-
-Result<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) return Err{std::string("missing command (run|slo|events|diagnose|export)")};
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--all-resolvers") {
-      args.all_resolvers = true;
-      continue;
-    }
-    if (arg == "--json") {
-      args.json = true;
-      continue;
-    }
-    if (arg == "--prom") {
-      args.prom = true;
-      continue;
-    }
-    if (!arg.starts_with("--")) return Err{std::string("unexpected argument: ") + argv[i]};
-    if (i + 1 >= argc) return Err{std::string(arg) + " requires a value"};
-    if (arg == "--outage") {
-      args.outages.emplace_back(argv[++i]);
-      continue;
-    }
-    args.options[std::string(arg.substr(2))] = argv[++i];
-  }
-  return args;
-}
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
+constexpr cli::Command kCli{"ednsm_monitor", "run|slo|events|diagnose|export", kFlags};
 
 // "resolver:from:to" -> OutageScript (epochs [from, to) offline).
 Result<monitor::OutageScript> parse_outage(const std::string& text) {
-  const std::size_t first = text.rfind(':');
+  const std::size_t last = text.rfind(':');
+  const std::size_t first =
+      last == std::string::npos || last == 0 ? std::string::npos : text.rfind(':', last - 1);
   if (first == std::string::npos || first == 0) {
-    return Err{std::string("--outage wants resolver:from:to (got ") + text + ")"};
+    return Err{"--outage wants resolver:from:to (got " + text + ")"};
   }
-  const std::size_t second = text.rfind(':', first - 1);
-  if (second == std::string::npos || second == 0) {
-    return Err{std::string("--outage wants resolver:from:to (got ") + text + ")"};
-  }
-  monitor::OutageScript script;
-  script.resolver = text.substr(0, second);
-  script.from_epoch = std::atoi(text.substr(second + 1, first - second - 1).c_str());
-  script.to_epoch = std::atoi(text.substr(first + 1).c_str());
-  return script;
+  const std::string_view view(text);
+  const std::optional<int> from = cli::parse_number<int>(view.substr(first + 1, last - first - 1));
+  const std::optional<int> to = cli::parse_number<int>(view.substr(last + 1));
+  if (!from || !to) return Err{"--outage wants integer epochs (got " + text + ")"};
+  return monitor::OutageScript{text.substr(0, first), *from, *to};
 }
 
-Result<core::Json> load_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Err{std::string("cannot open ") + path};
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+Result<util::Json> load_json(const std::string& path) {
+  auto text = util::read_file(path);
+  if (!text) return Err{text.error()};
+  auto json = util::Json::parse(text.value());
   if (!json) return Err{path + " is not valid JSON: " + json.error()};
   return json;
 }
 
-Result<monitor::MonitorResult> load_result(const Args& args) {
-  const std::string* in_path = args.get("in");
-  if (in_path == nullptr) return Err{std::string("--in monitor.json is required")};
-  auto json = load_json(*in_path);
+Result<monitor::MonitorResult> load_result(const std::string& path) {
+  auto json = load_json(path);
   if (!json) return Err{json.error()};
   return monitor::MonitorResult::from_json(json.value());
 }
 
-Result<monitor::MonitorSpec> build_spec(const Args& args) {
+Result<monitor::MonitorSpec> build_spec(const cli::Args& args,
+                                        std::vector<monitor::OutageScript> outages) {
   if (const std::string* spec_path = args.get("spec")) {
     auto json = load_json(*spec_path);
     if (!json) return Err{json.error()};
@@ -138,28 +107,19 @@ Result<monitor::MonitorSpec> build_spec(const Args& args) {
   }
 
   monitor::MonitorSpec spec;
-  // Monitor epochs stand in for days; a few rounds per epoch keeps each
-  // campaign short while the epoch axis carries the longitudinal signal.
-  spec.base.rounds = 3;
-  if (args.all_resolvers) {
+  if (args.has("all-resolvers")) {
     for (const auto& s : resolver::paper_resolver_list()) {
       spec.base.resolvers.push_back(s.hostname);
     }
-  } else if (const std::string* resolvers = args.get("resolvers")) {
-    spec.base.resolvers = split_list(*resolvers);
+  } else {
+    spec.base.resolvers = args.list("resolvers");
   }
-  if (const std::string* vantages = args.get("vantages")) {
-    spec.base.vantage_ids = split_list(*vantages);
-  }
-  if (const std::string* domains = args.get("domains")) {
-    spec.base.domains = split_list(*domains);
-  }
-  if (const std::string* rounds = args.get("rounds")) {
-    spec.base.rounds = std::atoi(rounds->c_str());
-  }
-  if (const std::string* seed = args.get("seed")) {
-    spec.base.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  }
+  spec.base.vantage_ids = args.list("vantages");
+  if (args.has("domains")) spec.base.domains = args.list("domains");
+  // Monitor epochs stand in for days; a few rounds per epoch keeps each
+  // campaign short while the epoch axis carries the longitudinal signal.
+  spec.base.rounds = args.integer("rounds", 3);
+  spec.base.seed = args.u64("seed", spec.base.seed);
   if (const std::string* protocol = args.get("protocol")) {
     if (auto p = client::protocol_from_string(*protocol); p.has_value()) {
       spec.base.protocol = *p;
@@ -167,17 +127,9 @@ Result<monitor::MonitorSpec> build_spec(const Args& args) {
       return Err{std::string("unknown protocol: ") + *protocol};
     }
   }
-  if (const std::string* epochs = args.get("epochs")) {
-    spec.epochs = std::atoi(epochs->c_str());
-  }
-  if (const std::string* window = args.get("window")) {
-    spec.slo.window_epochs = std::atoi(window->c_str());
-  }
-  for (const std::string& text : args.outages) {
-    auto script = parse_outage(text);
-    if (!script) return Err{script.error()};
-    spec.outages.push_back(std::move(script).value());
-  }
+  spec.epochs = args.integer("epochs", spec.epochs);
+  spec.slo.window_epochs = args.integer("window", spec.slo.window_epochs);
+  spec.outages = std::move(outages);
   return spec;
 }
 
@@ -191,20 +143,19 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-int cmd_run(const Args& args) {
-  auto spec = build_spec(args);
+int cmd_run(const cli::Args& args) {
+  std::vector<monitor::OutageScript> scripts;
+  for (const std::string& text : args.all("outage")) {
+    auto script = parse_outage(text);
+    if (!script) return cli::usage_error(kCli, script.error());
+    scripts.push_back(std::move(script).value());
+  }
+  auto spec = build_spec(args, std::move(scripts));
   if (!spec) {
     std::fprintf(stderr, "error: %s\n", spec.error().c_str());
     return 2;
   }
-  int threads = 1;
-  if (const std::string* t = args.get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
-  }
+  const int threads = args.integer("threads", 1);
 
   std::fprintf(stderr, "monitoring %zu resolvers x %zu vantages: %d epochs x %d rounds (%s)...\n",
                spec.value().base.resolvers.size(), spec.value().base.vantage_ids.size(),
@@ -218,8 +169,7 @@ int cmd_run(const Args& args) {
   }
   const monitor::MonitorResult& mon = result.value();
 
-  const std::string* out_path = args.get("out");
-  const std::string path = out_path != nullptr ? *out_path : "monitor.json";
+  const std::string path = args.text("out", "monitor.json");
   {
     std::ofstream out(path);
     if (!out) {
@@ -242,10 +192,10 @@ int cmd_run(const Args& args) {
               static_cast<std::streamsize>(blob.size()));
   }
   if (const std::string* p = args.get("slo-out")) {
-    core::JsonArray arr;
+    util::JsonArray arr;
     arr.reserve(mon.slos.size());
     for (const monitor::SloSample& s : mon.slos) arr.push_back(s.to_json());
-    if (!write_file(*p, core::Json(std::move(arr)).dump(2) + "\n")) return 3;
+    if (!write_file(*p, util::Json(std::move(arr)).dump(2) + "\n")) return 3;
   }
   if (const std::string* p = args.get("events-out")) {
     if (!write_file(*p, monitor::events_to_json(mon.events).dump(2) + "\n")) return 3;
@@ -258,22 +208,17 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-int cmd_slo(const Args& args) {
-  auto result = load_result(args);
-  if (!result) {
-    std::fprintf(stderr, "error: %s\n", result.error().c_str());
-    return 3;
-  }
-  if (args.json) {
-    core::JsonArray arr;
-    arr.reserve(result.value().slos.size());
-    for (const monitor::SloSample& s : result.value().slos) arr.push_back(s.to_json());
-    std::printf("%s\n", core::Json(std::move(arr)).dump(2).c_str());
+int cmd_slo(const cli::Args& args, const monitor::MonitorResult& mon) {
+  if (args.has("json")) {
+    util::JsonArray arr;
+    arr.reserve(mon.slos.size());
+    for (const monitor::SloSample& s : mon.slos) arr.push_back(s.to_json());
+    std::printf("%s\n", util::Json(std::move(arr)).dump(2).c_str());
     return 0;
   }
   std::printf("%-12s %-28s %5s %9s %9s %8s %8s %8s  %s\n", "vantage", "resolver", "epoch",
               "avail%", "win-av%", "p50", "p95", "p99", "state");
-  for (const monitor::SloSample& s : result.value().slos) {
+  for (const monitor::SloSample& s : mon.slos) {
     std::printf("%-12s %-28s %5d %8.2f%% %8.2f%% %8.1f %8.1f %8.1f  %s\n", s.vantage.c_str(),
                 s.resolver.c_str(), s.epoch, s.availability * 100.0,
                 s.window_availability * 100.0, s.p50_ms, s.p95_ms, s.p99_ms, s.state.c_str());
@@ -281,48 +226,13 @@ int cmd_slo(const Args& args) {
   return 0;
 }
 
-int cmd_events(const Args& args) {
-  auto result = load_result(args);
-  if (!result) {
-    std::fprintf(stderr, "error: %s\n", result.error().c_str());
-    return 3;
-  }
-  std::printf("%s\n", monitor::events_to_json(result.value().events).dump(2).c_str());
-  return 0;
-}
-
-int cmd_diagnose(const Args& args) {
-  auto result = load_result(args);
-  if (!result) {
-    std::fprintf(stderr, "error: %s\n", result.error().c_str());
-    return 3;
-  }
-  int threads = 1;
-  if (const std::string* t = args.get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
-  }
+int cmd_diagnose(const cli::Args& args, const monitor::MonitorResult& mon) {
   monitor::DiagnoseOptions opts;
-  if (const std::string* b = args.get("baseline")) {
-    opts.baseline_epochs = std::atoi(b->c_str());
-    if (opts.baseline_epochs < 1) {
-      std::fprintf(stderr, "error: --baseline requires a positive integer (got %s)\n", b->c_str());
-      return 1;
-    }
+  opts.baseline_epochs = args.integer("baseline", opts.baseline_epochs);
+  if (args.has("exemplars")) {
+    opts.max_exemplars = static_cast<std::size_t>(args.integer("exemplars", 0));
   }
-  if (const std::string* n = args.get("exemplars")) {
-    const int count = std::atoi(n->c_str());
-    if (count < 0) {
-      std::fprintf(stderr, "error: --exemplars must be >= 0 (got %s)\n", n->c_str());
-      return 1;
-    }
-    opts.max_exemplars = static_cast<std::size_t>(count);
-  }
-
-  auto report = monitor::diagnose_events(result.value(), threads, opts);
+  auto report = monitor::diagnose_events(mon, args.integer("threads", 1), opts);
   if (!report) {
     std::fprintf(stderr, "error: %s\n", report.error().c_str());
     return 2;
@@ -331,7 +241,7 @@ int cmd_diagnose(const Args& args) {
   if (const std::string* out_path = args.get("out")) {
     if (!write_file(*out_path, payload)) return 3;
   }
-  if (args.json) {
+  if (args.has("json")) {
     std::fputs(payload.c_str(), stdout);
   } else {
     std::fputs(monitor::render_diagnosis_report(report.value()).c_str(), stdout);
@@ -339,37 +249,36 @@ int cmd_diagnose(const Args& args) {
   return 0;
 }
 
-int cmd_export(const Args& args) {
-  if (!args.prom) {
-    std::fprintf(stderr, "error: export needs --prom\n");
-    return 1;
+int tool_main(const cli::Args& args) {
+  const std::vector<std::string>& positionals = args.positionals();
+  if (positionals.size() != 1) {
+    return cli::usage_error(kCli, "expected one command (run|slo|events|diagnose|export)");
   }
-  auto result = load_result(args);
+  const std::string& command = positionals.front();
+  if (command == "run") return cmd_run(args);
+  if (command != "slo" && command != "events" && command != "diagnose" && command != "export") {
+    return cli::usage_error(kCli, "unknown command '" + command + "'");
+  }
+  if (command == "export" && !args.has("prom")) {
+    return cli::usage_error(kCli, "export needs --prom");
+  }
+  const std::string* in_path = args.get("in");
+  if (in_path == nullptr) return cli::usage_error(kCli, command + " needs --in monitor.json");
+  auto result = load_result(*in_path);
   if (!result) {
     std::fprintf(stderr, "error: %s\n", result.error().c_str());
     return 3;
   }
-  std::printf("%s", monitor::to_prometheus(result.value().series).c_str());
+  if (command == "slo") return cmd_slo(args, result.value());
+  if (command == "diagnose") return cmd_diagnose(args, result.value());
+  if (command == "events") {
+    std::printf("%s\n", monitor::events_to_json(result.value().events).dump(2).c_str());
+  } else {
+    std::printf("%s", monitor::to_prometheus(result.value().series).c_str());
+  }
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto args = parse_args(argc, argv);
-  if (!args) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: ednsm_monitor run|slo|events|diagnose|export [options]\n",
-                 args.error().c_str());
-    return 1;
-  }
-  const std::string& command = args.value().command;
-  if (command == "run") return cmd_run(args.value());
-  if (command == "slo") return cmd_slo(args.value());
-  if (command == "events") return cmd_events(args.value());
-  if (command == "diagnose") return cmd_diagnose(args.value());
-  if (command == "export") return cmd_export(args.value());
-  std::fprintf(stderr, "error: unknown command '%s' (run|slo|events|diagnose|export)\n",
-               command.c_str());
-  return 1;
-}
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

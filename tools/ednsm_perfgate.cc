@@ -21,13 +21,11 @@
 // Exit codes: 0 ok, 1 usage/I-O, 2 incomparable workloads, 3 regression or
 // simulation drift.
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "util/json.h"
+#include "cli.h"
 #include "util/fs.h"
+#include "util/json.h"
 
 using namespace ednsm;
 
@@ -41,54 +39,44 @@ constexpr const char* kSimFields[] = {
     "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
 };
 
-Result<core::Json> load_json(const std::string& path) {
+Result<util::Json> load_json(const std::string& path) {
   auto text = util::read_file(path);
   if (!text) return Err{text.error()};
-  auto j = core::Json::parse(text.value());
+  auto j = util::Json::parse(text.value());
   if (!j) return Err{path + ": " + j.error()};
   return j;
 }
 
-}  // namespace
+constexpr cli::Flag kFlags[] = {
+    {"ledger", "FILE", "committed BENCH_*.json row"},
+    {"current", "FILE", "fresh ednsm_bench summary"},
+    {"tolerance-pct", "PCT", "allowed wall_ms regression (default 15)", cli::Type::Double},
+    {"sim-only", "", "compare only the deterministic fields"},
+};
+constexpr cli::Command kCli{"ednsm_perfgate", "", kFlags};
 
-int main(int argc, char** argv) {
-  std::map<std::string, std::string> options;
-  bool sim_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--sim-only") {
-      sim_only = true;
-      continue;
-    }
-    if (!arg.starts_with("--") || i + 1 >= argc) {
-      std::fprintf(stderr, "usage: ednsm_perfgate --ledger BENCH_x.json --current cur.json "
-                           "[--tolerance-pct 15] [--sim-only]\n");
-      return 1;
-    }
-    options[std::string(arg.substr(2))] = argv[++i];
+int tool_main(const cli::Args& args) {
+  const std::string* ledger_path = args.get("ledger");
+  const std::string* current_path = args.get("current");
+  if (ledger_path == nullptr || current_path == nullptr) {
+    return cli::usage_error(kCli, "--ledger and --current are required");
   }
-  if (!options.contains("ledger") || !options.contains("current")) {
-    std::fprintf(stderr, "error: --ledger and --current are required\n");
-    return 1;
-  }
-  double tolerance_pct = 15.0;
-  if (const auto it = options.find("tolerance-pct"); it != options.end()) {
-    tolerance_pct = std::atof(it->second.c_str());
-  }
+  const double tolerance_pct = args.number("tolerance-pct", 15.0);
+  const bool sim_only = args.has("sim-only");
 
-  auto ledger = load_json(options.at("ledger"));
+  auto ledger = load_json(*ledger_path);
   if (!ledger) {
     std::fprintf(stderr, "error: ledger: %s\n", ledger.error().c_str());
     return 1;
   }
-  auto current = load_json(options.at("current"));
+  auto current = load_json(*current_path);
   if (!current) {
     std::fprintf(stderr, "error: current: %s\n", current.error().c_str());
     return 1;
   }
 
-  const core::Json& lh = ledger.value().at("header");
-  const core::Json& ch = current.value().at("header");
+  const util::Json& lh = ledger.value().at("header");
+  const util::Json& ch = current.value().at("header");
   if (!lh.is_object() || !ch.is_object()) {
     std::fprintf(stderr, "error: both files need a \"header\" attribution object\n");
     return 2;
@@ -102,9 +90,9 @@ int main(int argc, char** argv) {
 
   bool drifted = false;
   for (const char* field : kSimFields) {
-    const core::Json& lv = ledger.value().at(field);
+    const util::Json& lv = ledger.value().at(field);
     if (lv.is_null()) continue;  // ledger row doesn't carry this field
-    const core::Json& cv = current.value().at(field);
+    const util::Json& cv = current.value().at(field);
     if (!(lv == cv)) {
       std::fprintf(stderr, "DRIFT %s: ledger %s, current %s (deterministic field)\n", field,
                    lv.dump(0).c_str(), cv.dump(0).c_str());
@@ -139,3 +127,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

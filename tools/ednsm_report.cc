@@ -15,68 +15,80 @@
 //
 // Exit codes: 0 ok, 1 bad usage, 3 I/O / parse error.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
+#include "cli.h"
 #include "core/campaign.h"
 #include "core/recommend.h"
 #include "monitor/monitor.h"
 #include "report/decomposition.h"
 #include "report/figures.h"
 #include "report/flight_recorder.h"
+#include "util/fs.h"
 #include "web/dashboard.h"
 
 using namespace ednsm;
 
 namespace {
 
-Result<geo::Continent> parse_continent(std::string_view name) {
+constexpr cli::Flag kFlags[] = {
+    {"figure", "CONTINENT", "boxplots of NA, EU, Asia or Oceania resolvers"},
+    {"vantage", "ID", "vantage for --figure (default: the spec's first)"},
+    {"remote-table", "CONTINENT", "median table, near vs far vantage"},
+    {"near", "ID", "near vantage for --remote-table"},
+    {"far", "ID", "far vantage for --remote-table"},
+    {"winners", "ID", "non-mainstream resolvers beating all mainstream"},
+    {"recommend", "ID", "rank resolvers for this vantage"},
+    {"decomposition", "table|figure", "cold/warm phase decomposition"},
+    {"flight-recorder", "N", "the N slowest queries with their phases", cli::Type::Int, 1},
+    {"monitor-dashboard", "FILE", "HTML dashboard (input: ednsm_monitor run output)"},
+    {"diagnosis", "FILE", "annotate the dashboard with a diagnosis report"},
+};
+constexpr cli::Command kCli{"ednsm_report", "INPUT.json", kFlags};
+
+std::optional<geo::Continent> parse_continent(std::string_view name) {
   if (name == "NA") return geo::Continent::NorthAmerica;
   if (name == "EU") return geo::Continent::Europe;
   if (name == "Asia") return geo::Continent::Asia;
   if (name == "Oceania") return geo::Continent::Oceania;
-  return Err{std::string("unknown continent (use NA|EU|Asia|Oceania): ") + std::string(name)};
+  return std::nullopt;
 }
 
-}  // namespace
+Result<util::Json> load_json(const std::string& path) {
+  auto text = util::read_file(path);
+  if (!text) return Err{text.error()};
+  return util::Json::parse(text.value());
+}
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: ednsm_report <results.json> [--figure NA|EU|Asia --vantage ID]\n"
-                 "       [--remote-table NA|EU|Asia --near ID --far ID] [--winners ID]\n"
-                 "       [--recommend ID] [--decomposition table|figure]\n"
-                 "       [--flight-recorder N]\n"
-                 "       [--monitor-dashboard out.html]   (input: ednsm_monitor run output)\n"
-                 "       [--diagnosis diagnosis.json]     (annotate the monitor dashboard)\n");
-    return 1;
+int tool_main(const cli::Args& args) {
+  if (args.positionals().size() != 1) return cli::usage_error(kCli, "expected one input file");
+  // Flags are checked before the input is read.
+  for (const char* flag : {"figure", "remote-table"}) {
+    const std::string* name = args.get(flag);
+    if (name != nullptr && !parse_continent(*name)) {
+      return cli::usage_error(kCli, "--" + std::string(flag) +
+                                        " wants NA, EU, Asia or Oceania (got " + *name + ")");
+    }
+  }
+  if (args.has("remote-table") && (!args.has("near") || !args.has("far"))) {
+    return cli::usage_error(kCli, "--remote-table needs --near and --far");
+  }
+  const std::string* decomposition = args.get("decomposition");
+  if (decomposition != nullptr && *decomposition != "table" && *decomposition != "figure") {
+    return cli::usage_error(kCli, "--decomposition takes 'table' or 'figure' (got " +
+                                      *decomposition + ")");
   }
 
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", argv[1]);
-    return 3;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = load_json(args.positionals().front());
   if (!json) {
     std::fprintf(stderr, "error: %s\n", json.error().c_str());
     return 3;
   }
-  std::map<std::string, std::string> options;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      std::fprintf(stderr, "error: unexpected argument %s\n", argv[i]);
-      return 1;
-    }
-    options[argv[i] + 2] = argv[i + 1];
-  }
 
   // Dashboard mode reads a monitor result, not a campaign result — branch
   // before the campaign parse.
-  if (options.contains("monitor-dashboard")) {
+  if (const std::string* out_path = args.get("monitor-dashboard")) {
     auto mon = monitor::MonitorResult::from_json(json.value());
     if (!mon) {
       std::fprintf(stderr, "error: %s\n", mon.error().c_str());
@@ -84,15 +96,8 @@ int main(int argc, char** argv) {
     }
     monitor::DiagnosisReport diagnoses;
     bool have_diagnoses = false;
-    if (options.contains("diagnosis")) {
-      std::ifstream diag_in(options["diagnosis"]);
-      if (!diag_in) {
-        std::fprintf(stderr, "error: cannot open %s\n", options["diagnosis"].c_str());
-        return 3;
-      }
-      std::stringstream diag_buffer;
-      diag_buffer << diag_in.rdbuf();
-      auto diag_json = core::Json::parse(diag_buffer.str());
+    if (const std::string* diagnosis_path = args.get("diagnosis")) {
+      auto diag_json = load_json(*diagnosis_path);
       if (!diag_json) {
         std::fprintf(stderr, "error: %s\n", diag_json.error().c_str());
         return 3;
@@ -105,16 +110,15 @@ int main(int argc, char** argv) {
       diagnoses = std::move(parsed).value();
       have_diagnoses = true;
     }
-    const std::string& out_path = options["monitor-dashboard"];
-    std::ofstream out(out_path);
+    std::ofstream out(*out_path);
     if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", out_path->c_str());
       return 3;
     }
     out << web::render_monitor_dashboard(mon.value(), have_diagnoses ? &diagnoses : nullptr);
     std::fprintf(stderr, "dashboard (%zu slo samples, %zu events, %zu diagnoses) -> %s\n",
                  mon.value().slos.size(), mon.value().events.size(), diagnoses.diagnoses.size(),
-                 out_path.c_str());
+                 out_path->c_str());
     return 0;
   }
 
@@ -124,36 +128,27 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  if (options.contains("figure")) {
-    auto continent = parse_continent(options["figure"]);
-    if (!continent) {
-      std::fprintf(stderr, "error: %s\n", continent.error().c_str());
-      return 1;
-    }
+  if (const std::string* figure = args.get("figure")) {
+    const std::string* vantage_flag = args.get("vantage");
     const std::string vantage =
-        options.contains("vantage") ? options["vantage"] : result.value().spec.vantage_ids[0];
-    const std::string title = options["figure"] + "-located resolvers from " + vantage;
-    std::printf("%s\n",
-                report::render_figure(result.value(), vantage, continent.value(), title)
-                    .c_str());
+        vantage_flag != nullptr ? *vantage_flag : result.value().spec.vantage_ids[0];
+    const std::string title = *figure + "-located resolvers from " + vantage;
+    std::printf("%s\n", report::render_figure(result.value(), vantage,
+                                              *parse_continent(*figure), title)
+                            .c_str());
     return 0;
   }
 
-  if (options.contains("remote-table")) {
-    auto continent = parse_continent(options["remote-table"]);
-    if (!continent || !options.contains("near") || !options.contains("far")) {
-      std::fprintf(stderr, "error: --remote-table needs a continent, --near and --far\n");
-      return 1;
-    }
-    std::printf("%s\n", report::remote_median_table(result.value(), continent.value(),
-                                                    options["near"], options["far"])
+  if (const std::string* remote = args.get("remote-table")) {
+    std::printf("%s\n", report::remote_median_table(result.value(), *parse_continent(*remote),
+                                                    *args.get("near"), *args.get("far"))
                             .to_text()
                             .c_str());
     return 0;
   }
 
-  if (options.contains("recommend")) {
-    const std::string& vantage = options["recommend"];
+  if (const std::string* recommend = args.get("recommend")) {
+    const std::string& vantage = *recommend;
     const core::RecommendationReport rec =
         core::recommend_resolvers(result.value(), vantage);
     std::printf("recommended resolvers from %s (best first):\n", vantage.c_str());
@@ -174,39 +169,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (options.contains("decomposition")) {
-    const std::string& mode = options["decomposition"];
-    if (mode == "table") {
-      std::printf("%s\n", report::phase_decomposition_table(result.value()).to_text().c_str());
-      return 0;
-    }
-    if (mode == "figure") {
-      std::printf("%s\n", report::render_cold_warm_figure(result.value()).c_str());
-      return 0;
-    }
-    std::fprintf(stderr, "error: --decomposition takes 'table' or 'figure' (got %s)\n",
-                 mode.c_str());
-    return 1;
-  }
-
-  if (options.contains("flight-recorder")) {
-    const int top_n = std::atoi(options["flight-recorder"].c_str());
-    if (top_n < 1) {
-      std::fprintf(stderr, "error: --flight-recorder takes a positive count (got %s)\n",
-                   options["flight-recorder"].c_str());
-      return 1;
-    }
-    std::printf("%s", report::render_flight_recorder(result.value(),
-                                                     static_cast<std::size_t>(top_n))
-                          .c_str());
+  if (decomposition != nullptr) {
+    const std::string text = *decomposition == "table"
+                                 ? report::phase_decomposition_table(result.value()).to_text()
+                                 : report::render_cold_warm_figure(result.value());
+    std::printf("%s\n", text.c_str());
     return 0;
   }
 
-  if (options.contains("winners")) {
+  if (args.has("flight-recorder")) {
+    const auto top_n = static_cast<std::size_t>(args.integer("flight-recorder", 1));
+    std::printf("%s", report::render_flight_recorder(result.value(), top_n).c_str());
+    return 0;
+  }
+
+  if (const std::string* winners = args.get("winners")) {
     std::printf("non-mainstream resolvers beating every mainstream median from %s:\n",
-                options["winners"].c_str());
-    for (const std::string& host :
-         report::nonmainstream_winners(result.value(), options["winners"])) {
+                winners->c_str());
+    for (const std::string& host : report::nonmainstream_winners(result.value(), *winners)) {
       std::printf("  %s\n", host.c_str());
     }
     return 0;
@@ -220,3 +200,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", report::max_median_table(result.value()).to_text().c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

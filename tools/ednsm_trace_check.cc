@@ -39,14 +39,13 @@
 // Exit codes: 0 valid, 1 bad usage, 2 validation failure, 3 I/O error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "obs/runtime.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 using namespace ednsm;
@@ -58,7 +57,7 @@ bool fail(std::size_t index, const char* what) {
   return false;
 }
 
-bool check_event(const core::Json& e, std::size_t index) {
+bool check_event(const util::Json& e, std::size_t index) {
   if (!e.is_object()) return fail(index, "not an object");
   if (!e.at("ph").is_string()) return fail(index, "missing phase \"ph\"");
   if (!e.at("name").is_string()) return fail(index, "missing \"name\"");
@@ -86,7 +85,7 @@ bool check_event(const core::Json& e, std::size_t index) {
 // Sweep each thread's spans in start order (longest first on ties, so a
 // parent precedes the children sharing its start) with a stack of open span
 // end times; a span that starts inside an open span must close no later.
-bool check_nesting(const core::JsonArray& events) {
+bool check_nesting(const util::JsonArray& events) {
   struct Span {
     double ts = 0;
     double dur = 0;
@@ -94,7 +93,7 @@ bool check_nesting(const core::JsonArray& events) {
   };
   std::map<std::pair<double, double>, std::vector<Span>> threads;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const core::Json& e = events[i];
+    const util::Json& e = events[i];
     if (e.at("ph").as_string() != "X") continue;
     threads[{e.at("pid").as_number(), e.at("tid").as_number()}].push_back(
         {e.at("ts").as_number(), e.at("dur").as_number(), i});
@@ -119,20 +118,18 @@ bool check_nesting(const core::JsonArray& events) {
 
 // --heartbeat: validate one runtime-telemetry artifact. The schema field
 // routes to the matching strict parser; anything else is a failure.
-int check_heartbeat_file(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace-check: cannot open %s\n", path);
+int check_heartbeat_file(const std::string& path) {
+  auto text = util::read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "trace-check: %s\n", text.error().c_str());
     return 3;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(text.value());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
   }
-  const core::Json& root = json.value();
+  const util::Json& root = json.value();
   if (!root.is_object() || !root.at("schema").is_string()) {
     std::fprintf(stderr, "trace-check: missing \"schema\" field\n");
     return 2;
@@ -164,53 +161,42 @@ int check_heartbeat_file(const char* path) {
   return 2;
 }
 
-}  // namespace
+constexpr cli::Flag kFlags[] = {
+    {"min-events", "N", "fail below N payload events (default 0)", cli::Type::Int, 0},
+    {"nested", "", "also require complete events to nest per thread"},
+    {"heartbeat", "FILE", "validate a heartbeat or run manifest instead of a trace"},
+};
+constexpr cli::Command kCli{"ednsm_trace_check", "[TRACE.json]", kFlags};
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: ednsm_trace_check trace.json [--min-events N] [--nested]\n"
-                         "       ednsm_trace_check --heartbeat file.json\n");
-    return 1;
-  }
-  if (std::string_view(argv[1]) == "--heartbeat") {
-    if (argc != 3) {
-      std::fprintf(stderr, "usage: ednsm_trace_check --heartbeat file.json\n");
-      return 1;
+int tool_main(const cli::Args& args) {
+  const std::vector<std::string>& traces = args.positionals();
+  if (const std::string* heartbeat = args.get("heartbeat")) {
+    if (!traces.empty() || args.has("min-events") || args.has("nested")) {
+      return cli::usage_error(kCli, "--heartbeat takes no trace file, --min-events or --nested");
     }
-    return check_heartbeat_file(argv[2]);
+    return check_heartbeat_file(*heartbeat);
   }
-  long long min_events = 0;
-  bool nested = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--min-events" && i + 1 < argc) {
-      min_events = std::atoll(argv[++i]);
-    } else if (std::string_view(argv[i]) == "--nested") {
-      nested = true;
-    } else {
-      std::fprintf(stderr, "trace-check: unknown argument %s\n", argv[i]);
-      return 1;
-    }
-  }
+  if (traces.size() != 1) return cli::usage_error(kCli, "expected one trace file");
+  const int min_events = args.integer("min-events", 0);
+  const bool nested = args.has("nested");
 
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "trace-check: cannot open %s\n", argv[1]);
+  auto text = util::read_file(traces.front());
+  if (!text) {
+    std::fprintf(stderr, "trace-check: %s\n", text.error().c_str());
     return 3;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(text.value());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
   }
-  const core::Json& root = json.value();
+  const util::Json& root = json.value();
   if (!root.is_object() || !root.at("traceEvents").is_array()) {
     std::fprintf(stderr, "trace-check: missing traceEvents array\n");
     return 2;
   }
 
-  const core::JsonArray& events = root.at("traceEvents").as_array();
+  const util::JsonArray& events = root.at("traceEvents").as_array();
   std::size_t metadata = 0;
   std::size_t payload = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -224,17 +210,21 @@ int main(int argc, char** argv) {
 
   if (nested && !check_nesting(events)) return 2;
 
-  const core::Json& dropped = root.at("otherData").at("dropped_events");
+  const util::Json& dropped = root.at("otherData").at("dropped_events");
   if (!dropped.is_null() && (!dropped.is_number() || dropped.as_number() < 0)) {
     std::fprintf(stderr, "trace-check: otherData.dropped_events is not a non-negative number\n");
     return 2;
   }
 
   if (payload < static_cast<std::size_t>(min_events)) {
-    std::fprintf(stderr, "trace-check: %zu payload events, expected at least %lld\n", payload,
+    std::fprintf(stderr, "trace-check: %zu payload events, expected at least %d\n", payload,
                  min_events);
     return 2;
   }
   std::printf("trace-check: ok — %zu payload events, %zu metadata records\n", payload, metadata);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "monitor/prom.h"
 #include "obs/runtime.h"
 #include "util/fs.h"
@@ -112,58 +113,22 @@ std::string render(const std::vector<WatchedFile>& fleet, std::uint64_t stale_af
   return out;
 }
 
-}  // namespace
+constexpr cli::Flag kFlags[] = {
+    {"once", "", "render one frame and exit"},
+    {"interval-ms", "MS", "refresh period (default 1000)", cli::Type::Int, 1},
+    {"prom", "FILE", "also write the fleet gauges in Prometheus text format"},
+    {"stale-after", "MS", "flag shards MS behind the newest heartbeat", cli::Type::Int, 1},
+};
+constexpr cli::Command kCli{"ednsm_watch", "HEARTBEAT...", kFlags};
 
-int main(int argc, char** argv) {
+int tool_main(const cli::Args& args) {
+  if (args.positionals().empty()) return cli::usage_error(kCli, "no heartbeat files given");
   std::vector<WatchedFile> fleet;
-  bool once = false;
-  long interval_ms = 1000;
-  std::string prom_path;
-  std::uint64_t stale_after_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--once") {
-      once = true;
-    } else if (arg == "--interval-ms") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --interval-ms requires a value\n");
-        return 1;
-      }
-      interval_ms = std::atol(argv[++i]);
-      if (interval_ms < 1) {
-        std::fprintf(stderr, "error: --interval-ms requires a positive integer\n");
-        return 1;
-      }
-    } else if (arg == "--prom") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --prom requires a value\n");
-        return 1;
-      }
-      prom_path = argv[++i];
-    } else if (arg == "--stale-after") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --stale-after requires a value\n");
-        return 1;
-      }
-      const long value = std::atol(argv[++i]);
-      if (value < 1) {
-        std::fprintf(stderr, "error: --stale-after requires a positive ms threshold\n");
-        return 1;
-      }
-      stale_after_ms = static_cast<std::uint64_t>(value);
-    } else if (arg.starts_with("--")) {
-      std::fprintf(stderr, "error: unknown flag: %s\n", argv[i]);
-      return 1;
-    } else {
-      fleet.push_back(WatchedFile{std::string(arg), false, {}});
-    }
-  }
-  if (fleet.empty()) {
-    std::fprintf(stderr,
-                 "usage: ednsm_watch hb0.json [hb1.json ...] [--once] "
-                 "[--interval-ms N] [--prom out.prom] [--stale-after MS]\n");
-    return 1;
-  }
+  for (const std::string& path : args.positionals()) fleet.push_back(WatchedFile{path, false, {}});
+  const bool once = args.has("once");
+  const int interval_ms = args.integer("interval-ms", 1000);
+  const std::string* prom_path = args.get("prom");
+  const auto stale_after_ms = static_cast<std::uint64_t>(args.integer("stale-after", 0));
 
   for (bool first = true;; first = false) {
     for (WatchedFile& w : fleet) refresh(w);
@@ -172,13 +137,13 @@ int main(int argc, char** argv) {
     std::fputs(render(fleet, stale_after_ms).c_str(), stdout);
     std::fflush(stdout);
 
-    if (!prom_path.empty()) {
+    if (prom_path != nullptr) {
       std::vector<obs::RuntimeHeartbeat> beats;
       for (const WatchedFile& w : fleet) {
         if (w.valid) beats.push_back(w.heartbeat);
       }
       if (auto written = util::write_file_atomic(
-              prom_path, monitor::to_prometheus(beats, stale_after_ms));
+              *prom_path, monitor::to_prometheus(beats, stale_after_ms));
           !written) {
         std::fprintf(stderr, "error: %s\n", written.error().c_str());
         return 3;
@@ -195,3 +160,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
   }
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(kCli, argc, argv, tool_main); }
