@@ -108,8 +108,20 @@ Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
   return out;
 }
 
+// Streams the to_json() layout: records and pings go out one at a time, so
+// the document never exists as a Json tree.
 void CampaignResult::write_json(std::ostream& os, int indent) const {
-  os << to_json().dump(indent) << '\n';
+  util::JsonWriter w(os, indent);
+  w.begin_object();
+  w.key("pings");
+  w.array_of(pings);
+  w.key("records");
+  w.array_of(records);
+  w.key("spec");
+  w.value(spec.to_json());
+  w.end_object();
+  w.finish();
+  os.put('\n');
 }
 
 CampaignRunner::CampaignRunner(SimWorld& world, MeasurementSpec spec)

@@ -23,16 +23,22 @@ Result<std::uint64_t> u64_from_hex(const std::string& s) {
   return v;
 }
 
+namespace {
+util::Json slice_json(const ShardSlice& slice) {
+  util::JsonObject o;
+  o["k"] = static_cast<std::uint64_t>(slice.k);
+  o["n"] = static_cast<std::uint64_t>(slice.n);
+  return util::Json(std::move(o));
+}
+}  // namespace
+
 util::Json ShardFile::to_json() const {
   util::JsonObject o;
   o["magic"] = std::string(kMagic);
   o["version"] = kVersion;
   o["spec"] = spec.to_json();
   o["spec_fingerprint"] = u64_to_hex(spec_fingerprint(spec));
-  util::JsonObject slice_o;
-  slice_o["k"] = static_cast<std::uint64_t>(slice.k);
-  slice_o["n"] = static_cast<std::uint64_t>(slice.n);
-  o["slice"] = util::Json(std::move(slice_o));
+  o["slice"] = slice_json(slice);
   o["total_shards"] = static_cast<std::uint64_t>(total_shards);
   o["has_trace"] = has_trace;
   o["has_metrics"] = has_metrics;
@@ -171,8 +177,58 @@ Result<void> ShardFile::validate() const {
   return {};
 }
 
+// Streams the to_json() layout into the file in chunks; each outcome's
+// records and pings go out one at a time, so no outcome exists as a Json
+// tree either.
 Result<void> ShardFile::write(const std::string& path) const {
-  return util::write_file_atomic(path, to_json().dump(2) + "\n");
+  util::AtomicFileWriter file(path);
+  util::JsonWriter w([&file](std::string_view bytes) { file.append(bytes); }, 2);
+  w.begin_object();
+  w.key("has_metrics");
+  w.value(has_metrics);
+  w.key("has_trace");
+  w.value(has_trace);
+  w.key("magic");
+  w.value(std::string(kMagic));
+  w.key("outcomes");
+  w.begin_array();
+  for (const ShardOutcome& out : outcomes) {
+    w.begin_object();
+    w.key("index");
+    w.value(static_cast<std::uint64_t>(out.index));
+    if (has_metrics) {
+      w.key("metrics");
+      w.value(out.metrics.to_json());
+    }
+    w.key("pings");
+    w.array_of(out.result.pings);
+    w.key("records");
+    w.array_of(out.result.records);
+    w.key("seed");
+    w.value(u64_to_hex(out.seed));
+    if (has_trace) {
+      w.key("trace");
+      w.value(out.trace.to_json());
+    }
+    w.key("vantage");
+    w.value(out.vantage);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("slice");
+  w.value(slice_json(slice));
+  w.key("spec");
+  w.value(spec.to_json());
+  w.key("spec_fingerprint");
+  w.value(u64_to_hex(spec_fingerprint(spec)));
+  w.key("total_shards");
+  w.value(static_cast<std::uint64_t>(total_shards));
+  w.key("version");
+  w.value(kVersion);
+  w.end_object();
+  w.finish();
+  file.append("\n");
+  return file.commit();
 }
 
 Result<ShardFile> ShardFile::load(const std::string& path) {

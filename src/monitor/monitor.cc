@@ -161,8 +161,28 @@ Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
   return out;
 }
 
+// Streams the to_json() layout one array element at a time.
 void MonitorResult::write_json(std::ostream& os, int indent) const {
-  os << to_json().dump(indent) << '\n';
+  util::JsonWriter w(os, indent);
+  w.begin_object();
+  w.key("epochs");
+  w.array_of(epochs);
+  w.key("events");
+  w.array_of(events);
+  w.key("series");
+  w.begin_object();
+  w.key("bucket_width");
+  w.value(series.bucket_width());
+  w.key("points");
+  w.array_of(series.snapshot());
+  w.end_object();
+  w.key("slos");
+  w.array_of(slos);
+  w.key("spec");
+  w.value(spec.to_json());
+  w.end_object();
+  w.finish();
+  os.put('\n');
 }
 
 void evaluate_result(MonitorResult& result) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace ednsm::util {
 
@@ -30,38 +31,59 @@ void sync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-Result<void> write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Err{errno_message("open", tmp)};
+AtomicFileWriter::AtomicFileWriter(const std::string& path)
+    : path_(path), tmp_(path + ".tmp." + std::to_string(::getpid())) {
+  fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) error_ = errno_message("open", tmp_);
+}
 
+AtomicFileWriter::~AtomicFileWriter() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    ::unlink(tmp_.c_str());
+  }
+}
+
+void AtomicFileWriter::fail(const char* step) {
+  error_ = errno_message(step, tmp_);
+  ::close(fd_);
+  fd_ = -1;
+  ::unlink(tmp_.c_str());
+}
+
+void AtomicFileWriter::append(std::string_view bytes) {
   std::size_t written = 0;
-  while (written < content.size()) {
-    const ::ssize_t n = ::write(fd, content.data() + written, content.size() - written);
+  while (fd_ >= 0 && written < bytes.size()) {
+    const ::ssize_t n = ::write(fd_, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Err{errno_message("write", tmp)};
+      if (errno != EINTR) fail("write");
+      continue;
     }
     written += static_cast<std::size_t>(n);
   }
+}
 
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Err{errno_message("fsync", tmp)};
-  }
+Result<void> AtomicFileWriter::commit() {
+  if (fd_ >= 0 && ::fsync(fd_) != 0) fail("fsync");
+  if (fd_ < 0) return Err{error_};
+  const int fd = std::exchange(fd_, -1);
   if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return Err{errno_message("close", tmp)};
+    error_ = errno_message("close", tmp_);
+  } else if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    error_ = errno_message("rename", path_);
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Err{errno_message("rename", path)};
+  if (!error_.empty()) {
+    ::unlink(tmp_.c_str());
+    return Err{error_};
   }
-  sync_parent_dir(path);
+  sync_parent_dir(path_);
   return {};
+}
+
+Result<void> write_file_atomic(const std::string& path, std::string_view content) {
+  AtomicFileWriter file(path);
+  file.append(content);
+  return file.commit();
 }
 
 Result<std::string> read_file(const std::string& path) {

@@ -11,11 +11,34 @@
 
 namespace ednsm::util {
 
-// Writes `content` to `path` atomically: the data lands in `path + ".tmp.<pid>"`
-// first, is fsync'd, and is renamed over `path` (POSIX rename is atomic within
-// a filesystem). On any failure the temp file is unlinked and an error
-// describing the failing step is returned; `path` is either fully written or
-// untouched, never truncated.
+// Streams a file into place atomically: appended bytes land in
+// `path + ".tmp.<pid>"`, and commit() fsyncs that file and renames it over
+// `path` (POSIX rename is atomic within a filesystem). A writer that is never
+// committed, or whose open, write, fsync or rename fails, unlinks its temp
+// file; `path` is either fully written or untouched, never truncated.
+class AtomicFileWriter {
+ public:
+  explicit AtomicFileWriter(const std::string& path);
+  ~AtomicFileWriter();
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  // After the first failure, appends do nothing and commit() reports it.
+  void append(std::string_view bytes);
+  // Makes the file visible at `path`, or returns the error describing the
+  // first failing step. Call once.
+  [[nodiscard]] Result<void> commit();
+
+ private:
+  void fail(const char* step);
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  std::string error_;
+};
+
+// Writes `content` to `path` through an AtomicFileWriter.
 [[nodiscard]] Result<void> write_file_atomic(const std::string& path, std::string_view content);
 
 // Reads the entire file into a string; errors (with the failing path) when

@@ -1,8 +1,9 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <ostream>
+#include <stdexcept>
 
 namespace ednsm::util {
 
@@ -10,76 +11,58 @@ namespace {
 
 const Json kNull{};
 
-void dump_impl(const Json& j, std::string& out, int indent, int depth);
-
-void append_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out.push_back('\n');
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-void dump_number(double d, std::string& out) {
-  if (std::isnan(d) || std::isinf(d)) {
+// Numbers print as this layer always printed them with snprintf: "%.0f" for
+// integral values below 1e15, "%.17g" (which round-trips) for the rest. With
+// an explicit precision, std::to_chars is defined as printf in the C locale,
+// so general/17 gives the "%.17g" bytes without depending on LC_NUMERIC.
+// "%.0f" of an integral double below 1e15 is its exact integer value, so
+// the integer overload gives those bytes (several times faster than
+// fixed/0); only -0 needs its sign spelled out.
+void append_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
     out.append("null");  // JSON has no NaN/Inf; null is the least-wrong choice
     return;
   }
-  // Integers print without a decimal point; everything else round-trips.
+  char buf[32];
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out.append(buf);
+    if (d == 0 && std::signbit(d)) {
+      out.append("-0");
+      return;
+    }
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d)).ptr);
     return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out.append(buf);
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17).ptr);
 }
 
-void dump_impl(const Json& j, std::string& out, int indent, int depth) {
-  if (j.is_null()) {
-    out.append("null");
-  } else if (j.is_bool()) {
-    out.append(j.as_bool() ? "true" : "false");
-  } else if (j.is_number()) {
-    dump_number(j.as_number(), out);
-  } else if (j.is_string()) {
-    out.push_back('"');
-    out.append(json_escape(j.as_string()));
-    out.push_back('"');
-  } else if (j.is_array()) {
-    const JsonArray& arr = j.as_array();
-    if (arr.empty()) {
-      out.append("[]");
-      return;
+// Appends `s` escaped, copying runs of plain bytes whole.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
-    out.push_back('[');
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      append_indent(out, indent, depth + 1);
-      dump_impl(arr[i], out, indent, depth + 1);
-    }
-    append_indent(out, indent, depth);
-    out.push_back(']');
-  } else {
-    const JsonObject& obj = j.as_object();
-    if (obj.empty()) {
-      out.append("{}");
-      return;
-    }
-    out.push_back('{');
-    bool first = true;
-    for (const auto& [k, v] : obj) {
-      if (!first) out.push_back(',');
-      first = false;
-      append_indent(out, indent, depth + 1);
-      out.push_back('"');
-      out.append(json_escape(k));
-      out.append(indent > 0 ? "\": " : "\":");
-      dump_impl(v, out, indent, depth + 1);
-    }
-    append_indent(out, indent, depth);
-    out.push_back('}');
   }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
+[[noreturn]] void misuse(const std::string& what) {
+  throw std::logic_error("JsonWriter: " + what);
 }
 
 // ---- parser -----------------------------------------------------------------
@@ -87,6 +70,18 @@ void dump_impl(const Json& j, std::string& out, int indent, int depth) {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;  // open arrays/objects around pos
+
+  // Enters an array or object; false past Json::kMaxDepth. Every return
+  // after a successful enter() passes through leave().
+  [[nodiscard]] bool enter() { return ++depth <= Json::kMaxDepth; }
+  [[nodiscard]] Result<Json> leave(Result<Json> r) {
+    --depth;
+    return r;
+  }
+  [[nodiscard]] static Err<std::string> too_deep() {
+    return Err{"json: nesting deeper than " + std::to_string(Json::kMaxDepth)};
+  }
 
   void skip_ws() {
     while (pos < text.size() &&
@@ -207,6 +202,11 @@ struct Parser {
 
   [[nodiscard]] Result<Json> array() {
     if (!eat('[')) return Err{std::string("json: expected array")};
+    if (!enter()) return too_deep();
+    return leave(array_body());
+  }
+
+  [[nodiscard]] Result<Json> array_body() {
     JsonArray arr;
     skip_ws();
     if (eat(']')) return Json(std::move(arr));
@@ -222,6 +222,11 @@ struct Parser {
 
   [[nodiscard]] Result<Json> object() {
     if (!eat('{')) return Err{std::string("json: expected object")};
+    if (!enter()) return too_deep();
+    return leave(object_body());
+  }
+
+  [[nodiscard]] Result<Json> object_body() {
     JsonObject obj;
     skip_ws();
     if (eat('}')) return Json(std::move(obj));
@@ -251,7 +256,8 @@ const Json& Json::at(const std::string& key) const {
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_impl(*this, out, indent, 0);
+  JsonWriter w(out, indent);
+  w.value(*this);
   return out;
 }
 
@@ -267,26 +273,141 @@ Result<Json> Json::parse(std::string_view text) {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
+}
+
+// ---- writer -----------------------------------------------------------------
+
+JsonWriter::JsonWriter(std::string& out, int indent) : out_(out), indent_(indent) {}
+
+JsonWriter::JsonWriter(std::function<void(std::string_view)> sink, int indent)
+    : out_(buffer_), sink_(std::move(sink)), indent_(indent) {
+  buffer_.reserve(kChunkBytes + kChunkBytes / 4);
+}
+
+JsonWriter::JsonWriter(std::ostream& os, int indent)
+    : JsonWriter(
+          [&os](std::string_view s) { os.write(s.data(), static_cast<std::streamsize>(s.size())); },
+          indent) {}
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  out_.push_back('\n');
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+// Structure checks, then the separator an array element needs. An object
+// member's separator went out with its key.
+void JsonWriter::before_value() {
+  if (stack_.empty()) {
+    if (done_) misuse("a second top-level value");
+    return;
+  }
+  Frame& f = stack_.back();
+  if (f.object) {
+    if (!f.key_pending) misuse("a value in an object where a key is due");
+    f.key_pending = false;
+    return;
+  }
+  if (!f.empty) out_.push_back(',');
+  f.empty = false;
+  newline(stack_.size());
+}
+
+void JsonWriter::after_value() {
+  if (stack_.empty()) done_ = true;
+  if (sink_ && out_.size() >= kChunkBytes) {
+    sink_(out_);
+    out_.clear();
+  }
+}
+
+void JsonWriter::open(bool object, char bracket) {
+  before_value();
+  out_.push_back(bracket);
+  stack_.push_back(Frame{object, true, false, {}});
+}
+
+void JsonWriter::close(bool object, char bracket) {
+  if (stack_.empty() || stack_.back().object != object) {
+    misuse(object ? "end_object without an open object" : "end_array without an open array");
+  }
+  if (stack_.back().key_pending) misuse("end_object after a key without a value");
+  const bool empty = stack_.back().empty;
+  stack_.pop_back();
+  if (!empty) newline(stack_.size());
+  out_.push_back(bracket);
+  after_value();
+}
+
+void JsonWriter::begin_object() { open(true, '{'); }
+void JsonWriter::end_object() { close(true, '}'); }
+void JsonWriter::begin_array() { open(false, '['); }
+void JsonWriter::end_array() { close(false, ']'); }
+
+void JsonWriter::key(std::string_view k) {
+  if (stack_.empty() || !stack_.back().object) misuse("a key outside an object");
+  Frame& f = stack_.back();
+  if (f.key_pending) misuse("a key where a value is due");
+  if (!f.empty && k <= f.last_key) {
+    misuse("key \"" + std::string(k) + "\" after \"" + f.last_key +
+           "\" (keys must ascend, as in a JsonObject)");
+  }
+  f.last_key.assign(k);
+  write_key(k);
+}
+
+// A JsonObject's keys ascend by construction, so value() writes them
+// through here without the check.
+void JsonWriter::write_key(std::string_view k) {
+  Frame& f = stack_.back();
+  if (!f.empty) out_.push_back(',');
+  f.empty = false;
+  f.key_pending = true;
+  newline(stack_.size());
+  out_.push_back('"');
+  append_escaped(out_, k);
+  out_.append(indent_ > 0 ? "\": " : "\":");
+}
+
+void JsonWriter::value(const Json& v) {
+  if (v.is_array()) {
+    begin_array();
+    for (const Json& e : v.as_array()) value(e);
+    end_array();
+    return;
+  }
+  if (v.is_object()) {
+    begin_object();
+    for (const auto& [k, e] : v.as_object()) {
+      write_key(k);
+      value(e);
+    }
+    end_object();
+    return;
+  }
+  before_value();
+  if (v.is_null()) {
+    out_.append("null");
+  } else if (v.is_bool()) {
+    out_.append(v.as_bool() ? "true" : "false");
+  } else if (v.is_number()) {
+    append_number(out_, v.as_number());
+  } else {
+    out_.push_back('"');
+    append_escaped(out_, v.as_string());
+    out_.push_back('"');
+  }
+  after_value();
+}
+
+void JsonWriter::finish() {
+  if (!done_ || !stack_.empty()) misuse("finish before the document is complete");
+  if (sink_ && !out_.empty()) {
+    sink_(out_);
+    out_.clear();
+  }
 }
 
 }  // namespace ednsm::util

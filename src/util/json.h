@@ -8,9 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -24,6 +27,11 @@ using JsonObject = std::map<std::string, Json>;  // sorted keys: stable output
 
 class Json {
  public:
+  // Deepest array/object nesting parse() accepts; the repo's own documents
+  // stay under 10 levels. The bound keeps a hostile file from overflowing
+  // the recursive parser's stack.
+  static constexpr int kMaxDepth = 256;
+
   Json() : value_(nullptr) {}
   Json(std::nullptr_t) : value_(nullptr) {}
   Json(bool b) : value_(b) {}
@@ -60,10 +68,81 @@ class Json {
   // Serialize. indent 0 = compact; otherwise pretty-printed.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
+  // Rejects malformed text and nesting deeper than kMaxDepth.
   [[nodiscard]] static Result<Json> parse(std::string_view text);
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
+};
+
+// Incremental writer: emits exactly the bytes Json::dump emits for the same
+// document, so a large array can be written one element at a time instead
+// of first building the whole document as a Json tree. Json::dump is built
+// on it, so this is the only JSON formatter.
+//
+// Keys of a streamed object must arrive in strictly ascending order, the
+// order a JsonObject (a std::map) iterates in; anything else throws
+// std::logic_error, as does a call the document structure does not allow (a
+// key outside an object, a value where a key is due, an unbalanced end_*,
+// a second top-level value). The checks run in every build: a streamed
+// writer whose layout drifted from its to_json() reference would otherwise
+// write a file that still parses but no longer matches what the DOM path
+// writes byte for byte.
+class JsonWriter {
+ public:
+  // Pending bytes a streaming writer holds before handing them to its sink.
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  // Appends to `out`.
+  explicit JsonWriter(std::string& out, int indent = 0);
+  // Streams: bytes collect in a buffer that goes to `sink` whenever a value
+  // completes with kChunkBytes or more pending, and at finish().
+  JsonWriter(std::function<void(std::string_view)> sink, int indent = 0);
+  JsonWriter(std::ostream& os, int indent = 0);
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  void begin_object();
+  void end_object();
+  void begin_array();
+  void end_array();
+  void key(std::string_view k);
+  void value(const Json& v);
+
+  // An array of one element per item, each from the item's own to_json(),
+  // so no more than one element exists as a Json tree at a time.
+  template <typename Range>
+  void array_of(const Range& items) {
+    begin_array();
+    for (const auto& item : items) value(item.to_json());
+    end_array();
+  }
+
+  // Throws unless exactly one complete value was written, then hands any
+  // buffered bytes to the sink.
+  void finish();
+
+ private:
+  struct Frame {
+    bool object = false;
+    bool empty = true;
+    bool key_pending = false;  // object: key written, value due
+    std::string last_key;      // object: the last key passed to key()
+  };
+
+  void open(bool object, char bracket);
+  void close(bool object, char bracket);
+  void before_value();
+  void after_value();
+  void write_key(std::string_view k);
+  void newline(std::size_t depth);
+
+  std::string buffer_;  // streaming form only
+  std::string& out_;
+  std::function<void(std::string_view)> sink_;
+  int indent_;
+  std::vector<Frame> stack_;
+  bool done_ = false;
 };
 
 // Escape a string per JSON rules (quotes not included).

@@ -10,9 +10,10 @@
 //      suite, seed, threads, effective_threads, rounds, schema). Different
 //      workloads are incomparable — that is an error, not a pass.
 //   2. Simulation drift: the deterministic fields (records, pings,
-//      error_rate, series_points, ...) must match EXACTLY. These are pure
-//      functions of the spec, so any difference is a behavior change hiding
-//      in a perf diff, and is flagged regardless of tolerance.
+//      error_rate, series_points, results_json_fnv1a, ...) must match
+//      EXACTLY. These are pure functions of the spec, so any difference is a
+//      behavior change hiding in a perf diff, and is flagged regardless of
+//      tolerance.
 //   3. Wall clock: current wall_ms may exceed the ledger's by at most
 //      --tolerance-pct percent (default 15). Skipped under --sim-only, the
 //      machine-independent mode for CI runners whose absolute speed does not
@@ -32,11 +33,13 @@ using namespace ednsm;
 namespace {
 
 // The deterministic (spec-derived) summary fields, compared exactly when the
-// ledger row carries them.
+// ledger row carries them. The fig2 results-JSON size and digest make any
+// output byte drift a failure.
 constexpr const char* kSimFields[] = {
     "records",    "pings",         "error_rate", "series_points", "slo_samples",
     "events",     "ring_ops",      "ring_checksum", "cold_queries", "warm_queries",
     "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
+    "results_json_bytes", "results_json_fnv1a",
 };
 
 Result<util::Json> load_json(const std::string& path) {
