@@ -22,24 +22,32 @@ void DoqClient::invalidate(const netsim::Endpoint& remote, const std::string& sn
 
 void DoqClient::query(netsim::IpAddr server, const std::string& sni, const dns::Name& qname,
                       dns::RecordType qtype, QueryCallback cb) {
+  // Handlers installed on the connection outlive the query (the cached
+  // session keeps them), so they reach the callback only through `state`,
+  // and finish() moves it out. Captured directly, a callback that owns this
+  // client would keep itself alive: sessions_ -> connection -> handler ->
+  // callback -> client.
   struct State {
     std::unique_ptr<SingleFire> guard;
+    QueryCallback cb;
     netsim::SimTime started{0};
     std::uint16_t id = 0;
     bool connected = false;
   };
   auto state = std::make_shared<State>();
+  state->cb = std::move(cb);
   state->started = net_.queue().now();
   state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
 
   const netsim::Endpoint remote{server, netsim::kPortDoq};
   const Key key{remote, sni};
 
-  auto finish = [this, state, cb](QueryOutcome outcome) {
+  auto finish = [this, state](QueryOutcome outcome) {
     outcome.protocol = Protocol::DoQ;
     outcome.timing.total = net_.queue().now() - state->started;
     state->guard.reset();
-    cb(std::move(outcome));
+    const QueryCallback done = std::move(state->cb);
+    done(std::move(outcome));
   };
 
   state->guard = std::make_unique<SingleFire>(

@@ -160,6 +160,38 @@ std::vector<CauseVerdict> rank_causes(const Diagnosis& d) {
   return verdicts;
 }
 
+// Every epoch must hold exactly as many rows as it ran queries: a lost or
+// misplaced row would shift a median or hide a failure, and a file without
+// rows would otherwise diagnose every event as no-data.
+Result<void> check_evidence_coverage(const MonitorResult& result) {
+  const int epochs = result.spec.epochs;
+  if (result.epochs.size() != static_cast<std::size_t>(epochs)) {
+    return Err{"diagnose: result has " + std::to_string(result.epochs.size()) +
+               " epoch summaries for " + std::to_string(epochs) + " epochs"};
+  }
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(epochs), 0);
+  for (const obs::QueryEvidence& row : result.evidence) {
+    if (row.epoch < 0 || row.epoch >= epochs) {
+      return Err{"diagnose: evidence row for epoch " + std::to_string(row.epoch) +
+                 " outside the run"};
+    }
+    ++rows[static_cast<std::size_t>(row.epoch)];
+  }
+  for (std::size_t e = 0; e < result.epochs.size(); ++e) {
+    const EpochSummary& summary = result.epochs[e];
+    if (summary.epoch != static_cast<int>(e)) {
+      return Err{"diagnose: epoch summary " + std::to_string(e) + " is for epoch " +
+                 std::to_string(summary.epoch)};
+    }
+    if (rows[e] != summary.queries) {
+      return Err{"diagnose: epoch " + std::to_string(e) + " has " + std::to_string(rows[e]) +
+                 " evidence rows for " + std::to_string(summary.queries) +
+                 " queries (re-run the monitor to record per-query evidence)"};
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 util::Json CauseVerdict::to_json() const {
@@ -340,31 +372,6 @@ void DiagnosisReport::write_json(std::ostream& os, int indent) const {
   os << to_json().dump(indent) << '\n';
 }
 
-std::vector<obs::QueryEvidence> collect_evidence(const core::CampaignResult& result,
-                                                 std::string_view resolver, int epoch) {
-  std::vector<obs::QueryEvidence> rows;
-  for (const core::ResultRecord& r : result.records) {
-    if (r.resolver != resolver) continue;
-    obs::QueryEvidence row;
-    row.vantage = r.vantage;
-    row.domain = r.domain;
-    row.epoch = epoch;
-    row.round = r.round;
-    row.ok = r.ok;
-    row.reused = r.connection_reused;
-    row.response_ms = r.response_ms;
-    row.tcp_ms = r.tcp_handshake_ms;
-    row.tls_ms = r.tls_handshake_ms;
-    row.quic_ms = r.quic_handshake_ms;
-    row.wait_ms = r.pool_wait_ms;
-    row.exchange_ms = r.exchange_ms;
-    row.failure_stage = r.failure_stage;
-    row.error_class = r.error_class;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 Diagnosis diagnose_event(const MonitorEvent& event,
                          const std::vector<obs::QueryEvidence>& evidence,
                          const DiagnoseOptions& opts) {
@@ -405,43 +412,28 @@ Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads
   if (opts.baseline_epochs < 1) {
     return Err{std::string("diagnose: baseline epochs must be >= 1")};
   }
+  if (auto covered = check_evidence_coverage(result); !covered) return Err{covered.error()};
+
+  // Rows of each event's resolver in stored order; events on the same
+  // resolver share them.
+  std::map<std::string_view, std::vector<const obs::QueryEvidence*>> by_resolver;
+  for (const MonitorEvent& ev : result.events) by_resolver.try_emplace(ev.resolver);
+  for (const obs::QueryEvidence& row : result.evidence) {
+    const auto it = by_resolver.find(row.resolver);
+    if (it != by_resolver.end()) it->second.push_back(&row);
+  }
 
   DiagnosisReport report;
-  if (result.events.empty()) return report;
-
-  // Union of epochs any event's evidence window touches; each is re-run once
-  // and shared across events.
-  std::set<int> needed;
-  for (const MonitorEvent& ev : result.events) {
-    const int from = std::max(0, ev.start_epoch - opts.baseline_epochs);
-    const int to = std::min(ev.end_epoch, result.spec.epochs - 1);
-    for (int e = from; e <= to; ++e) needed.insert(e);
-  }
-  const std::vector<std::uint64_t> seeds =
-      core::shard_seeds(result.spec.base.seed, static_cast<std::size_t>(result.spec.epochs));
-  std::map<int, core::CampaignResult> campaigns;
-  for (const int e : needed) {
-    campaigns.emplace(e, core::run_parallel_campaign(
-                             epoch_campaign_spec(result.spec,
-                                                 seeds[static_cast<std::size_t>(e)], e),
-                             threads));
-  }
-
-  // Evidence rows per resolver (events on the same resolver share them).
-  std::map<std::string, std::vector<obs::QueryEvidence>> by_resolver;
-  for (const MonitorEvent& ev : result.events) {
-    const auto [it, inserted] = by_resolver.try_emplace(ev.resolver);
-    if (!inserted) continue;
-    for (const auto& [e, campaign] : campaigns) {
-      std::vector<obs::QueryEvidence> rows = collect_evidence(campaign, ev.resolver, e);
-      it->second.insert(it->second.end(), std::make_move_iterator(rows.begin()),
-                        std::make_move_iterator(rows.end()));
-    }
-  }
-
   report.diagnoses.reserve(result.events.size());
   for (const MonitorEvent& ev : result.events) {
-    report.diagnoses.push_back(diagnose_event(ev, by_resolver.at(ev.resolver), opts));
+    // diagnose_event reads only [baseline start, event end], so only those
+    // epochs' rows are copied.
+    const int from = std::max(0, ev.start_epoch - opts.baseline_epochs);
+    std::vector<obs::QueryEvidence> rows;
+    for (const obs::QueryEvidence* row : by_resolver.at(ev.resolver)) {
+      if (row->epoch >= from && row->epoch <= ev.end_epoch) rows.push_back(*row);
+    }
+    report.diagnoses.push_back(diagnose_event(ev, rows, opts));
   }
   return report;
 }

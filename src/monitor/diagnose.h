@@ -1,11 +1,12 @@
-// Root-cause diagnosis for monitor events: given a MonitorResult, re-derive
-// the per-query evidence behind each event and explain it.
+// Root-cause diagnosis for monitor events: given a MonitorResult, read the
+// per-query evidence behind each event and explain it.
 //
-// The persisted monitor output carries folded series, not per-query records,
-// so the engine re-runs the relevant epochs' campaigns from the spec — epoch
-// seeds come from core::shard_seeds exactly as run_monitor derived them, so
-// the evidence is the same byte-for-byte record stream the event was detected
-// from (for any thread count). Each event gets:
+// run_monitor stores one obs::QueryEvidence row per query in
+// MonitorResult::evidence as it folds each epoch, and monitor.json persists
+// the rows, so diagnosis is a read of the stored result: no campaign runs
+// again. The rows are the record stream the events were detected from, and
+// diagnose_events refuses a result whose rows do not cover every query of
+// every epoch. Each event gets:
 //
 //   - a failure-stage breakdown over the event window and the dominant stage,
 //   - per-phase latency profiles (tcp/tls/quic/wait/exchange medians) for the
@@ -19,8 +20,8 @@
 //
 // Scores are fixed arithmetic over the aggregates (DESIGN.md "Diagnosis and
 // attribution" documents the formulas); the whole report is a pure function
-// of (MonitorResult spec, options) and is serialized through a versioned
-// codec gated by tests/golden/monitor_diagnosis.json.
+// of (MonitorResult, options) and is serialized through a versioned codec
+// gated by tests/golden/monitor_diagnosis.json.
 #pragma once
 
 #include <cstdint>
@@ -93,20 +94,18 @@ struct DiagnoseOptions {
   std::size_t max_exemplars = 3;
 };
 
-// Flatten one epoch's campaign records for `resolver` into evidence rows
-// (all vantages; the scope classifier needs the unaffected ones too).
-[[nodiscard]] std::vector<obs::QueryEvidence> collect_evidence(const core::CampaignResult& result,
-                                                               std::string_view resolver,
-                                                               int epoch);
-
-// Diagnose one event from pre-collected evidence covering at least
-// [baseline start, event.end_epoch] for the event's resolver.
+// Diagnose one event from evidence rows for the event's resolver (all
+// vantages; the scope classifier needs the unaffected ones too) covering at
+// least [baseline start, event.end_epoch].
 [[nodiscard]] Diagnosis diagnose_event(const MonitorEvent& event,
                                        const std::vector<obs::QueryEvidence>& evidence,
                                        const DiagnoseOptions& opts);
 
-// Diagnose every event in the result: re-runs the needed epochs (each once,
-// shared across events) with `threads` campaign workers, then attributes.
+// Diagnose every event in the result from its stored evidence, grouped by
+// each event's resolver. Errors when the spec or options are invalid, or
+// when the evidence does not hold exactly epochs[e].queries rows for every
+// epoch e (a result written without rows, or with rows lost or moved).
+// `threads` must be >= 1 and is otherwise unused: nothing is simulated.
 [[nodiscard]] Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads,
                                                       const DiagnoseOptions& opts = {});
 

@@ -4,6 +4,30 @@
 
 namespace ednsm::monitor {
 
+namespace {
+
+obs::QueryEvidence evidence_row(const core::ResultRecord& r, int epoch) {
+  obs::QueryEvidence row;
+  row.vantage = r.vantage;
+  row.resolver = r.resolver;
+  row.domain = r.domain;
+  row.epoch = epoch;
+  row.round = r.round;
+  row.ok = r.ok;
+  row.reused = r.connection_reused;
+  row.response_ms = r.response_ms;
+  row.tcp_ms = r.tcp_handshake_ms;
+  row.tls_ms = r.tls_handshake_ms;
+  row.quic_ms = r.quic_handshake_ms;
+  row.wait_ms = r.pool_wait_ms;
+  row.exchange_ms = r.exchange_ms;
+  row.failure_stage = r.failure_stage;
+  row.error_class = r.error_class;
+  return row;
+}
+
+}  // namespace
+
 util::Json OutageScript::to_json() const {
   util::JsonObject o;
   o["resolver"] = resolver;
@@ -115,6 +139,10 @@ util::Json MonitorResult::to_json() const {
   for (const SloSample& s : slos) slo_arr.push_back(s.to_json());
   o["slos"] = util::Json(std::move(slo_arr));
   o["events"] = events_to_json(events);
+  util::JsonArray evidence_arr;
+  evidence_arr.reserve(evidence.size());
+  for (const obs::QueryEvidence& row : evidence) evidence_arr.push_back(row.to_json());
+  o["evidence"] = util::Json(std::move(evidence_arr));
   return util::Json(std::move(o));
 }
 
@@ -158,17 +186,36 @@ Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
       out.events.push_back(std::move(ev).value());
     }
   }
+  if (!j.at("evidence").is_null()) {
+    if (!j.at("evidence").is_array()) {
+      return Err{std::string("monitor result: evidence must be an array")};
+    }
+    const util::JsonArray& rows = j.at("evidence").as_array();
+    out.evidence.reserve(rows.size());
+    for (const util::Json& e : rows) {
+      auto row = obs::QueryEvidence::from_json(e);
+      if (!row) return Err{"monitor result: " + row.error()};
+      if (row.value().epoch < 0 || row.value().epoch >= out.spec.epochs) {
+        return Err{"monitor result: evidence row epoch " + std::to_string(row.value().epoch) +
+                   " outside [0, " + std::to_string(out.spec.epochs) + ")"};
+      }
+      out.evidence.push_back(std::move(row).value());
+    }
+  }
   return out;
 }
 
 // Streams the to_json() layout one array element at a time.
-void MonitorResult::write_json(std::ostream& os, int indent) const {
-  util::JsonWriter w(os, indent);
+void MonitorResult::write_json(const std::function<void(std::string_view)>& sink,
+                               int indent) const {
+  util::JsonWriter w(sink, indent);
   w.begin_object();
   w.key("epochs");
   w.array_of(epochs);
   w.key("events");
   w.array_of(events);
+  w.key("evidence");
+  w.array_of(evidence);
   w.key("series");
   w.begin_object();
   w.key("bucket_width");
@@ -182,7 +229,13 @@ void MonitorResult::write_json(std::ostream& os, int indent) const {
   w.value(spec.to_json());
   w.end_object();
   w.finish();
-  os.put('\n');
+  sink("\n");
+}
+
+void MonitorResult::write_json(std::ostream& os, int indent) const {
+  write_json([&os](std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }, indent);
 }
 
 void evaluate_result(MonitorResult& result) {
@@ -225,6 +278,10 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
     EpochSummary summary;
     summary.epoch = e;
     summary.seed = epoch_spec.seed;
+    // Every epoch runs the same plans, so the first one sizes the evidence.
+    if (e == 0) {
+      out.evidence.reserve(result.records.size() * static_cast<std::size_t>(spec.epochs));
+    }
     for (const core::ResultRecord& r : result.records) {
       const std::string_view proto = client::to_string(r.protocol);
       out.series.add_counter(kMetricQueries, r.vantage, r.resolver, proto, e);
@@ -235,6 +292,7 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
         out.series.add_counter(kMetricFailures, r.vantage, r.resolver, proto, e);
         ++summary.failures;
       }
+      out.evidence.push_back(evidence_row(r, e));
     }
     summary.availability =
         summary.queries > 0

@@ -4,19 +4,27 @@
 // evaluate rolling SLOs, and detect outage/degradation/flap events.
 //
 // Epoch e runs with seed splitmix64^e(base seed) (core::shard_seeds), so the
-// whole run is a pure function of the spec: byte-identical series, SLO, and
-// event output for any thread count. Scripted outages take a resolver fully
-// offline for epochs [from_epoch, to_epoch) via the campaign fault-window
-// hook, which is what the detection tests assert against.
+// whole run is a pure function of the spec: byte-identical series, SLO,
+// event, and evidence output for any thread count. Scripted outages take a
+// resolver fully offline for epochs [from_epoch, to_epoch) via the campaign
+// fault-window hook, which is what the detection tests assert against.
+//
+// The same fold that feeds the series also records one obs::QueryEvidence
+// row per query, persisted as the result's `evidence` array, so
+// monitor/diagnose explains events from the stored rows without running any
+// epoch again.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/parallel_campaign.h"
 #include "monitor/events.h"
 #include "monitor/slo.h"
+#include "obs/attribution.h"
 #include "obs/timeseries.h"
 
 namespace ednsm::monitor {
@@ -60,16 +68,24 @@ struct MonitorResult {
   obs::TimeSeries series;
   std::vector<SloSample> slos;
   std::vector<MonitorEvent> events;
+  // One row per query, in epoch order and, within an epoch, in the
+  // campaign's record order. Epoch e holds exactly epochs[e].queries rows.
+  std::vector<obs::QueryEvidence> evidence;
 
   [[nodiscard]] util::Json to_json() const;
+  // A file without an `evidence` array loads with no rows (its series, SLOs
+  // and events stay readable; diagnose_events rejects it). Rows must name an
+  // epoch in [0, spec.epochs).
   [[nodiscard]] static Result<MonitorResult> from_json(const util::Json& j);
+  // Both forms stream the to_json() layout followed by a newline; the sink
+  // form hands the bytes over in chunks (e.g. to a util::AtomicFileWriter).
+  void write_json(const std::function<void(std::string_view)>& sink, int indent = 0) const;
   void write_json(std::ostream& os, int indent = 0) const;
 };
 
 // Campaign spec for epoch `epoch`: the base spec with the epoch's derived
 // seed and any scripted outages active at that epoch lowered to whole-epoch
-// fault windows. Shared by run_monitor and monitor/diagnose so re-derived
-// per-query evidence matches the original run byte-for-byte.
+// fault windows, exactly as run_monitor runs it.
 [[nodiscard]] core::MeasurementSpec epoch_campaign_spec(const MonitorSpec& spec,
                                                         std::uint64_t epoch_seed, int epoch);
 

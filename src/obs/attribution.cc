@@ -1,6 +1,8 @@
 #include "obs/attribution.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "stats/quantile.h"
@@ -14,6 +16,85 @@ bool in_window(const QueryEvidence& row, int from_epoch, int to_epoch) {
 }
 
 }  // namespace
+
+util::Json QueryEvidence::to_json() const {
+  util::JsonObject o;
+  o["vantage"] = vantage;
+  o["resolver"] = resolver;
+  o["domain"] = domain;
+  o["epoch"] = epoch;
+  o["round"] = round;
+  o["ok"] = ok;
+  o["reused"] = reused;
+  o["response_ms"] = response_ms;
+  o["tcp_ms"] = tcp_ms;
+  o["tls_ms"] = tls_ms;
+  o["quic_ms"] = quic_ms;
+  o["wait_ms"] = wait_ms;
+  o["exchange_ms"] = exchange_ms;
+  o["failure_stage"] = failure_stage;
+  o["error_class"] = error_class;
+  return util::Json(std::move(o));
+}
+
+Result<QueryEvidence> QueryEvidence::from_json(const util::Json& j) {
+  if (!j.is_object()) return Err{std::string("evidence row: not an object")};
+  QueryEvidence e;
+  const char* bad = nullptr;  // first missing or wrong-typed field
+  const auto text = [&](const char* key, std::string& out) {
+    const util::Json& v = j.at(key);
+    if (v.is_string()) {
+      out = v.as_string();
+    } else if (bad == nullptr) {
+      bad = key;
+    }
+  };
+  const auto number = [&](const char* key, double& out) {
+    const util::Json& v = j.at(key);
+    if (v.is_number()) {
+      out = v.as_number();
+    } else if (bad == nullptr) {
+      bad = key;
+    }
+  };
+  const auto integer = [&](const char* key, int& out) {
+    double v = 0.0;
+    number(key, v);
+    if (v == std::floor(v) && v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) {
+      out = static_cast<int>(v);
+    } else if (bad == nullptr) {
+      bad = key;
+    }
+  };
+  const auto flag = [&](const char* key, bool& out) {
+    const util::Json& v = j.at(key);
+    if (v.is_bool()) {
+      out = v.as_bool();
+    } else if (bad == nullptr) {
+      bad = key;
+    }
+  };
+  text("vantage", e.vantage);
+  text("resolver", e.resolver);
+  text("domain", e.domain);
+  integer("epoch", e.epoch);
+  integer("round", e.round);
+  flag("ok", e.ok);
+  flag("reused", e.reused);
+  number("response_ms", e.response_ms);
+  number("tcp_ms", e.tcp_ms);
+  number("tls_ms", e.tls_ms);
+  number("quic_ms", e.quic_ms);
+  number("wait_ms", e.wait_ms);
+  number("exchange_ms", e.exchange_ms);
+  text("failure_stage", e.failure_stage);
+  text("error_class", e.error_class);
+  if (bad != nullptr) {
+    return Err{std::string("evidence row: field ") + bad + " is missing or has the wrong type"};
+  }
+  return e;
+}
 
 std::string_view StageBreakdown::dominant() const noexcept {
   if (total() == 0) return {};

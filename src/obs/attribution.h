@@ -6,7 +6,9 @@
 //
 // The layer is deliberately generic: evidence rows carry plain strings and
 // numbers (no core:: types), so obs stays below the engine tier in
-// tools/lint/layers.conf. Everything here is a pure function of its inputs
+// tools/lint/layers.conf. Rows have their own JSON codec because the monitor
+// persists them with its result, so a diagnosis reads stored rows instead of
+// re-running campaigns. Everything here is a pure function of its inputs
 // in the SimTime domain — no clocks, no I/O — so diagnoses built on top
 // inherit the toolkit's byte-identical-output guarantee.
 #pragma once
@@ -21,10 +23,12 @@
 namespace ednsm::obs {
 
 // One query's worth of evidence, flattened from a campaign result record.
-// In-memory only: diagnoses serialize aggregates and exemplars, not the raw
-// evidence set.
+// The monitor records one row per query as it folds each epoch and persists
+// the rows with its result (MonitorResult::evidence); diagnoses read them
+// back and serialize only aggregates and exemplars.
 struct QueryEvidence {
   std::string vantage;
+  std::string resolver;
   std::string domain;
   int epoch = 0;
   int round = 0;
@@ -38,6 +42,11 @@ struct QueryEvidence {
   double exchange_ms = 0.0;
   std::string failure_stage;  // "connect"|"handshake"|"query"|"timeout" ("" when ok)
   std::string error_class;    // "" when ok
+
+  [[nodiscard]] util::Json to_json() const;
+  // Strict: every field must be present with its type, since a persisted
+  // row is the only copy of the query it describes.
+  [[nodiscard]] static Result<QueryEvidence> from_json(const util::Json& j);
 };
 
 // Failure counts by stage over a window. `other` catches stages outside the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "core/campaign.h"
 #include "core/parallel_campaign.h"
@@ -603,7 +604,8 @@ TEST(Prom, RuntimeStaleGaugeFlagsLaggards) {
   EXPECT_EQ(monitor::to_prometheus(fleet).find("ednsm_runtime_stale"), std::string::npos);
 }
 
-// Diagnosis engine: re-derive evidence for the scripted outage and attribute.
+// Diagnosis engine: read the run's stored evidence for the scripted outage
+// and attribute it.
 
 TEST(Diagnose, ScriptedOutageAttributedToResolverOutage) {
   monitor::MonitorSpec spec = small_monitor_spec();
@@ -671,17 +673,91 @@ TEST(Diagnose, ScriptedOutageAttributedToResolverOutage) {
   EXPECT_NE(text.find("dns.google"), std::string::npos);
 }
 
+// The bytes `ednsm_monitor diagnose --json --out` writes.
+std::string diagnosis_bytes(const monitor::MonitorResult& result) {
+  auto report = monitor::diagnose_events(result, 1);
+  EXPECT_TRUE(report) << report.error();
+  return report ? report.value().to_json().dump(2) + "\n" : std::string();
+}
+
 TEST(Diagnose, ReportByteIdenticalAcrossThreadCounts) {
   monitor::MonitorSpec spec = small_monitor_spec();
+  spec.base.vantage_ids = {"ec2-ohio", "ec2-frankfurt"};
   spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
-  auto result = monitor::run_monitor(spec, 2);
-  ASSERT_TRUE(result) << result.error();
-
-  auto one = monitor::diagnose_events(result.value(), 1);
-  auto many = monitor::diagnose_events(result.value(), 8);
+  auto one = monitor::run_monitor(spec, 1);
+  auto many = monitor::run_monitor(spec, 8);
   ASSERT_TRUE(one) << one.error();
   ASSERT_TRUE(many) << many.error();
-  EXPECT_EQ(one.value().to_json().dump(0), many.value().to_json().dump(0));
+
+  // The evidence is recorded while the run folds its epochs, so the worker
+  // count must not reach it, nor the diagnosis read from it.
+  ASSERT_FALSE(one.value().evidence.empty());
+  EXPECT_EQ(one.value().to_json().at("evidence"), many.value().to_json().at("evidence"));
+  const std::string bytes = diagnosis_bytes(one.value());
+  EXPECT_NE(bytes.find("resolver-outage"), std::string::npos);
+  EXPECT_EQ(bytes, diagnosis_bytes(many.value()));
+}
+
+TEST(Diagnose, PersistedResultDiagnosesIdentically) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
+  auto run = monitor::run_monitor(spec, 2);
+  ASSERT_TRUE(run) << run.error();
+
+  std::ostringstream os;
+  run.value().write_json(os);
+  auto parsed = util::Json::parse(os.str());
+  ASSERT_TRUE(parsed) << parsed.error();
+  auto loaded = monitor::MonitorResult::from_json(parsed.value());
+  ASSERT_TRUE(loaded) << loaded.error();
+  EXPECT_EQ(loaded.value().evidence.size(), run.value().evidence.size());
+  EXPECT_EQ(diagnosis_bytes(loaded.value()), diagnosis_bytes(run.value()));
+}
+
+TEST(Diagnose, RejectsEvidenceThatDoesNotCoverTheRun) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
+  auto run = monitor::run_monitor(spec, 1);
+  ASSERT_TRUE(run) << run.error();
+  const monitor::MonitorResult& good = run.value();
+  ASSERT_TRUE(monitor::diagnose_events(good, 1));
+  std::uint64_t queries = 0;
+  for (const monitor::EpochSummary& e : good.epochs) queries += e.queries;
+  ASSERT_EQ(good.evidence.size(), queries);
+
+  const auto rejects = [](const monitor::MonitorResult& result) {
+    auto report = monitor::diagnose_events(result, 1);
+    if (report) return false;
+    EXPECT_NE(report.error().find("evidence"), std::string::npos) << report.error();
+    return true;
+  };
+  monitor::MonitorResult cleared = good;
+  cleared.evidence.clear();
+  EXPECT_TRUE(rejects(cleared));
+  monitor::MonitorResult dropped = good;
+  dropped.evidence.erase(dropped.evidence.begin() + 5);
+  EXPECT_TRUE(rejects(dropped));
+  monitor::MonitorResult moved = good;
+  moved.evidence.front().epoch = 1;  // epoch 0 loses a row, epoch 1 gains one
+  EXPECT_TRUE(rejects(moved));
+
+  // The codec rejects a wrong-typed field and an epoch outside the run.
+  const util::Json j = good.to_json();
+  const auto with_first_row = [&j](const std::string& key, util::Json value) {
+    util::Json copy = j;
+    copy.as_object()["evidence"].as_array().front().as_object()[key] = std::move(value);
+    return monitor::MonitorResult::from_json(copy);
+  };
+  ASSERT_TRUE(with_first_row("epoch", util::Json(0)));
+  EXPECT_FALSE(with_first_row("ok", util::Json("true")));
+  EXPECT_FALSE(with_first_row("response_ms", util::Json("12.5")));
+  EXPECT_FALSE(with_first_row("domain", util::Json(7)));
+  EXPECT_FALSE(with_first_row("round", util::Json(0.5)));
+  EXPECT_FALSE(with_first_row("epoch", util::Json(spec.epochs)));
+  EXPECT_FALSE(with_first_row("epoch", util::Json(-1)));
+  util::Json not_array = j;
+  not_array.as_object()["evidence"] = util::Json(util::JsonObject{});
+  EXPECT_FALSE(monitor::MonitorResult::from_json(not_array));
 }
 
 TEST(Diagnose, ReportCodecRoundTripsAndChecksVersion) {

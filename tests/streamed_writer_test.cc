@@ -136,10 +136,14 @@ TEST(StreamedWriter, MonitorResultMatchesDomReference) {
   const monitor::MonitorResult& result = run.value();
   ASSERT_FALSE(result.events.empty());
   ASSERT_FALSE(result.slos.empty());
+  ASSERT_FALSE(result.evidence.empty());
   for (const int indent : {0, 2}) {
     std::ostringstream os;
     result.write_json(os, indent);
     EXPECT_EQ(os.str(), result.to_json().dump(indent) + "\n") << "indent " << indent;
+    std::string sunk;
+    result.write_json([&sunk](std::string_view bytes) { sunk.append(bytes); }, indent);
+    EXPECT_EQ(sunk, os.str()) << "indent " << indent;
   }
 }
 

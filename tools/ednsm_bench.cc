@@ -24,7 +24,9 @@
 //
 // After its timed runs, fig2 writes the results JSON into memory once:
 // results_json_bytes and results_json_fnv1a (16 hex digits) pin every output
-// byte, and encode_wall_ms times that write.
+// byte, and encode_wall_ms times that write. monitor likewise pins its
+// diagnosis: diagnosis_fnv1a digests the bytes `ednsm_monitor diagnose
+// --json --out` writes, and evidence_rows counts the stored evidence.
 //
 // --trace-overhead (fig2 only) re-runs the campaign with tracing enabled and
 // adds trace_on_wall_ms / trace_overhead_pct / trace_identical to the summary
@@ -251,11 +253,12 @@ int tool_main(const cli::Args& args) {
       }
     }
 
-    // Attribution cost rides along in the ledger: diagnose re-runs the
-    // event-adjacent epochs and scores every event. diagnose_wall_ms is a
-    // wall-only lane (outside perfgate's deterministic sim-field list).
+    // Attribution cost rides along in the ledger: diagnose reads the
+    // evidence rows the run stored and scores every event.
+    // diagnose_wall_ms is a wall-only lane; diagnosis_fnv1a and
+    // evidence_rows are exact (perfgate's sim-field list).
     double best_diagnose_ms = 0.0;
-    std::size_t diagnoses = 0;
+    monitor::DiagnosisReport diagnosis;
     {
       const auto scope = profiler.scope("diagnose");
       for (int run = 0; run < repeat; ++run) {
@@ -266,10 +269,11 @@ int tool_main(const cli::Args& args) {
           std::fprintf(stderr, "diagnose bench failed: %s\n", report.error().c_str());
           return 1;
         }
-        diagnoses = report.value().diagnoses.size();
+        diagnosis = std::move(report).value();
         if (run == 0 || wall_ms < best_diagnose_ms) best_diagnose_ms = wall_ms;
       }
     }
+    const std::string diagnosis_text = diagnosis.to_json().dump(2) + "\n";
 
     o["bench"] = util::Json(std::string("monitor"));
     o["header"] = make_header("monitor", seed, threads, spec.base.vantage_ids.size(), rounds);
@@ -281,7 +285,9 @@ int tool_main(const cli::Args& args) {
     o["series_points"] = util::Json(static_cast<double>(mon.series.size()));
     o["slo_samples"] = util::Json(static_cast<double>(mon.slos.size()));
     o["events"] = util::Json(static_cast<double>(mon.events.size()));
-    o["diagnoses"] = util::Json(static_cast<double>(diagnoses));
+    o["diagnoses"] = util::Json(static_cast<double>(diagnosis.diagnoses.size()));
+    o["diagnosis_fnv1a"] = util::Json(core::u64_to_hex(util::fnv1a(diagnosis_text)));
+    o["evidence_rows"] = util::Json(static_cast<double>(mon.evidence.size()));
     o["wall_ms"] = util::Json(best_wall_ms);
     o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
   } else if (suite == "micro") {

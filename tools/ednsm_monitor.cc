@@ -13,23 +13,25 @@
 //   ednsm_monitor run --spec monitor_spec.json [--threads N] [--out ...]
 //   ednsm_monitor slo --in monitor.json [--json]
 //   ednsm_monitor events --in monitor.json
-//   ednsm_monitor diagnose --in monitor.json [--threads N] [--baseline K]
-//                 [--exemplars N] [--json] [--out diagnosis.json]
+//   ednsm_monitor diagnose --in monitor.json [--baseline K] [--exemplars N]
+//                 [--json] [--out diagnosis.json]
 //   ednsm_monitor export --prom --in monitor.json
 //
-// `diagnose` re-runs each event's epochs from the spec's derived seeds (the
-// monitor output has no per-query records) and attributes every event to a
-// ranked cause; see monitor/diagnose.h.
+// `run` stores one evidence row per query in monitor.json; `diagnose` reads
+// those rows back (it simulates nothing) and attributes every event to a
+// ranked cause; see monitor/diagnose.h. A monitor.json without rows still
+// serves slo, events and export, but diagnose rejects it (exit 2).
 //
 // The run and diagnose outputs are pure functions of the spec:
-// byte-identical series, SLO, event, and diagnosis files for any --threads
-// value.
+// byte-identical monitor, series, SLO, event, and diagnosis files for any
+// --threads value. Every output file is written to a temporary sibling and
+// renamed into place, so a failed write leaves no partial file and exits 3.
 //
-// Exit codes: 0 ok, 1 bad usage, 2 invalid spec, 3 I/O error.
+// Exit codes: 0 ok, 1 bad usage, 2 invalid spec or evidence, 3 I/O error.
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli.h"
@@ -55,7 +57,7 @@ constexpr cli::Flag kFlags[] = {
     {"seed", "S", "run: simulation seed (default 1)", cli::Type::U64},
     {"outage", "HOST:FROM:TO", "run: HOST offline in epochs [FROM, TO); repeatable"},
     {"window", "N", "run: rolling SLO window in epochs (default 3)", cli::Type::Int},
-    {"threads", "N", "run, diagnose: worker threads (default 1)", cli::Type::Int, 1},
+    {"threads", "N", "run: worker threads (default 1)", cli::Type::Int, 1},
     {"out", "FILE", "run: output (default monitor.json); diagnose: report"},
     {"series-out", "FILE", "run: time series as JSONL"},
     {"series-bin", "FILE", "run: time series in the EDTS binary format"},
@@ -133,14 +135,15 @@ Result<monitor::MonitorSpec> build_spec(const cli::Args& args,
   return spec;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << content;
-  return true;
+// Reports a failed atomic write; the target path is left untouched.
+bool committed(const Result<void>& written) {
+  if (written) return true;
+  std::fprintf(stderr, "error: %s\n", written.error().c_str());
+  return false;
+}
+
+bool write_file(const std::string& path, std::string_view content) {
+  return committed(util::write_file_atomic(path, content));
 }
 
 int cmd_run(const cli::Args& args) {
@@ -171,25 +174,19 @@ int cmd_run(const cli::Args& args) {
 
   const std::string path = args.text("out", "monitor.json");
   {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 3;
-    }
-    mon.write_json(out);
+    util::AtomicFileWriter file(path);
+    mon.write_json([&file](std::string_view bytes) { file.append(bytes); });
+    if (!committed(file.commit())) return 3;
   }
   if (const std::string* p = args.get("series-out")) {
     if (!write_file(*p, mon.series.jsonl())) return 3;
   }
   if (const std::string* p = args.get("series-bin")) {
     const util::Bytes blob = mon.series.to_binary();
-    std::ofstream out(*p, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", p->c_str());
+    if (!write_file(*p, std::string_view(reinterpret_cast<const char*>(blob.data()),
+                                         blob.size()))) {
       return 3;
     }
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
   }
   if (const std::string* p = args.get("slo-out")) {
     util::JsonArray arr;
@@ -232,7 +229,7 @@ int cmd_diagnose(const cli::Args& args, const monitor::MonitorResult& mon) {
   if (args.has("exemplars")) {
     opts.max_exemplars = static_cast<std::size_t>(args.integer("exemplars", 0));
   }
-  auto report = monitor::diagnose_events(mon, args.integer("threads", 1), opts);
+  auto report = monitor::diagnose_events(mon, 1, opts);
   if (!report) {
     std::fprintf(stderr, "error: %s\n", report.error().c_str());
     return 2;

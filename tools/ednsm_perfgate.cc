@@ -33,13 +33,13 @@ using namespace ednsm;
 namespace {
 
 // The deterministic (spec-derived) summary fields, compared exactly when the
-// ledger row carries them. The fig2 results-JSON size and digest make any
-// output byte drift a failure.
+// ledger row carries them. The fig2 results-JSON size and digest and the
+// monitor diagnosis digest make any output byte drift a failure.
 constexpr const char* kSimFields[] = {
     "records",    "pings",         "error_rate", "series_points", "slo_samples",
     "events",     "ring_ops",      "ring_checksum", "cold_queries", "warm_queries",
     "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
-    "results_json_bytes", "results_json_fnv1a",
+    "results_json_bytes", "results_json_fnv1a", "diagnosis_fnv1a", "evidence_rows",
 };
 
 Result<util::Json> load_json(const std::string& path) {
