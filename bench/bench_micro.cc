@@ -17,13 +17,10 @@
 #include "http/hpack.h"
 #include "netsim/path.h"
 #include "netsim/rng.h"
-#include "obs/runtime.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "lint/lint.h"
 #include "resolver/cache.h"
-#include "util/ring_stats.h"
-#include "util/spsc_ring.h"
 #include "resolver/server.h"
 #include "resolver/upstream.h"
 
@@ -375,29 +372,6 @@ void BM_LintFullTree(benchmark::State& state) {
                           static_cast<std::int64_t>(files.size()));
 }
 BENCHMARK(BM_LintFullTree);
-
-// Runtime telemetry overhead on the pipeline's hot handoff path: the same
-// uncontended SpscRing push/pop loop with stats detached (arg 0 — the
-// telemetry-off null-check cost every run pays) and attached with the real
-// monotonic clock (arg 1 — the --progress-file cost). The delta between the
-// two lanes is the number the ednsm_bench micro suite reports as
-// telemetry_overhead_pct.
-void BM_RuntimeTelemetryOverhead(benchmark::State& state) {
-  util::SpscRing<std::uint64_t> ring(1024);
-  util::RingStatSink sink;
-  sink.now_ns = &obs::runtime_now_ns;
-  if (state.range(0) != 0) ring.attach_stats(&sink);
-  std::uint64_t sum = 0;
-  std::uint64_t v = 0;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    ring.push(i++);
-    if (ring.try_pop(v)) sum += v;
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RuntimeTelemetryOverhead)->Arg(0)->Arg(1);
 
 }  // namespace
 

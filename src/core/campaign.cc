@@ -110,8 +110,9 @@ Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
 
 // Streams the to_json() layout: records and pings go out one at a time, so
 // the document never exists as a Json tree.
-void CampaignResult::write_json(std::ostream& os, int indent) const {
-  util::JsonWriter w(os, indent);
+void CampaignResult::write_json(const std::function<void(std::string_view)>& sink,
+                                int indent) const {
+  util::JsonWriter w(sink, indent);
   w.begin_object();
   w.key("pings");
   w.array_of(pings);
@@ -121,7 +122,13 @@ void CampaignResult::write_json(std::ostream& os, int indent) const {
   w.value(spec.to_json());
   w.end_object();
   w.finish();
-  os.put('\n');
+  sink("\n");
+}
+
+void CampaignResult::write_json(std::ostream& os, int indent) const {
+  write_json([&os](std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }, indent);
 }
 
 CampaignRunner::CampaignRunner(SimWorld& world, MeasurementSpec spec)

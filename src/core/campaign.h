@@ -11,6 +11,7 @@
 // can be serialized to the tool's JSON output format and re-loaded.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string_view>
@@ -76,6 +77,9 @@ struct CampaignResult {
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static Result<CampaignResult> from_json(const util::Json& j);
 
+  // Both forms stream the to_json() layout followed by a newline; the sink
+  // form hands the bytes over in chunks (e.g. to a util::AtomicFileWriter).
+  void write_json(const std::function<void(std::string_view)>& sink, int indent = 2) const;
   void write_json(std::ostream& os, int indent = 2) const;
 
  private:

@@ -1,4 +1,4 @@
-// Staged-pipeline campaign engine.
+// Sharded campaign engine.
 //
 // A multi-vantage campaign decomposes into independent shards — one SimWorld
 // per vantage, seeded deterministically from the spec seed via splitmix64
@@ -8,17 +8,13 @@
 // any `threads` value, including 1, and for any `--shard k/N` process split
 // merged by ednsm_merge.
 //
-// Execution is a ZDNS-style staged pipeline connected by SPSC rings
-// (util/spsc_ring.h):
-//
-//   expansion ──rings──▶ simulation workers ──rings──▶ collector/encoder
-//
-// The expansion stage streams ShardPlans into per-worker task rings (striped
-// round-robin, so each ring keeps a single producer and single consumer);
-// workers simulate and push ShardOutcomes into their own outcome ring; the
-// calling thread drains outcome rings as results complete, doing the
-// per-shard encode work (round bucketing) concurrently with shards still
-// simulating, and finally assembles the canonical merge (the sink stage).
+// Execution is a plain worker pool. With one worker the calling thread
+// simulates and sinks each plan in turn. With W > 1 workers, worker w runs
+// plans w, w + W, ... and appends each outcome to one mutex-guarded ready
+// list; the calling thread collects — it waits on the list (waking at least
+// every 100 ms to pump the heartbeat), hands each outcome to the sink as it
+// arrives, doing the per-shard encode work (round bucketing) while other
+// shards still simulate, and finally assembles the canonical merge.
 //
 // This is the only multi-vantage engine. Each vantage is measured as its own
 // single-vantage campaign (CampaignRunner, the per-world kernel) in its own
@@ -32,13 +28,14 @@
 
 namespace ednsm::core {
 
-// Run `plans` through the expansion → simulation stages with up to `threads`
-// workers (clamped to [1, #plans]), invoking `sink` on the calling thread
-// once per completed plan, in completion order. This is the engine under
-// run_parallel_campaign (sink = ShardCollector) and under `--shard` workers
-// (sink = shard-file accumulation). Worker exceptions are rethrown on the
-// caller after all stages drain; the sink may then have seen only a subset
-// of outcomes.
+// Run `plans` on up to `threads` workers (clamped to [1, #plans]),
+// invoking `sink` on the calling thread once per completed plan, in
+// completion order. This is the engine under run_parallel_campaign (sink =
+// ShardCollector) and under `--shard` workers (sink = shard-file
+// accumulation). With several workers every plan runs even after one
+// throws; the healthy outcomes still reach the sink, and once every worker
+// has joined a sink exception is rethrown first, else the first worker
+// exception. With one worker the first exception propagates at once.
 void run_pipeline(const MeasurementSpec& spec, const std::vector<ShardPlan>& plans, int threads,
                   const CampaignObsOptions& obs_options,
                   const std::function<void(ShardOutcome&&)>& sink);

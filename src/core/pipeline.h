@@ -1,12 +1,12 @@
-// Staged-pipeline building blocks for the campaign engine (ZDNS-style
-// generator → worker → encoder decomposition).
+// Building blocks of the sharded campaign engine: plans, outcomes and the
+// one merge.
 //
 // A campaign is decomposed into a deterministic plan list (expand_spec): one
 // ShardPlan per vantage, carrying its splitmix64-derived seed and its global
-// index. Plans are the unit of work everywhere — the in-process engine feeds
-// them through SPSC rings to simulation workers (see parallel_campaign.cc),
-// and `--shard k/N` slices the *same* list across processes (slice_plans), so
-// a multi-process run simulates exactly the shards a single process would.
+// index. Plans are the unit of work everywhere — the in-process engine hands
+// them to its worker pool (see parallel_campaign.h), and `--shard k/N`
+// slices the *same* list across processes (slice_plans), so a multi-process
+// run simulates exactly the shards a single process would.
 //
 // ShardCollector is the single merge implementation: the in-process pipeline
 // sinks outcomes into it incrementally (encode overlaps simulation), and
@@ -39,9 +39,9 @@ struct CampaignObsOptions {
   // enabling it cannot change any deterministic output (see DESIGN.md
   // "Runtime telemetry and clock domains").
   obs::RuntimeTelemetry* runtime = nullptr;
-  // Periodic progress-file writer, pumped from the collector stage (the
-  // pipeline owns the only thread that sees steady forward progress, so the
-  // tool cannot pump it itself). Rate-limited internally; nullptr = off.
+  // Periodic progress-file writer, pumped by run_pipeline on the calling
+  // thread: after each shard with one worker, on every collector wake (at
+  // least every 100 ms) with more. Rate-limited internally; nullptr = off.
   obs::HeartbeatWriter* heartbeat = nullptr;
 };
 
@@ -107,8 +107,8 @@ struct SliceBounds {
 [[nodiscard]] std::uint64_t spec_fingerprint(const MeasurementSpec& spec);
 
 // One completed plan: the single-vantage result plus (optionally) that
-// world's drained trace and collected sim metrics. This is what flows
-// through the pipeline's outcome rings and what shard files persist.
+// world's drained trace and collected sim metrics. This is what a worker
+// hands the collector and what shard files persist.
 struct ShardOutcome {
   std::size_t index = 0;
   std::string vantage;

@@ -66,24 +66,6 @@ Result<void> expect_schema(const util::Json& j, std::string_view name, int versi
   return Result<void>{};
 }
 
-std::uint64_t relaxed_sum(const std::deque<util::RingStatSink>& sinks,
-                          std::atomic<std::uint64_t> util::RingStatSink::* member) {
-  std::uint64_t total = 0;
-  for (const util::RingStatSink& s : sinks) {
-    total += (s.*member).load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t relaxed_max(const std::deque<util::RingStatSink>& sinks,
-                          std::atomic<std::uint64_t> util::RingStatSink::* member) {
-  std::uint64_t best = 0;
-  for (const util::RingStatSink& s : sinks) {
-    best = std::max(best, (s.*member).load(std::memory_order_relaxed));
-  }
-  return best;
-}
-
 }  // namespace
 
 std::uint64_t runtime_now_ns() {
@@ -474,19 +456,8 @@ void RuntimeTelemetry::begin_run(std::uint64_t plans_total) {
   started_ns_ = now_ns_();
 }
 
-void RuntimeTelemetry::configure_workers(std::size_t workers) {
-  while (task_sinks_.size() < workers) {
-    task_sinks_.emplace_back().now_ns = now_ns_;
-    outcome_sinks_.emplace_back().now_ns = now_ns_;
-  }
-}
-
-util::RingStatSink* RuntimeTelemetry::task_ring_stats(std::size_t worker) {
-  return worker < task_sinks_.size() ? &task_sinks_[worker] : nullptr;
-}
-
-util::RingStatSink* RuntimeTelemetry::outcome_ring_stats(std::size_t worker) {
-  return worker < outcome_sinks_.size() ? &outcome_sinks_[worker] : nullptr;
+void RuntimeTelemetry::note_plan_started() {
+  plans_started_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RuntimeTelemetry::note_plan_done(std::uint64_t busy_ns) {
@@ -499,8 +470,15 @@ void RuntimeTelemetry::note_sink_items(std::uint64_t items, std::uint64_t busy_n
   collector_busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
 }
 
-void RuntimeTelemetry::note_collector_idle_spin() {
-  collector_idle_spins_.fetch_add(1, std::memory_order_relaxed);
+void RuntimeTelemetry::note_collector_wake(std::uint64_t ready, std::uint64_t wait_ns) {
+  if (ready == 0) collector_idle_wakes_.fetch_add(1, std::memory_order_relaxed);
+  collector_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
+  // The collector takes the whole list on each wake, so the list only grows
+  // between wakes and its high water is the largest batch taken. One writer,
+  // so a relaxed load-then-store is enough.
+  if (ready > ready_high_water_.load(std::memory_order_relaxed)) {
+    ready_high_water_.store(ready, std::memory_order_relaxed);
+  }
 }
 
 void RuntimeTelemetry::note_records(std::uint64_t n) {
@@ -509,10 +487,6 @@ void RuntimeTelemetry::note_records(std::uint64_t n) {
 
 void RuntimeTelemetry::note_bytes_encoded(std::uint64_t n) {
   bytes_encoded_.fetch_add(n, std::memory_order_relaxed);
-}
-
-std::uint64_t RuntimeTelemetry::plans_done_so_far() const {
-  return plans_done_.load(std::memory_order_relaxed);
 }
 
 RuntimeHeartbeat RuntimeTelemetry::snapshot_runtime(std::string status) const {
@@ -527,8 +501,10 @@ RuntimeHeartbeat RuntimeTelemetry::snapshot_runtime(std::string status) const {
   const std::uint64_t now = now_ns_();
   h.elapsed_ms =
       now > started_ns_ ? static_cast<double>(now - started_ns_) / 1e6 : 0.0;
+  const std::uint64_t started = plans_started_.load(std::memory_order_relaxed);
+  const std::uint64_t done = plans_done_.load(std::memory_order_relaxed);
   h.plans_total = plans_total_;
-  h.plans_done = std::min(plans_done_.load(std::memory_order_relaxed), plans_total_);
+  h.plans_done = std::min(done, plans_total_);
   const std::uint64_t sunk = sink_items_.load(std::memory_order_relaxed);
   h.collector_lag = h.plans_done > sunk ? h.plans_done - sunk : 0;
   h.records = records_.load(std::memory_order_relaxed);
@@ -545,26 +521,22 @@ RuntimeHeartbeat RuntimeTelemetry::snapshot_runtime(std::string status) const {
   RuntimeStageSnapshot expand;
   expand.stage = "expand";
   expand.items_in = plans_total_;
-  expand.items_out = relaxed_sum(task_sinks_, &util::RingStatSink::pushes);
-  expand.stall_spins = relaxed_sum(task_sinks_, &util::RingStatSink::push_stall_spins);
-  expand.stall_ns = relaxed_sum(task_sinks_, &util::RingStatSink::push_stall_ns);
-  expand.max_queue_depth = relaxed_max(task_sinks_, &util::RingStatSink::max_occupancy);
+  expand.items_out = started;
 
   RuntimeStageSnapshot simulate;
   simulate.stage = "simulate";
-  simulate.items_in = relaxed_sum(task_sinks_, &util::RingStatSink::pops);
-  simulate.items_out = h.plans_done;
+  simulate.items_in = started;
+  simulate.items_out = done;
   simulate.busy_ns = worker_busy_ns_.load(std::memory_order_relaxed);
-  simulate.stall_spins = relaxed_sum(outcome_sinks_, &util::RingStatSink::push_stall_spins);
-  simulate.stall_ns = relaxed_sum(outcome_sinks_, &util::RingStatSink::push_stall_ns);
-  simulate.max_queue_depth = relaxed_max(outcome_sinks_, &util::RingStatSink::max_occupancy);
 
   RuntimeStageSnapshot collect;
   collect.stage = "collect";
-  collect.items_in = relaxed_sum(outcome_sinks_, &util::RingStatSink::pops);
+  collect.items_in = done;
   collect.items_out = sunk;
   collect.busy_ns = collector_busy_ns_.load(std::memory_order_relaxed);
-  collect.stall_spins = collector_idle_spins_.load(std::memory_order_relaxed);
+  collect.stall_spins = collector_idle_wakes_.load(std::memory_order_relaxed);
+  collect.stall_ns = collector_wait_ns_.load(std::memory_order_relaxed);
+  collect.max_queue_depth = ready_high_water_.load(std::memory_order_relaxed);
 
   h.stages = {std::move(expand), std::move(simulate), std::move(collect)};
   return h;

@@ -16,21 +16,19 @@
 //
 // Collection follows the obs::Tracer zero-overhead pattern: the pipeline
 // holds a nullable RuntimeTelemetry pointer, every hook is a null check plus
-// relaxed atomics, and a run without --progress-file pays nothing but the
-// null checks (measured by BM_RuntimeTelemetryOverhead in the micro bench).
+// relaxed atomics, and a run without --progress-file or --manifest pays
+// nothing but the null checks.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/json.h"
 #include "util/result.h"
-#include "util/ring_stats.h"
 
 namespace ednsm::obs {
 
@@ -49,10 +47,10 @@ struct RuntimeStageSnapshot {
   std::string stage;                   // "expand" | "simulate" | "collect"
   std::uint64_t items_in = 0;          // items entering the stage
   std::uint64_t items_out = 0;         // items the stage completed
-  std::uint64_t stall_spins = 0;       // yield spins while blocked
-  std::uint64_t stall_ns = 0;          // wall ns spent blocked
+  std::uint64_t stall_spins = 0;       // collect: wakes with nothing ready
+  std::uint64_t stall_ns = 0;          // collect: wall ns spent waiting
   std::uint64_t busy_ns = 0;           // wall ns spent doing stage work
-  std::uint64_t max_queue_depth = 0;   // high-water ring occupancy
+  std::uint64_t max_queue_depth = 0;   // collect: ready-list high water
 
   [[nodiscard]] util::Json stage_json() const;
   [[nodiscard]] static Result<RuntimeStageSnapshot> stage_from_json(const util::Json& j);
@@ -128,9 +126,20 @@ struct RunManifest {
 [[nodiscard]] std::string shard_stats_table(const std::vector<RunManifest>& manifests);
 
 // The collection hub. One instance per measurement process, owned by the
-// tool; the pipeline and rings hold plain pointers (nullptr = telemetry off,
-// the obs::Tracer pattern). All counters are relaxed atomics — any thread
-// may bump them, any thread may snapshot.
+// tool; the pipeline holds a plain pointer (nullptr = telemetry off, the
+// obs::Tracer pattern). All counters are relaxed atomics — any thread may
+// bump them, any thread may snapshot.
+//
+// The stage rows of a snapshot come from the worker pool's own counters:
+//   expand    in = plans (begin_run), out = plans started;
+//   simulate  in = plans started, out = plans done, busy_ns;
+//   collect   in = outcomes handed to the collector (a worker hands each one
+//             over as it finishes, so this equals plans done), out = outcomes
+//             sunk, busy_ns, stall_spins = collector wakes with nothing
+//             ready, stall_ns = time the collector waited, max_queue_depth =
+//             the ready list's high water.
+// Every other field reads 0. The counts are not clamped to the plan total,
+// so they stay exact for a caller that never calls begin_run.
 class RuntimeTelemetry {
  public:
   using ClockNs = std::uint64_t (*)();
@@ -147,23 +156,19 @@ class RuntimeTelemetry {
   // Marks the start of the measured run and fixes the plan count.
   void begin_run(std::uint64_t plans_total);
 
-  // Ring topology: one task-ring and one outcome-ring sink per worker.
-  // Called by run_pipeline before any worker thread starts; the returned
-  // sinks stay valid for the telemetry object's lifetime.
-  void configure_workers(std::size_t workers);
-  [[nodiscard]] util::RingStatSink* task_ring_stats(std::size_t worker);
-  [[nodiscard]] util::RingStatSink* outcome_ring_stats(std::size_t worker);
-
   // Stage hooks (relaxed; called from pipeline threads).
+  void note_plan_started();                                      // a worker took one plan
   void note_plan_done(std::uint64_t busy_ns);                    // a worker finished one shard
   void note_sink_items(std::uint64_t items, std::uint64_t busy_ns);  // collector sank outcomes
-  void note_collector_idle_spin();
+  // The collector woke after waiting `wait_ns` and took `ready` results off
+  // the ready list (0: a timed-out wake with nothing to sink). Called only
+  // from the collecting thread.
+  void note_collector_wake(std::uint64_t ready, std::uint64_t wait_ns);
   void note_records(std::uint64_t n);
   void note_bytes_encoded(std::uint64_t n);
 
   [[nodiscard]] std::uint64_t clock_now_ns() const { return now_ns_(); }
   [[nodiscard]] std::uint64_t clock_unix_ms() const { return unix_ms_(); }
-  [[nodiscard]] std::uint64_t plans_done_so_far() const;
 
   // Assemble the current heartbeat view (status supplied by the caller).
   [[nodiscard]] RuntimeHeartbeat snapshot_runtime(std::string status) const;
@@ -178,15 +183,14 @@ class RuntimeTelemetry {
   std::uint64_t plans_total_ = 0;
   std::uint64_t started_unix_ms_ = 0;
   std::uint64_t started_ns_ = 0;
-  // deque: RingStatSink holds atomics (immovable); deque growth never moves
-  // existing elements, so handed-out pointers stay valid.
-  std::deque<util::RingStatSink> task_sinks_;
-  std::deque<util::RingStatSink> outcome_sinks_;
+  std::atomic<std::uint64_t> plans_started_{0};
   std::atomic<std::uint64_t> plans_done_{0};
   std::atomic<std::uint64_t> worker_busy_ns_{0};
   std::atomic<std::uint64_t> sink_items_{0};
   std::atomic<std::uint64_t> collector_busy_ns_{0};
-  std::atomic<std::uint64_t> collector_idle_spins_{0};
+  std::atomic<std::uint64_t> collector_idle_wakes_{0};
+  std::atomic<std::uint64_t> collector_wait_ns_{0};
+  std::atomic<std::uint64_t> ready_high_water_{0};
   std::atomic<std::uint64_t> records_{0};
   std::atomic<std::uint64_t> bytes_encoded_{0};
 };

@@ -1,6 +1,7 @@
 #include "util/fs.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -33,6 +34,12 @@ void sync_parent_dir(const std::string& path) {
 
 AtomicFileWriter::AtomicFileWriter(const std::string& path)
     : path_(path), tmp_(path + ".tmp." + std::to_string(::getpid())) {
+  // The rename would replace a FIFO or device node with a regular file.
+  struct stat target {};
+  if (::stat(path_.c_str(), &target) == 0 && !S_ISREG(target.st_mode)) {
+    error_ = path_ + ": not a regular file";
+    return;
+  }
   fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) error_ = errno_message("open", tmp_);
 }

@@ -15,7 +15,10 @@ namespace ednsm::util {
 // `path + ".tmp.<pid>"`, and commit() fsyncs that file and renames it over
 // `path` (POSIX rename is atomic within a filesystem). A writer that is never
 // committed, or whose open, write, fsync or rename fails, unlinks its temp
-// file; `path` is either fully written or untouched, never truncated.
+// file; `path` is either fully written or untouched, never truncated. A
+// `path` that exists and is not a regular file (after following symlinks: a
+// FIFO, a device such as /dev/stdout, a directory) is refused with "not a
+// regular file" before any temp file is created, and commit() reports it.
 class AtomicFileWriter {
  public:
   explicit AtomicFileWriter(const std::string& path);

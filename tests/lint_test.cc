@@ -166,15 +166,19 @@ TEST(LintFixtures, RawThreadSuppressed) {
   EXPECT_TRUE(diags.empty()) << dump(diags);
 }
 
-// The rule exempts the pipeline engine itself and the src/util primitives it
-// is built from — the same violating code is clean under those paths.
-TEST(LintFixtures, RawThreadExemptInsideEngineAndUtil) {
+// The rule exempts only the campaign engine itself: the same violating code
+// is clean there and still flagged under src/util.
+TEST(LintFixtures, RawThreadExemptOnlyInsideEngine) {
   const std::string content =
       read_file(std::string(EDNSM_LINT_FIXTURE_DIR) + "/raw_thread_bad.cc");
-  for (const char* path : {"src/core/parallel_campaign.cc", "src/util/thread_pool.cc"}) {
-    const auto diags = ednsm::lint::run_lint({SourceFile{path, content}});
-    EXPECT_TRUE(diags.empty()) << path << "\n" << dump(diags);
-  }
+  const auto engine =
+      ednsm::lint::run_lint({SourceFile{"src/core/parallel_campaign.cc", content}});
+  EXPECT_TRUE(engine.empty()) << dump(engine);
+  const auto util = ednsm::lint::run_lint({SourceFile{"src/util/thread_pool.cc", content}});
+  EXPECT_EQ(rule_ids(util),
+            (std::multiset<std::string>{"concurrency-raw-thread", "concurrency-raw-thread",
+                                        "concurrency-raw-thread"}))
+      << dump(util);
 }
 
 // obs-domain-separation needs both halves linted together under synthetic
@@ -383,10 +387,12 @@ TEST(LintTree, NewPhaseMemberOutsidePhaseSumFails) {
 // run_pipeline) must trip concurrency-raw-thread. The engine itself
 // (core/parallel_campaign.cc) constructs threads and must stay clean.
 TEST(LintTree, RawThreadOutsideEngineFails) {
+  // A thread in core outside the engine and one in src/util both fail.
+  const std::vector<std::string> targets = {"core/campaign.cc", "util/strings.cc"};
   auto files = load_repo_tree();
-  bool mutated = false;
+  std::size_t mutated = 0;
   for (SourceFile& f : files) {
-    if (!f.path.ends_with("core/campaign.cc")) continue;
+    if (!f.path.ends_with(targets[0]) && !f.path.ends_with(targets[1])) continue;
     f.content +=
         "\nnamespace ednsm::core {\n"
         "void debug_background_round() {\n"
@@ -394,14 +400,16 @@ TEST(LintTree, RawThreadOutsideEngineFails) {
         "  worker.join();\n"
         "}\n"
         "}  // namespace ednsm::core\n";
-    mutated = true;
+    ++mutated;
   }
-  ASSERT_TRUE(mutated);
+  ASSERT_EQ(mutated, targets.size());
   const auto diags = ednsm::lint::run_lint(files);
-  const bool found = std::any_of(diags.begin(), diags.end(), [](const Diagnostic& d) {
-    return d.rule == "concurrency-raw-thread" && d.path.ends_with("core/campaign.cc");
-  });
-  EXPECT_TRUE(found) << dump(diags);
+  for (const std::string& target : targets) {
+    const bool found = std::any_of(diags.begin(), diags.end(), [&](const Diagnostic& d) {
+      return d.rule == "concurrency-raw-thread" && d.path.ends_with(target);
+    });
+    EXPECT_TRUE(found) << target << "\n" << dump(diags);
+  }
 }
 
 // Leaking runtime telemetry into the deterministic output contract — a

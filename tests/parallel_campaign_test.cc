@@ -3,10 +3,15 @@
 // index that replaces linear record rescans.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/parallel_campaign.h"
+#include "obs/runtime.h"
 #include "resolver/registry.h"
+#include "util/fs.h"
+#include "util/json.h"
 
 namespace ednsm::core {
 namespace {
@@ -140,6 +145,45 @@ TEST(ParallelCampaign, UnknownVantagePropagatesFromWorkers) {
                             [&](ShardOutcome&&) { ++sunk; }),
                std::invalid_argument);
   EXPECT_EQ(sunk, 1u);
+}
+
+// Runtime telemetry sees every plan through each stage on both branches of
+// run_pipeline (inline at threads 1, the pool at 3 and 8, where 8 is clamped
+// to the five plans), and observing the run never changes its output.
+TEST(ParallelCampaign, TelemetryCountsEveryPlanAtAnyThreadCount) {
+  MeasurementSpec spec = small_spec();
+  spec.vantage_ids = {"home-chicago-1", "home-chicago-2", "ec2-ohio", "ec2-frankfurt",
+                      "ec2-seoul"};
+  spec.rounds = 2;
+  const std::string baseline = dump(run_parallel_campaign(spec, 1));
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::RuntimeTelemetry telemetry;
+    telemetry.describe_run(spec_fingerprint(spec), 0, 1, threads);
+    telemetry.begin_run(spec.vantage_ids.size());
+    const std::string path = std::string(::testing::TempDir()) + "ednsm_pool_heartbeat_" +
+                             std::to_string(threads) + ".json";
+    obs::HeartbeatWriter heartbeat(path, telemetry);
+    CampaignObsOptions obs;
+    obs.runtime = &telemetry;
+    obs.heartbeat = &heartbeat;
+    EXPECT_EQ(dump(run_parallel_campaign(spec, threads, obs)), baseline);
+
+    const obs::RuntimeHeartbeat h = telemetry.snapshot_runtime("done");
+    ASSERT_EQ(h.stages.size(), 3u);
+    for (const obs::RuntimeStageSnapshot& stage : h.stages) {
+      EXPECT_EQ(stage.items_in, 5u) << stage.stage;
+      EXPECT_EQ(stage.items_out, 5u) << stage.stage;
+    }
+
+    auto text = util::read_file(path);
+    ASSERT_TRUE(text) << text.error();
+    auto json = util::Json::parse(text.value());
+    ASSERT_TRUE(json) << json.error();
+    auto parsed = obs::RuntimeHeartbeat::heartbeat_from_json(json.value());
+    EXPECT_TRUE(parsed) << parsed.error();
+    std::remove(path.c_str());
+  }
 }
 
 // ---- sample index -----------------------------------------------------------

@@ -206,7 +206,7 @@ TEST(RuntimeTelemetryTest, SnapshotMathUnderFakeClocks) {
   g_fake_ms += 2000;
   for (int i = 0; i < 4; ++i) t.note_plan_done(100000000ull);  // 0.1 s busy each
   t.note_sink_items(3, 50000000ull);
-  t.note_collector_idle_spin();
+  t.note_collector_wake(0, 7000ull);  // a wake with nothing ready
   t.note_records(60);
   t.note_bytes_encoded(2048);
 
@@ -237,6 +237,7 @@ TEST(RuntimeTelemetryTest, SnapshotMathUnderFakeClocks) {
   EXPECT_EQ(h.stages[2].items_out, 3u);
   EXPECT_EQ(h.stages[2].busy_ns, 50000000ull);
   EXPECT_EQ(h.stages[2].stall_spins, 1u);
+  EXPECT_EQ(h.stages[2].stall_ns, 7000u);
 
   // The snapshot round-trips through its own codec (what --progress-file
   // writes is exactly what ednsm_watch parses).
@@ -245,32 +246,54 @@ TEST(RuntimeTelemetryTest, SnapshotMathUnderFakeClocks) {
   EXPECT_EQ(parsed.value().plans_done, 4u);
 }
 
-TEST(RuntimeTelemetryTest, RingSinkAggregation) {
+// Every stage field the pool fills, with exact counts; the fields nothing
+// fills read 0. Plans are counted without clamping to plans_total.
+TEST(RuntimeTelemetryTest, PoolStageCounters) {
   g_fake_ns = 1;
   g_fake_ms = 1;
   RuntimeTelemetry t(&fake_ns, &fake_ms);
-  t.begin_run(10);
-  t.configure_workers(2);
-  ASSERT_NE(t.task_ring_stats(0), nullptr);
-  ASSERT_NE(t.task_ring_stats(1), nullptr);
-  ASSERT_NE(t.outcome_ring_stats(1), nullptr);
-  EXPECT_EQ(t.task_ring_stats(2), nullptr);  // out of range
+  t.begin_run(4);
 
-  t.task_ring_stats(0)->pushes.store(6);
-  t.task_ring_stats(1)->pushes.store(4);
-  t.task_ring_stats(0)->pops.store(5);
-  t.task_ring_stats(1)->pops.store(4);
-  t.task_ring_stats(0)->max_occupancy.store(3);
-  t.task_ring_stats(1)->max_occupancy.store(9);
-  t.outcome_ring_stats(0)->pops.store(7);
-  t.outcome_ring_stats(1)->push_stall_spins.store(11);
+  // Six plans start (more than begin_run announced), five finish, four are
+  // sunk; the collector wakes three times: with 3 ready, idle, with 2 ready.
+  for (int i = 0; i < 6; ++i) t.note_plan_started();
+  for (int i = 0; i < 5; ++i) t.note_plan_done(1000ull);
+  t.note_collector_wake(3, 40ull);
+  t.note_collector_wake(0, 100ull);
+  t.note_collector_wake(2, 60ull);
+  t.note_sink_items(1, 10ull);
+  t.note_sink_items(3, 20ull);
 
   const RuntimeHeartbeat h = t.snapshot_runtime("running");
-  EXPECT_EQ(h.stages[0].items_out, 10u);       // task pushes summed
-  EXPECT_EQ(h.stages[0].max_queue_depth, 9u);  // max across workers
-  EXPECT_EQ(h.stages[1].items_in, 9u);         // task pops summed
-  EXPECT_EQ(h.stages[1].stall_spins, 11u);     // outcome push stalls
-  EXPECT_EQ(h.stages[2].items_in, 7u);         // outcome pops summed
+  ASSERT_EQ(h.stages.size(), 3u);
+  const RuntimeStageSnapshot& expand = h.stages[0];
+  const RuntimeStageSnapshot& simulate = h.stages[1];
+  const RuntimeStageSnapshot& collect = h.stages[2];
+  EXPECT_EQ(expand.stage, "expand");
+  EXPECT_EQ(expand.items_in, 4u);  // plans_total
+  EXPECT_EQ(expand.items_out, 6u);
+  EXPECT_EQ(expand.stall_spins, 0u);
+  EXPECT_EQ(expand.stall_ns, 0u);
+  EXPECT_EQ(expand.busy_ns, 0u);
+  EXPECT_EQ(expand.max_queue_depth, 0u);
+  EXPECT_EQ(simulate.stage, "simulate");
+  EXPECT_EQ(simulate.items_in, 6u);
+  EXPECT_EQ(simulate.items_out, 5u);
+  EXPECT_EQ(simulate.busy_ns, 5000u);
+  EXPECT_EQ(simulate.stall_spins, 0u);
+  EXPECT_EQ(simulate.stall_ns, 0u);
+  EXPECT_EQ(simulate.max_queue_depth, 0u);
+  EXPECT_EQ(collect.stage, "collect");
+  EXPECT_EQ(collect.items_in, 5u);
+  EXPECT_EQ(collect.items_out, 4u);
+  EXPECT_EQ(collect.busy_ns, 30u);
+  EXPECT_EQ(collect.stall_spins, 1u);
+  EXPECT_EQ(collect.stall_ns, 200u);
+  EXPECT_EQ(collect.max_queue_depth, 3u);
+  // The heartbeat's own progress stays within plans_total, so it parses.
+  EXPECT_EQ(h.plans_done, 4u);
+  auto parsed = RuntimeHeartbeat::heartbeat_from_json(h.heartbeat_json());
+  ASSERT_TRUE(parsed) << parsed.error();
 }
 
 TEST(RuntimeTelemetryTest, ZeroPlansMeansZeroedDerivedRates) {

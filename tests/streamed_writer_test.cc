@@ -73,6 +73,11 @@ TEST(StreamedWriter, CampaignResultMatchesDomReference) {
   }
   // Large enough that the writer hands the stream several chunks.
   EXPECT_GT(streamed(result, 2).size(), 2 * util::JsonWriter::kChunkBytes);
+  // The sink form (what ednsm_measure streams into its atomic writer) hands
+  // over the same bytes.
+  std::string sunk;
+  result.write_json([&sunk](std::string_view bytes) { sunk.append(bytes); }, 2);
+  EXPECT_EQ(sunk, streamed(result, 2));
 
   core::CampaignResult empty;
   empty.spec = campaign_spec();

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "util/bytes.h"
+#include "util/fs.h"
 #include "util/result.h"
 #include "util/strings.h"
 
@@ -198,6 +204,43 @@ TEST(Result, SameValueAndErrorType) {
   Result<std::string, std::string> bad = Err{std::string("error")};
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error(), "error");
+}
+
+// ---- fs --------------------------------------------------------------------
+
+// Renaming over a FIFO would turn it into a regular file: the writer must
+// refuse the target, leave the FIFO in place and create no temp file.
+TEST(Fs, AtomicWriterRefusesNonRegularTarget) {
+  std::string dir = std::string(::testing::TempDir()) + "ednsm_fs_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string fifo = dir + "/target";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  util::AtomicFileWriter writer(fifo);
+  writer.append("{}\n");
+  const Result<void> committed = writer.commit();
+  ASSERT_FALSE(committed);
+  EXPECT_NE(committed.error().find("not a regular file"), std::string::npos)
+      << committed.error();
+  struct stat st {};
+  ASSERT_EQ(::stat(fifo.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  const std::string tmp = fifo + ".tmp." + std::to_string(::getpid());
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0);
+
+  // The convenience wrapper refuses it the same way; a regular file still
+  // commits in the same directory.
+  EXPECT_FALSE(util::write_file_atomic(fifo, "x"));
+  const std::string regular = dir + "/regular.json";
+  EXPECT_TRUE(util::write_file_atomic(regular, "{}\n"));
+  EXPECT_TRUE(util::write_file_atomic(regular, "[]\n"));
+  auto text = util::read_file(regular);
+  ASSERT_TRUE(text);
+  EXPECT_EQ(text.value(), "[]\n");
+
+  ::unlink(regular.c_str());
+  ::unlink(fifo.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -6,16 +6,16 @@
 //   ednsm_bench [--suite fig2|monitor|micro]
 //               [--vantages ids] [--rounds N] [--seed S] [--threads N]
 //               [--repeat K] [--json] [--out BENCH_fig2.json]
-//               [--trace-overhead] [--profile]
+//               [--trace-overhead]
 //
 // Suites:
 //   fig2 (default) — the paper's Fig. 2 workload: the full Appendix A.2
-//     registry from the four global vantages, 30 rounds, on the staged
-//     pipeline engine with --threads N workers (default 1).
+//     registry from the four global vantages, 30 rounds, on the sharded
+//     engine with --threads N workers (default 1).
 //   monitor — the longitudinal epoch driver: a 7-resolver watchlist over 30
 //     daily epochs with one scripted outage (bench_monitor's scenario).
-//   micro — engine micro-costs: uncontended SPSC ring throughput plus a
-//     minimal one-vantage pipeline campaign.
+//   micro — engine micro-costs: a minimal one-vantage campaign and the
+//     full-tree lint pass.
 //
 // Every suite emits a "header" object pinning the exact workload (suite,
 // seed, threads, effective_threads, rounds) — the attribution key the perf
@@ -31,10 +31,9 @@
 // --trace-overhead (fig2 only) re-runs the campaign with tracing enabled and
 // adds trace_on_wall_ms / trace_overhead_pct / trace_identical to the summary
 // (trace_identical asserts the simulated output is byte-identical either
-// way). --profile prints a wall-clock stage breakdown to stderr. --repeat
-// reruns the timed section K times and reports the fastest wall time
-// (steadier on loaded machines). --json (or --out) emits the summary as
-// JSON; --out also writes it to the given path.
+// way). --repeat reruns the timed section K times and reports the fastest
+// wall time (steadier on loaded machines). --json (or --out) emits the
+// summary as JSON; --out also writes it to the given path.
 //
 // Exit codes: 0 ok, 1 bad usage, 3 I/O error.
 #include <chrono>
@@ -50,13 +49,10 @@
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
-#include "obs/profile.h"
-#include "obs/runtime.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
 #include "util/bytes.h"
 #include "util/json.h"
-#include "util/spsc_ring.h"
 
 using namespace ednsm;
 
@@ -100,7 +96,6 @@ constexpr cli::Flag kFlags[] = {
     {"json", "", "print the summary JSON (the default without --out)"},
     {"out", "FILE", "write the summary JSON to FILE"},
     {"trace-overhead", "", "fig2: also time a traced run"},
-    {"profile", "", "print a wall-clock stage breakdown to stderr"},
 };
 constexpr cli::Command kCli{"ednsm_bench", "", kFlags};
 
@@ -114,20 +109,15 @@ int tool_main(const cli::Args& args) {
   const int threads = args.integer("threads", 1);
   const int repeat = args.integer("repeat", 1);
   const bool trace_overhead = args.has("trace-overhead");
-  const bool profile = args.has("profile");
 
-  obs::WallProfiler profiler;
   util::JsonObject o;
 
   if (suite == "fig2") {
     core::MeasurementSpec spec;
-    {
-      const auto scope = profiler.scope("build-spec");
-      for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
-      spec.vantage_ids = vantages;
-      spec.rounds = rounds;
-      spec.seed = seed;
-    }
+    for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
+    spec.vantage_ids = vantages;
+    spec.rounds = rounds;
+    spec.seed = seed;
     if (auto valid = spec.validate(); !valid) {
       std::fprintf(stderr, "invalid bench spec: %s\n", valid.error().c_str());
       return 1;
@@ -147,19 +137,15 @@ int tool_main(const cli::Args& args) {
 
     core::CampaignResult result;
     double best_wall_ms = 0.0;
-    {
-      const auto scope = profiler.scope("campaign");
-      for (int run = 0; run < repeat; ++run) {
-        double wall_ms = 0.0;
-        result = timed_run(false, wall_ms);
-        if (run == 0 || wall_ms < best_wall_ms) best_wall_ms = wall_ms;
-      }
+    for (int run = 0; run < repeat; ++run) {
+      double wall_ms = 0.0;
+      result = timed_run(false, wall_ms);
+      if (run == 0 || wall_ms < best_wall_ms) best_wall_ms = wall_ms;
     }
 
     double best_traced_wall_ms = 0.0;
     bool trace_identical = true;
     if (trace_overhead) {
-      const auto scope = profiler.scope("campaign-traced");
       core::CampaignResult traced;
       for (int run = 0; run < repeat; ++run) {
         double wall_ms = 0.0;
@@ -177,13 +163,9 @@ int tool_main(const cli::Args& args) {
     // size and FNV-1a digest pin every output byte in the ledger (exact
     // perfgate fields); encode_wall_ms is a wall-only lane.
     std::ostringstream results_json;
-    double encode_wall_ms = 0.0;
-    {
-      const auto scope = profiler.scope("results-json");
-      const auto start = WallClock::now();
-      result.write_json(results_json);
-      encode_wall_ms = elapsed_ms(start);
-    }
+    const auto encode_start = WallClock::now();
+    result.write_json(results_json);
+    const double encode_wall_ms = elapsed_ms(encode_start);
     const std::string results_text = std::move(results_json).str();
 
     o["bench"] = util::Json(std::string("paper_campaign"));
@@ -238,19 +220,16 @@ int tool_main(const cli::Args& args) {
 
     double best_wall_ms = 0.0;
     monitor::MonitorResult mon;
-    {
-      const auto scope = profiler.scope("monitor");
-      for (int run = 0; run < repeat; ++run) {
-        const auto start = WallClock::now();
-        auto result = monitor::run_monitor(spec, threads);
-        const double wall_ms = elapsed_ms(start);
-        if (!result) {
-          std::fprintf(stderr, "monitor bench failed: %s\n", result.error().c_str());
-          return 1;
-        }
-        mon = std::move(result).value();
-        if (run == 0 || wall_ms < best_wall_ms) best_wall_ms = wall_ms;
+    for (int run = 0; run < repeat; ++run) {
+      const auto start = WallClock::now();
+      auto result = monitor::run_monitor(spec, threads);
+      const double wall_ms = elapsed_ms(start);
+      if (!result) {
+        std::fprintf(stderr, "monitor bench failed: %s\n", result.error().c_str());
+        return 1;
       }
+      mon = std::move(result).value();
+      if (run == 0 || wall_ms < best_wall_ms) best_wall_ms = wall_ms;
     }
 
     // Attribution cost rides along in the ledger: diagnose reads the
@@ -259,19 +238,16 @@ int tool_main(const cli::Args& args) {
     // evidence_rows are exact (perfgate's sim-field list).
     double best_diagnose_ms = 0.0;
     monitor::DiagnosisReport diagnosis;
-    {
-      const auto scope = profiler.scope("diagnose");
-      for (int run = 0; run < repeat; ++run) {
-        const auto start = WallClock::now();
-        auto report = monitor::diagnose_events(mon, threads);
-        const double wall_ms = elapsed_ms(start);
-        if (!report) {
-          std::fprintf(stderr, "diagnose bench failed: %s\n", report.error().c_str());
-          return 1;
-        }
-        diagnosis = std::move(report).value();
-        if (run == 0 || wall_ms < best_diagnose_ms) best_diagnose_ms = wall_ms;
+    for (int run = 0; run < repeat; ++run) {
+      const auto start = WallClock::now();
+      auto report = monitor::diagnose_events(mon, threads);
+      const double wall_ms = elapsed_ms(start);
+      if (!report) {
+        std::fprintf(stderr, "diagnose bench failed: %s\n", report.error().c_str());
+        return 1;
       }
+      diagnosis = std::move(report).value();
+      if (run == 0 || wall_ms < best_diagnose_ms) best_diagnose_ms = wall_ms;
     }
     const std::string diagnosis_text = diagnosis.to_json().dump(2) + "\n";
 
@@ -291,60 +267,8 @@ int tool_main(const cli::Args& args) {
     o["wall_ms"] = util::Json(best_wall_ms);
     o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
   } else if (suite == "micro") {
-    // Uncontended ring throughput: the per-item handoff cost the pipeline
-    // pays, measured without thread scheduling noise.
-    constexpr std::size_t kRingOps = 1u << 20;
-    double ring_wall_ms = 0.0;
-    std::uint64_t checksum = 0;
-    {
-      const auto scope = profiler.scope("ring");
-      for (int run = 0; run < repeat; ++run) {
-        util::SpscRing<std::uint64_t> ring(1024);
-        const auto start = WallClock::now();
-        std::uint64_t sum = 0;
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < kRingOps; ++i) {
-          ring.push(i);
-          if (ring.try_pop(v)) sum += v;
-        }
-        const double wall_ms = elapsed_ms(start);
-        checksum = sum;
-        if (run == 0 || wall_ms < ring_wall_ms) ring_wall_ms = wall_ms;
-      }
-    }
-
-    // Telemetry-on variant of the same loop: a RingStatSink attached with the
-    // real monotonic clock, exactly what --progress-file arms on the pipeline
-    // rings. The delta against the plain lane is the per-handoff telemetry
-    // cost (telemetry_overhead_pct; BM_RuntimeTelemetryOverhead is the
-    // google-benchmark twin). Wall-time only — the checksum must match the
-    // plain lane, re-asserting that telemetry never changes the data path.
-    double ring_telemetry_wall_ms = 0.0;
-    std::uint64_t telemetry_checksum = 0;
-    std::uint64_t telemetry_pushes = 0;
-    {
-      const auto scope = profiler.scope("ring-telemetry");
-      for (int run = 0; run < repeat; ++run) {
-        util::SpscRing<std::uint64_t> ring(1024);
-        util::RingStatSink sink;
-        sink.now_ns = &obs::runtime_now_ns;
-        ring.attach_stats(&sink);
-        const auto start = WallClock::now();
-        std::uint64_t sum = 0;
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < kRingOps; ++i) {
-          ring.push(i);
-          if (ring.try_pop(v)) sum += v;
-        }
-        const double wall_ms = elapsed_ms(start);
-        telemetry_checksum = sum;
-        telemetry_pushes = sink.pushes.load();
-        if (run == 0 || wall_ms < ring_telemetry_wall_ms) ring_telemetry_wall_ms = wall_ms;
-      }
-    }
-
-    // Minimal pipeline campaign: one vantage, a handful of resolvers — the
-    // fixed per-campaign overhead (world build, expansion, collection).
+    // Minimal campaign: one vantage, a handful of resolvers — the fixed
+    // per-campaign overhead (world build, expansion, collection).
     core::MeasurementSpec spec;
     spec.resolvers = {"dns.google", "ordns.he.net", "dns.quad9.net"};
     spec.vantage_ids = {"ec2-ohio"};
@@ -352,14 +276,11 @@ int tool_main(const cli::Args& args) {
     spec.seed = seed;
     double campaign_wall_ms = 0.0;
     core::CampaignResult result;
-    {
-      const auto scope = profiler.scope("campaign");
-      for (int run = 0; run < repeat; ++run) {
-        const auto start = WallClock::now();
-        result = core::run_parallel_campaign(spec, threads);
-        const double wall_ms = elapsed_ms(start);
-        if (run == 0 || wall_ms < campaign_wall_ms) campaign_wall_ms = wall_ms;
-      }
+    for (int run = 0; run < repeat; ++run) {
+      const auto start = WallClock::now();
+      result = core::run_parallel_campaign(spec, threads);
+      const double wall_ms = elapsed_ms(start);
+      if (run == 0 || wall_ms < campaign_wall_ms) campaign_wall_ms = wall_ms;
     }
 
     // Static-analyzer lane: the full-tree lint cost CI pays on every push
@@ -369,24 +290,20 @@ int tool_main(const cli::Args& args) {
     // and is skipped rather than failing the suite. Wall time only — lint
     // findings are the lint_tree ctest case's job, not the bench's.
     double lint_wall_ms = 0.0;
-    std::size_t lint_files = 0;
-    {
-      const auto scope = profiler.scope("lint");
-      std::vector<lint::SourceFile> tree;
-      for (const char* root : {"src", "tools", "bench"}) {
-        for (lint::SourceFile& f : lint::load_tree({root})) tree.push_back(std::move(f));
+    std::vector<lint::SourceFile> tree;
+    for (const char* root : {"src", "tools", "bench"}) {
+      for (lint::SourceFile& f : lint::load_tree({root})) tree.push_back(std::move(f));
+    }
+    const std::size_t lint_files = tree.size();
+    for (int run = 0; !tree.empty() && run < repeat; ++run) {
+      const auto start = WallClock::now();
+      const std::vector<lint::Diagnostic> diags = lint::run_lint(tree);
+      const double wall_ms = elapsed_ms(start);
+      if (run == 0 && !diags.empty()) {
+        std::fprintf(stderr, "note: lint lane saw %zu findings (not a bench failure)\n",
+                     diags.size());
       }
-      lint_files = tree.size();
-      for (int run = 0; !tree.empty() && run < repeat; ++run) {
-        const auto start = WallClock::now();
-        const std::vector<lint::Diagnostic> diags = lint::run_lint(tree);
-        const double wall_ms = elapsed_ms(start);
-        if (run == 0 && !diags.empty()) {
-          std::fprintf(stderr, "note: lint lane saw %zu findings (not a bench failure)\n",
-                       diags.size());
-        }
-        if (run == 0 || wall_ms < lint_wall_ms) lint_wall_ms = wall_ms;
-      }
+      if (run == 0 || wall_ms < lint_wall_ms) lint_wall_ms = wall_ms;
     }
 
     o["bench"] = util::Json(std::string("micro"));
@@ -394,22 +311,6 @@ int tool_main(const cli::Args& args) {
     o["repeat"] = util::Json(static_cast<double>(repeat));
     o["lint_files"] = util::Json(static_cast<double>(lint_files));
     o["lint_wall_ms"] = util::Json(lint_wall_ms);
-    o["ring_ops"] = util::Json(static_cast<double>(kRingOps));
-    o["ring_checksum"] = util::Json(static_cast<double>(checksum));
-    o["ring_ops_per_sec"] = util::Json(
-        ring_wall_ms > 0.0 ? static_cast<double>(kRingOps) / (ring_wall_ms / 1000.0) : 0.0);
-    // Wall-clock telemetry lane: outside the perf gate's deterministic field
-    // set (like lint_wall_ms), tracked for trend only.
-    o["ring_telemetry_ops_per_sec"] = util::Json(
-        ring_telemetry_wall_ms > 0.0
-            ? static_cast<double>(kRingOps) / (ring_telemetry_wall_ms / 1000.0)
-            : 0.0);
-    o["telemetry_overhead_pct"] = util::Json(
-        ring_wall_ms > 0.0
-            ? (ring_telemetry_wall_ms - ring_wall_ms) / ring_wall_ms * 100.0
-            : 0.0);
-    o["telemetry_checksum_identical"] =
-        util::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
     o["records"] = util::Json(static_cast<double>(result.records.size()));
     o["pings"] = util::Json(static_cast<double>(result.pings.size()));
     o["error_rate"] = util::Json(result.availability.overall().error_rate());
@@ -435,7 +336,6 @@ int tool_main(const cli::Args& args) {
     std::fprintf(stderr, "%s: wall %.1f ms -> %s\n", suite.c_str(),
                  summary.at("wall_ms").as_number(), out_path->c_str());
   }
-  if (profile) std::fprintf(stderr, "%s", profiler.report().c_str());
   return 0;
 }
 

@@ -21,12 +21,16 @@
 //
 // --shard k/N runs only slice k of N of the campaign's shard plan list (the
 // multi-process split; slices are contiguous and balanced) and writes a
-// self-describing shard file instead of a results file. Shard files are
-// written crash-safely (temp file + fsync + atomic rename); a partial write
-// exits non-zero and leaves no file at the output path. N shard files merged
+// self-describing shard file instead of a results file. N shard files merged
 // by ednsm_merge reproduce the unsharded results byte-for-byte. With --trace
 // or --metrics the shard file embeds each shard's exact trace/metrics data
 // (the flags' path arguments name per-slice artifacts, also written).
+//
+// Every output file — results or shard file, trace, metrics, manifest — is
+// written crash-safely (temp file + fsync + atomic rename): a failed write
+// exits 3 and leaves nothing new at the output path. A path that exists and
+// is not a regular file (a FIFO, a device such as /dev/stdout) is refused
+// the same way. Heartbeats are atomic too, but a failed one only warns.
 //
 // --trace writes a Chrome trace-event JSON (chrome://tracing / Perfetto)
 // timestamped in simulated time; --trace-filter keeps one subsystem ("cat").
@@ -35,7 +39,8 @@
 // without them.
 //
 // --progress-file writes a crash-safe wall-clock heartbeat JSON (atomic
-// rename; poll it or point ednsm_watch at it) updated as the pipeline runs;
+// rename; poll it or point ednsm_watch at it), updated about every 500 ms
+// while the worker pool runs, or only between shards with one worker;
 // --manifest writes the end-of-run provenance record ednsm_merge
 // cross-checks. Both live in the runtime telemetry clock domain (see
 // DESIGN.md): results/trace/metrics are byte-identical with them on or off.
@@ -79,6 +84,13 @@ constexpr cli::Flag kFlags[] = {
     {"manifest", "FILE", "write the end-of-run manifest ednsm_merge checks"},
 };
 constexpr cli::Command kCli{"ednsm_measure", "", kFlags};
+
+// Reports a failed atomic write; the target path is left untouched.
+bool committed(const Result<void>& written) {
+  if (written) return true;
+  std::fprintf(stderr, "error: %s\n", written.error().c_str());
+  return false;
+}
 
 Result<core::MeasurementSpec> build_spec(const cli::Args& args) {
   if (const std::string* spec_path = args.get("spec")) {
@@ -143,7 +155,7 @@ int tool_main(const cli::Args& args) {
   if (args.has("trace-capacity")) {
     obs_options.trace_capacity = static_cast<std::size_t>(args.integer("trace-capacity", 1));
   }
-  const std::string* filter = args.get("trace-filter");
+  const std::string trace_filter = args.text("trace-filter", "");
   core::CampaignObsData obs_data;
   const std::string* out_path_opt = args.get("out");
 
@@ -263,24 +275,16 @@ int tool_main(const cli::Args& args) {
       for (const core::ShardOutcome& outcome : file.outcomes) {
         view.add_shard("vantage/" + outcome.vantage, outcome.trace);
       }
-      std::ofstream trace_out(*trace_path);
-      if (!trace_out) {
-        std::fprintf(stderr, "error: cannot write %s\n", trace_path->c_str());
+      if (!committed(util::write_file_atomic(*trace_path, view.chrome_json(trace_filter)))) {
         return 3;
       }
-      view.write_chrome_json(trace_out, filter != nullptr ? *filter : std::string_view{});
     }
     if (metrics_path != nullptr) {
       obs::Metrics slice_metrics;
       for (const core::ShardOutcome& outcome : file.outcomes) {
         slice_metrics.merge(outcome.metrics);
       }
-      std::ofstream metrics_out(*metrics_path);
-      if (!metrics_out) {
-        std::fprintf(stderr, "error: cannot write %s\n", metrics_path->c_str());
-        return 3;
-      }
-      slice_metrics.write_jsonl(metrics_out);
+      if (!committed(util::write_file_atomic(*metrics_path, slice_metrics.jsonl()))) return 3;
     }
 
     if (!emit_final_telemetry("ok", plans.size(), shard_pings)) return 3;
@@ -302,38 +306,31 @@ int tool_main(const cli::Args& args) {
       core::run_parallel_campaign(spec.value(), threads, obs_options, &obs_data);
 
   const std::string path = out_path_opt != nullptr ? *out_path_opt : "results.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    emit_final_telemetry("failed", plan_count, result.pings.size());
-    return 3;
+  {
+    util::AtomicFileWriter file(path);
+    result.write_json([&file](std::string_view bytes) { file.append(bytes); });
+    if (!committed(file.commit())) {
+      emit_final_telemetry("failed", plan_count, result.pings.size());
+      return 3;
+    }
   }
-  result.write_json(out);
-  out.flush();
   if (telemetry_on) {
     telemetry.note_records(result.records.size());
     telemetry.note_bytes_encoded(file_size_bytes(path));
   }
 
   if (trace_path != nullptr) {
-    std::ofstream trace_out(*trace_path);
-    if (!trace_out) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_path->c_str());
+    if (!committed(
+            util::write_file_atomic(*trace_path, obs_data.trace.chrome_json(trace_filter)))) {
       return 3;
     }
-    obs_data.trace.write_chrome_json(trace_out, filter != nullptr ? *filter : std::string_view{});
     std::fprintf(stderr, "trace: %llu events (%llu dropped) across %zu shards -> %s\n",
                  static_cast<unsigned long long>(obs_data.trace.total_events()),
                  static_cast<unsigned long long>(obs_data.trace.total_dropped()),
                  obs_data.trace.shard_count(), trace_path->c_str());
   }
   if (metrics_path != nullptr) {
-    std::ofstream metrics_out(*metrics_path);
-    if (!metrics_out) {
-      std::fprintf(stderr, "error: cannot write %s\n", metrics_path->c_str());
-      return 3;
-    }
-    obs_data.metrics.write_jsonl(metrics_out);
+    if (!committed(util::write_file_atomic(*metrics_path, obs_data.metrics.jsonl()))) return 3;
     std::fprintf(stderr, "metrics -> %s\n", metrics_path->c_str());
   }
 

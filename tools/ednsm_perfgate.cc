@@ -37,7 +37,7 @@ namespace {
 // monitor diagnosis digest make any output byte drift a failure.
 constexpr const char* kSimFields[] = {
     "records",    "pings",         "error_rate", "series_points", "slo_samples",
-    "events",     "ring_ops",      "ring_checksum", "cold_queries", "warm_queries",
+    "events",     "cold_queries",  "warm_queries",
     "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
     "results_json_bytes", "results_json_fnv1a", "diagnosis_fnv1a", "evidence_rows",
 };

@@ -80,10 +80,10 @@ const std::vector<RuleInfo> kRules = {
      "must stay out of the byte-identical output contract — export them via "
      "heartbeat/manifest files or to_prometheus"},
     {kRawThread,
-     "raw std::thread/std::jthread outside the pipeline engine "
-     "(core/parallel_campaign.cc) and src/util: ad-hoc threads bypass the "
-     "staged pipeline's shard determinism and join/error discipline; route "
-     "work through run_pipeline()"},
+     "raw std::thread/std::jthread outside the campaign engine "
+     "(core/parallel_campaign.cc): ad-hoc threads bypass the worker pool's "
+     "shard determinism and join/error discipline; route work through "
+     "run_pipeline()"},
 };
 
 // ---------------------------------------------------------------------------
@@ -638,13 +638,11 @@ void check_obs_span_balance(const Prepared& p, std::vector<Diagnostic>& out) {
 // ---------------------------------------------------------------------------
 
 void check_raw_thread(const Prepared& p, std::vector<Diagnostic>& out) {
-  // The staged pipeline engine owns every worker thread lifecycle (spawn,
-  // ring wiring, drain-on-error, join), and src/util hosts the low-level
-  // concurrency primitives it is built from. Ad-hoc std::thread anywhere
-  // else escapes that discipline: no shard determinism, no guaranteed join,
-  // no first-error propagation.
+  // The campaign engine owns every worker thread lifecycle (spawn, run every
+  // plan even after an error, join). Ad-hoc std::thread anywhere else
+  // escapes that discipline: no shard determinism, no guaranteed join, no
+  // first-error propagation.
   if (path_contains(p.file->path, "core/parallel_campaign.cc")) return;
-  if (path_contains(p.file->path, "util/")) return;
   const std::string_view code = p.code;
   for (const std::string_view word :
        {std::string_view("thread"), std::string_view("jthread")}) {
@@ -662,8 +660,8 @@ void check_raw_thread(const Prepared& p, std::vector<Diagnostic>& out) {
       if (code.compare(std_last - 2, 3, "std") != 0) continue;
       if (std_last >= 3 && ident_char(code[std_last - 3])) continue;
       out.push_back({std::string(p.file->path), line_of(p, pos), std::string(kRawThread),
-                     "raw 'std::" + std::string(word) + "' outside core/parallel_campaign.cc "
-                     "and src/util: route parallel work through run_pipeline() so shards stay "
+                     "raw 'std::" + std::string(word) + "' outside core/parallel_campaign.cc: "
+                     "route parallel work through run_pipeline() so shards stay "
                      "deterministic and errors join cleanly",
                      "",
                      {}});
