@@ -21,84 +21,58 @@ void Do53Client::query(const dns::Name& qname, dns::RecordType qtype, QueryCallb
 
 void Do53Client::query(netsim::IpAddr server, const dns::Name& qname, dns::RecordType qtype,
                        QueryCallback cb) {
-  struct State {
+  // The UDP side of one query: its socket and the retransmit timer.
+  struct Udp {
     std::unique_ptr<transport::UdpSocket> socket;
-    std::unique_ptr<SingleFire> guard;
     std::optional<netsim::EventQueue::EventId> retransmit_timer;
-    netsim::SimTime started{0};
-    std::uint16_t id = 0;
-    Do53Client* owner = nullptr;
   };
-  auto state = std::make_shared<State>();
-  state->owner = this;
+  auto udp = std::make_shared<Udp>();
   ++inflight_;
 
   const netsim::Endpoint local{local_ip_, net_.ephemeral_port(local_ip_)};
   const netsim::Endpoint remote{server, netsim::kPortDns};
-  state->socket = std::make_unique<transport::UdpSocket>(net_, local);
-  state->started = net_.queue().now();
-  state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
+  udp->socket = std::make_unique<transport::UdpSocket>(net_, local);
 
-  const dns::Message query_msg = dns::make_query(state->id, qname, qtype);
-  const util::Bytes wire = query_msg.encode(options_.pad_block);
-
-  auto finish = [this, state, cb](QueryOutcome outcome) {
-    outcome.protocol = Protocol::Do53;
-    outcome.timing.total = net_.queue().now() - state->started;
-    if (state->retransmit_timer.has_value()) {
-      net_.queue().cancel(*state->retransmit_timer);
-      state->retransmit_timer.reset();
+  // Runs before the outcome is delivered. It breaks the ownership cycle
+  // (the socket's receive handler captures `udp`). The handler may be the
+  // code calling us right now, so the socket's destruction is deferred to a
+  // fresh event: destroying an executing std::function is undefined
+  // behaviour.
+  auto close = [this, udp] {
+    if (udp->retransmit_timer.has_value()) {
+      net_.queue().cancel(*udp->retransmit_timer);
+      udp->retransmit_timer.reset();
     }
     --inflight_;
-    // Break the ownership cycle (socket handler and guard capture `state`).
-    // The socket's receive handler may be the code calling us right now, so
-    // its destruction is deferred to a fresh event — destroying an executing
-    // std::function is undefined behaviour.
     net_.queue().schedule(
         netsim::kZeroDuration,
-        [doomed = std::shared_ptr<transport::UdpSocket>(std::move(state->socket))] {});
-    state->guard.reset();
-    cb(std::move(outcome));
+        [doomed = std::shared_ptr<transport::UdpSocket>(std::move(udp->socket))] {});
   };
+  auto q = PendingQuery::start(net_, Protocol::Do53, options_.timeout, std::move(cb), close);
+  q->connected = true;  // nothing to connect: a deadline is a plain timeout
 
-  state->guard = std::make_unique<SingleFire>(net_.queue(), options_.timeout, [finish] {
-    QueryOutcome timeout;
-    timeout.error = QueryError{QueryErrorClass::Timeout, "do53: no response"};
-    finish(std::move(timeout));
-  });
+  const util::Bytes wire = dns::make_query(q->id(), qname, qtype).encode(options_.pad_block);
 
-  state->socket->on_receive([state, finish](const netsim::Datagram& d) {
-    if (state->guard == nullptr || state->guard->fired()) return;  // late duplicate
+  udp->socket->on_receive([this, q, close](const netsim::Datagram& d) {
+    if (!q->open()) return;  // late duplicate
     auto response = dns::Message::decode(d.payload);
-    QueryOutcome outcome;
-    if (!response) {
-      outcome.error = QueryError{QueryErrorClass::Malformed, response.error()};
-    } else if (response.value().header.id != state->id || !response.value().header.qr) {
-      return;  // stray datagram: keep waiting
-    } else {
-      outcome.ok = true;
-      outcome.rcode = response.value().header.rcode;
-      outcome.answers = std::move(response.value().answers);
-    }
-    if (!state->guard->fire()) return;
+    if (response && !q->matches(response.value())) return;  // stray datagram: keep waiting
     // No connection phases on UDP: the whole query is one exchange.
-    outcome.timing.exchange = state->owner->net_.queue().now() - state->started;
-    OBS_COMPLETE(state->owner->net_.queue(), "client", "do53-exchange", state->started,
-                 outcome.timing.exchange);
-    finish(std::move(outcome));
+    const netsim::SimDuration exchange = net_.queue().now() - q->started();
+    OBS_COMPLETE(net_.queue(), "client", "do53-exchange", q->started(), exchange);
+    close();
+    q->answer(std::move(response), exchange);
   });
 
-  state->socket->send_to(remote, wire);
+  udp->socket->send_to(remote, wire);
 
   // dig-style retransmission once the initial wait elapses.
   if (options_.timeout > kRetransmitAfter) {
-    state->retransmit_timer =
-        net_.queue().schedule(kRetransmitAfter, [this, state, remote, wire] {
-          state->retransmit_timer.reset();
-          if (!state->guard->fired() && state->socket) {
-            state->socket->send_to(remote, wire);
-          }
-        });
+    // close() cancels this timer, so the socket is still open when it fires.
+    udp->retransmit_timer = net_.queue().schedule(kRetransmitAfter, [udp, remote, wire] {
+      udp->retransmit_timer.reset();
+      udp->socket->send_to(remote, wire);
+    });
   }
 }
 

@@ -19,96 +19,37 @@ void DotClient::query(const dns::Name& qname, dns::RecordType qtype, QueryCallba
 
 void DotClient::query(netsim::IpAddr server, const std::string& sni, const dns::Name& qname,
                       dns::RecordType qtype, QueryCallback cb) {
-  struct State {
-    std::unique_ptr<SingleFire> guard;
-    netsim::SimTime started{0};
-    std::uint16_t id = 0;
-    bool connected = false;  // lease acquired; deadline hits are then "timeout"
-  };
-  auto state = std::make_shared<State>();
-  state->started = net_.queue().now();
-  state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
-
   const netsim::Endpoint remote{server, netsim::kPortDot};
-
-  auto finish = [this, state, cb](QueryOutcome outcome) {
-    outcome.protocol = Protocol::DoT;
-    outcome.timing.total = net_.queue().now() - state->started;
-    state->guard.reset();
-    cb(std::move(outcome));
-  };
-
-  state->guard = std::make_unique<SingleFire>(
-      net_.queue(), options_.timeout, [this, state, remote, sni, finish] {
-        pool_.invalidate(remote, sni);  // the session is in an unknown state
-        QueryOutcome timeout;
-        timeout.error = state->connected
-                            ? QueryError{QueryErrorClass::Timeout, "dot: no response"}
-                            : QueryError{QueryErrorClass::ConnectTimeout,
-                                         "dot: could not establish connection"};
-        finish(std::move(timeout));
-      });
-
-  const dns::Message query_msg = dns::make_query(state->id, qname, qtype);
-  const util::Bytes wire = query_msg.encode(options_.pad_block);
+  // At the deadline the session is in an unknown state: drop it.
+  auto q = PendingQuery::start(net_, Protocol::DoT, options_.timeout, std::move(cb),
+                               [this, remote, sni] { pool_.invalidate(remote, sni); });
+  util::Bytes wire = dns::make_query(q->id(), qname, qtype).encode(options_.pad_block);
 
   pool_.acquire(
       remote, sni, options_.reuse, {},
-      [this, state, remote, sni, wire, finish](Result<transport::ConnectionPool::Lease> lease) {
-        if (state->guard == nullptr || state->guard->fired()) return;  // already timed out
-        if (!lease) {
-          if (!state->guard->fire()) return;
-          QueryOutcome fail;
-          fail.error = QueryError{classify_transport_error(lease.error()), lease.error()};
-          fail.timing.connect = net_.queue().now() - state->started;
-          finish(std::move(fail));
-          return;
-        }
-        const auto& l = lease.value();
-        state->connected = true;
-        QueryTiming timing;
-        timing.connect = l.fresh ? net_.queue().now() - state->started
-                                 : netsim::kZeroDuration;
-        timing.connection_reused = !l.fresh;
-        timing.tls_mode = l.mode;
-        timing.tcp_handshake = l.tcp_handshake;
-        timing.tls_handshake = l.tls_handshake;
-        timing.wait_in_pool = l.wait_in_pool;
+      [this, q, wire = std::move(wire)](Result<transport::ConnectionPool::Lease> acquired) {
+        const transport::ConnectionPool::Lease* l = q->lease(acquired);
+        if (l == nullptr) return;
         const netsim::SimTime sent_at = net_.queue().now();
-
-        l.tls->on_data([this, sent_at, state, timing, finish](util::Bytes data) {
+        l->tls->on_data([this, q, sent_at](util::Bytes data) {
+          const netsim::SimDuration exchange = net_.queue().now() - sent_at;
+          OBS_COMPLETE(net_.queue(), "client", "dot-exchange", sent_at, exchange);
+          if (!q->open()) return;
           auto messages = resolver::dot_unframe(data);
-          QueryOutcome outcome;
-          outcome.timing = timing;
-          outcome.timing.exchange = net_.queue().now() - sent_at;
-          OBS_COMPLETE(net_.queue(), "client", "dot-exchange", sent_at,
-                       outcome.timing.exchange);
           if (!messages) {
-            if (!state->guard || !state->guard->fire()) return;
-            outcome.error = QueryError{QueryErrorClass::Malformed, messages.error()};
-            finish(std::move(outcome));
+            q->answer(Err{messages.error()}, exchange);
             return;
           }
           for (const util::Bytes& msg : messages.value()) {
             auto response = dns::Message::decode(msg);
-            if (!response) {
-              if (!state->guard || !state->guard->fire()) return;
-              outcome.error = QueryError{QueryErrorClass::Malformed, response.error()};
-              finish(std::move(outcome));
-              return;
-            }
-            if (response.value().header.id != state->id || !response.value().header.qr) {
+            if (response && !q->matches(response.value())) {
               continue;  // response to an earlier query on this session
             }
-            if (!state->guard || !state->guard->fire()) return;
-            outcome.ok = true;
-            outcome.rcode = response.value().header.rcode;
-            outcome.answers = std::move(response.value().answers);
-            finish(std::move(outcome));
+            q->answer(std::move(response), exchange);
             return;
           }
         });
-        l.tls->send(resolver::dot_frame(wire));
+        l->tls->send(resolver::dot_frame(wire));
       });
 }
 

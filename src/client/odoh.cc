@@ -12,6 +12,17 @@ OdohClient::OdohClient(netsim::Network& net, transport::ConnectionPool& pool,
                        SessionTarget target, QueryOptions options)
     : net_(net), pool_(pool), target_(std::move(target)), options_(options) {}
 
+namespace {
+// An ODoH response body is the target's answer, sealed for the client.
+Result<dns::Message> unseal_body(const util::Bytes& body, std::uint16_t id) {
+  auto sealed = resolver::ObliviousMessage::decode(body);
+  if (!sealed) return Err{sealed.error()};
+  auto message = dns::Message::decode(sealed.value().payload);
+  if (message && message.value().header.id != id) return Err{std::string("odoh: id mismatch")};
+  return message;
+}
+}  // namespace
+
 void OdohClient::query(const dns::Name& qname, dns::RecordType qtype, QueryCallback cb) {
   query(target_.relay, target_.relay_sni, target_.hostname, qname, qtype, std::move(cb));
 }
@@ -19,41 +30,14 @@ void OdohClient::query(const dns::Name& qname, dns::RecordType qtype, QueryCallb
 void OdohClient::query(netsim::IpAddr relay, const std::string& relay_sni,
                        const std::string& target_hostname, const dns::Name& qname,
                        dns::RecordType qtype, QueryCallback cb) {
-  struct State {
-    std::unique_ptr<SingleFire> guard;
-    netsim::SimTime started{0};
-    std::uint16_t id = 0;
-    bool connected = false;
-  };
-  auto state = std::make_shared<State>();
-  state->started = net_.queue().now();
-  state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
-
   const netsim::Endpoint remote{relay, netsim::kPortHttps};
-
-  auto finish = [this, state, cb](QueryOutcome outcome) {
-    outcome.protocol = Protocol::ODoH;
-    outcome.timing.total = net_.queue().now() - state->started;
-    state->guard.reset();
-    cb(std::move(outcome));
-  };
-
-  state->guard = std::make_unique<SingleFire>(
-      net_.queue(), options_.timeout, [this, state, remote, relay_sni, finish] {
-        pool_.invalidate(remote, relay_sni);
-        QueryOutcome timeout;
-        timeout.error = state->connected
-                            ? QueryError{QueryErrorClass::Timeout, "odoh: no response"}
-                            : QueryError{QueryErrorClass::ConnectTimeout,
-                                         "odoh: could not reach relay"};
-        finish(std::move(timeout));
-      });
+  auto q = PendingQuery::start(net_, Protocol::ODoH, options_.timeout, std::move(cb),
+                               [this, remote, relay_sni] { pool_.invalidate(remote, relay_sni); });
 
   // Seal the query for the target and wrap it for the relay.
-  const dns::Message query_msg = dns::make_query(state->id, qname, qtype);
   resolver::ObliviousMessage sealed;
   sealed.target_hostname = target_hostname;
-  sealed.payload = query_msg.encode(options_.pad_block);
+  sealed.payload = dns::make_query(q->id(), qname, qtype).encode(options_.pad_block);
 
   http::Request request;
   request.method = "POST";
@@ -65,72 +49,16 @@ void OdohClient::query(netsim::IpAddr relay, const std::string& relay_sni,
 
   pool_.acquire(
       remote, relay_sni, options_.reuse, {},
-      [this, state, request, finish](Result<transport::ConnectionPool::Lease> lease) {
-        if (state->guard == nullptr || state->guard->fired()) return;
-        if (!lease) {
-          if (!state->guard->fire()) return;
-          QueryOutcome fail;
-          fail.error = QueryError{classify_transport_error(lease.error()), lease.error()};
-          fail.timing.connect = net_.queue().now() - state->started;
-          finish(std::move(fail));
-          return;
-        }
-        const auto& l = lease.value();
-        state->connected = true;
-        QueryTiming timing;
-        timing.connect = l.fresh ? net_.queue().now() - state->started
-                                 : netsim::kZeroDuration;
-        timing.connection_reused = !l.fresh;
-        timing.tls_mode = l.mode;
-        timing.tcp_handshake = l.tcp_handshake;
-        timing.tls_handshake = l.tls_handshake;
-        timing.wait_in_pool = l.wait_in_pool;
-        http::ExchangeTiming ex;
-        ex.request_sent = net_.queue().now();
-
-        l.tls->on_data([this, ex, state, timing, finish](util::Bytes data) mutable {
-          if (!state->guard || state->guard->fired()) return;
-          ex.response_received = net_.queue().now();
-          QueryOutcome outcome;
-          outcome.timing = timing;
-          outcome.timing.exchange = ex.elapsed();
-          auto response = http::Response::decode(data);
-          if (!response) {
-            if (!state->guard->fire()) return;
-            outcome.error = QueryError{QueryErrorClass::Malformed, response.error()};
-            finish(std::move(outcome));
-            return;
-          }
-          outcome.http_status = response.value().status;
-          if (response.value().status != 200) {
-            if (!state->guard->fire()) return;
-            outcome.error =
-                QueryError{QueryErrorClass::HttpError,
-                           "odoh: HTTP " + std::to_string(response.value().status)};
-            finish(std::move(outcome));
-            return;
-          }
-          auto sealed_answer = resolver::ObliviousMessage::decode(response.value().body);
-          if (!sealed_answer) {
-            if (!state->guard->fire()) return;
-            outcome.error = QueryError{QueryErrorClass::Malformed, sealed_answer.error()};
-            finish(std::move(outcome));
-            return;
-          }
-          auto message = dns::Message::decode(sealed_answer.value().payload);
-          if (!state->guard->fire()) return;
-          if (!message) {
-            outcome.error = QueryError{QueryErrorClass::Malformed, message.error()};
-          } else if (message.value().header.id != state->id) {
-            outcome.error = QueryError{QueryErrorClass::Malformed, "odoh: id mismatch"};
-          } else {
-            outcome.ok = true;
-            outcome.rcode = message.value().header.rcode;
-            outcome.answers = std::move(message.value().answers);
-          }
-          finish(std::move(outcome));
+      [this, q, request = std::move(request)](Result<transport::ConnectionPool::Lease> acquired) {
+        const transport::ConnectionPool::Lease* l = q->lease(acquired);
+        if (l == nullptr) return;
+        const netsim::SimTime sent_at = net_.queue().now();
+        l->tls->on_data([this, q, sent_at](util::Bytes data) {
+          if (!q->open()) return;
+          q->answer_http(http::Response::decode(data), net_.queue().now() - sent_at,
+                         unseal_body);
         });
-        l.tls->send(request.encode());
+        l->tls->send(request.encode());
       });
 }
 

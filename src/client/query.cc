@@ -4,6 +4,29 @@
 
 namespace ednsm::client {
 
+namespace {
+
+// What a deadline reports, per protocol: with the connection up, and
+// without one. Do53 has no connection to wait for and is connected from
+// the start.
+struct DeadlineDetails {
+  const char* no_response;
+  const char* no_connection;
+};
+
+DeadlineDetails deadline_details(Protocol p) noexcept {
+  switch (p) {
+    case Protocol::Do53: return {"do53: no response", "do53: no response"};
+    case Protocol::DoT: return {"dot: no response", "dot: could not establish connection"};
+    case Protocol::DoH: return {"doh: no response", "doh: could not establish connection"};
+    case Protocol::DoQ: return {"doq: no response", "doq: could not establish connection"};
+    case Protocol::ODoH: return {"odoh: no response", "odoh: could not reach relay"};
+  }
+  return {"?", "?"};
+}
+
+}  // namespace
+
 std::string_view to_string(Protocol p) noexcept {
   switch (p) {
     case Protocol::Do53: return "Do53";
@@ -69,6 +92,101 @@ QueryErrorClass classify_transport_error(std::string_view detail) noexcept {
   }
   if (detail.find("tls") != std::string_view::npos) return QueryErrorClass::TlsFailure;
   return QueryErrorClass::Timeout;
+}
+
+PendingQuery::PendingQuery(netsim::Network& net, Protocol protocol, QueryCallback cb)
+    : queue_(net.queue()),
+      protocol_(protocol),
+      callback_(std::move(cb)),
+      started_(net.queue().now()),
+      id_(static_cast<std::uint16_t>(net.rng().next_u64() & 0xffff)) {}
+
+const transport::ConnectionPool::Lease* PendingQuery::lease(
+    const Result<transport::ConnectionPool::Lease>& acquired) {
+  if (!open()) return nullptr;  // the deadline came first
+  if (!acquired) {
+    fail_connect(acquired.error());
+    return nullptr;
+  }
+  const transport::ConnectionPool::Lease& l = acquired.value();
+  connected = true;
+  timing.connect = l.fresh ? queue_.now() - started_ : netsim::kZeroDuration;
+  timing.connection_reused = !l.fresh;
+  timing.tls_mode = l.mode;
+  timing.tcp_handshake = l.tcp_handshake;
+  timing.tls_handshake = l.tls_handshake;
+  timing.wait_in_pool = l.wait_in_pool;
+  return &l;
+}
+
+void PendingQuery::fail_connect(std::string detail) {
+  if (!claim()) return;
+  QueryOutcome fail;
+  const QueryErrorClass error_class = classify_transport_error(detail);
+  fail.error = QueryError{error_class, std::move(detail)};
+  fail.timing.connect = queue_.now() - started_;
+  deliver(std::move(fail));
+}
+
+QueryOutcome PendingQuery::response_outcome(netsim::SimDuration exchange,
+                                            int http_status) const {
+  QueryOutcome outcome;
+  outcome.timing = timing;
+  outcome.timing.exchange = exchange;
+  outcome.http_status = http_status;
+  return outcome;
+}
+
+void PendingQuery::answer(Result<dns::Message> message, netsim::SimDuration exchange,
+                          int http_status) {
+  if (!claim()) return;
+  QueryOutcome outcome = response_outcome(exchange, http_status);
+  if (!message) {
+    outcome.error = QueryError{QueryErrorClass::Malformed, std::move(message.error())};
+  } else {
+    outcome.ok = true;
+    outcome.rcode = message.value().header.rcode;
+    outcome.answers = std::move(message.value().answers);
+  }
+  deliver(std::move(outcome));
+}
+
+void PendingQuery::answer_http(Result<http::Response> response, netsim::SimDuration exchange,
+                               BodyDecoder decode_body) {
+  if (!open()) return;
+  if (!response) {
+    answer(Err{std::move(response.error())}, exchange);
+    return;
+  }
+  const int status = response.value().status;
+  if (status != 200) {
+    if (!claim()) return;
+    QueryOutcome outcome = response_outcome(exchange, status);
+    const std::string_view tag = protocol_ == Protocol::ODoH ? "odoh: HTTP " : "doh: HTTP ";
+    outcome.error = QueryError{QueryErrorClass::HttpError,
+                               std::string(tag) + std::to_string(status)};
+    deliver(std::move(outcome));
+    return;
+  }
+  answer(decode_body(response.value().body, id_), exchange, status);
+}
+
+QueryOutcome PendingQuery::deadline_outcome() const {
+  // Nothing heard on an established connection is a timeout. No connection
+  // by the deadline is a connection-establishment failure, like dig's
+  // "connection timed out": the paper's dominant error class.
+  const DeadlineDetails details = deadline_details(protocol_);
+  QueryOutcome timeout;
+  timeout.error = connected ? QueryError{QueryErrorClass::Timeout, details.no_response}
+                            : QueryError{QueryErrorClass::ConnectTimeout, details.no_connection};
+  return timeout;
+}
+
+void PendingQuery::deliver(QueryOutcome outcome) {
+  outcome.protocol = protocol_;
+  outcome.timing.total = queue_.now() - started_;
+  const QueryCallback done = std::move(callback_);
+  done(std::move(outcome));
 }
 
 }  // namespace ednsm::client

@@ -1,6 +1,7 @@
-// Shared types for the three query clients (Do53 / DoT / DoH): options,
-// timing breakdown, error taxonomy, and the query outcome delivered to the
-// measurement layer.
+// Shared types for the five protocol clients (Do53 / DoT / DoH / DoQ /
+// ODoH): options, timing breakdown, error taxonomy, the query outcome
+// delivered to the measurement layer, and the one query lifecycle every
+// client runs (PendingQuery).
 //
 // The error taxonomy mirrors what the paper's tool distinguishes: "the most
 // common errors we received ... were related to a failure to establish a
@@ -9,11 +10,14 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dns/message.h"
+#include "http/h1.h"
+#include "netsim/network.h"
 #include "netsim/time.h"
 #include "transport/pool.h"
 
@@ -78,7 +82,7 @@ struct QueryOutcome {
   std::vector<dns::ResourceRecord> answers;
   std::optional<QueryError> error;       // set when !ok
   QueryTiming timing;
-  int http_status = 0;                   // DoH only
+  int http_status = 0;                   // DoH and ODoH; 0 when no HTTP response decoded
 };
 
 using QueryCallback = std::function<void(QueryOutcome)>;
@@ -101,6 +105,9 @@ class SingleFire {
   SingleFire(netsim::EventQueue& queue, netsim::SimDuration timeout,
              std::function<void()> on_timeout);
   ~SingleFire();
+  // The armed timer holds this object's address.
+  SingleFire(const SingleFire&) = delete;
+  SingleFire& operator=(const SingleFire&) = delete;
 
   // Returns true the first time, false afterwards (and cancels the timer).
   [[nodiscard]] bool fire();
@@ -114,5 +121,94 @@ class SingleFire {
 
 // Classify a transport error string from the pool/TCP layer.
 [[nodiscard]] QueryErrorClass classify_transport_error(std::string_view detail) noexcept;
+
+// One query from issue to delivery: what every protocol client keeps while
+// its wire exchange runs. Clients share it through a shared_ptr with the
+// handlers they install; delivery moves the caller's callback out, so a
+// handler that outlives the answer (a pooled connection's, a cached QUIC
+// session's) keeps the query but never the callback. Exactly one outcome
+// reaches the callback: a response, a connection failure, or the deadline.
+class PendingQuery {
+ public:
+  // Stamps the start time, draws the DNS id from the network RNG and arms
+  // the deadline. At the deadline `on_deadline` runs first (the client
+  // drops its connection state there), then the deadline outcome is
+  // delivered. The timer holds a reference to the query, so a query whose
+  // connection is torn down under it still times out.
+  template <typename OnDeadline>
+  [[nodiscard]] static std::shared_ptr<PendingQuery> start(netsim::Network& net,
+                                                           Protocol protocol,
+                                                           netsim::SimDuration timeout,
+                                                           QueryCallback cb,
+                                                           OnDeadline on_deadline);
+
+  // Use start(); public only for std::make_shared.
+  PendingQuery(netsim::Network& net, Protocol protocol, QueryCallback cb);
+
+  [[nodiscard]] std::uint16_t id() const noexcept { return id_; }
+  [[nodiscard]] netsim::SimTime started() const noexcept { return started_; }
+  // False once the query is settled: answered, failed or timed out.
+  [[nodiscard]] bool open() const noexcept { return !guard_->fired(); }
+  // True when `m` is the response to this query (its id, with QR set).
+  [[nodiscard]] bool matches(const dns::Message& m) const noexcept {
+    return m.header.id == id_ && m.header.qr;
+  }
+
+  // Set once the connection is up: the deadline then reports a timeout,
+  // before that a connect-timeout.
+  bool connected = false;
+  // The connection's phases, which every response outcome carries.
+  QueryTiming timing;
+
+  // Takes a pool acquire's result (DoT, DoH, ODoH). A lease marks the query
+  // connected and stamps its phases into `timing`; a failed acquire is
+  // delivered as a connection failure. Returns the lease to send on, or
+  // null when the query is settled.
+  [[nodiscard]] const transport::ConnectionPool::Lease* lease(
+      const Result<transport::ConnectionPool::Lease>& acquired);
+
+  // Delivers a connection failure, classified from the transport's `detail`.
+  void fail_connect(std::string detail);
+
+  // Delivers a DNS response that took `exchange` on the connection: ok with
+  // its rcode and answers, or malformed with the decoder's error.
+  // `http_status` is that of the HTTP response that carried it, if any.
+  void answer(Result<dns::Message> message, netsim::SimDuration exchange, int http_status = 0);
+
+  // The DNS message a 200 response's body carries, given the query's id.
+  using BodyDecoder = Result<dns::Message> (*)(const util::Bytes& body, std::uint16_t id);
+
+  // Delivers an HTTP response carrying a DNS message (DoH, ODoH): malformed
+  // when it did not decode, an HTTP error on any status but 200, else the
+  // answer `decode_body` finds in its body.
+  void answer_http(Result<http::Response> response, netsim::SimDuration exchange,
+                   BodyDecoder decode_body);
+
+ private:
+  [[nodiscard]] bool claim() { return guard_->fire(); }
+  // An outcome on the response path: the connection's phases plus the exchange.
+  [[nodiscard]] QueryOutcome response_outcome(netsim::SimDuration exchange, int http_status) const;
+  [[nodiscard]] QueryOutcome deadline_outcome() const;
+  void deliver(QueryOutcome outcome);
+
+  netsim::EventQueue& queue_;
+  Protocol protocol_;
+  QueryCallback callback_;
+  netsim::SimTime started_;
+  std::uint16_t id_;
+  std::optional<SingleFire> guard_;
+};
+
+template <typename OnDeadline>
+std::shared_ptr<PendingQuery> PendingQuery::start(netsim::Network& net, Protocol protocol,
+                                                  netsim::SimDuration timeout, QueryCallback cb,
+                                                  OnDeadline on_deadline) {
+  auto q = std::make_shared<PendingQuery>(net, protocol, std::move(cb));
+  q->guard_.emplace(net.queue(), timeout, [q, on_deadline = std::move(on_deadline)] {
+    on_deadline();
+    q->deliver(q->deadline_outcome());
+  });
+  return q;
+}
 
 }  // namespace ednsm::client

@@ -28,9 +28,9 @@ struct SessionTarget {
   [[nodiscard]] bool via_relay() const noexcept { return !relay_sni.empty(); }
 };
 
-// One measurement session against one resolver target. Implementations share
-// the SingleFire/timeout discipline from client/query.h: the callback fires
-// exactly once with a response, an error, or a timeout.
+// One measurement session against one resolver target. Implementations run
+// the PendingQuery lifecycle from client/query.h: the callback fires exactly
+// once with a response, an error, or a timeout.
 class ResolverSession {
  public:
   virtual ~ResolverSession() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "netsim/rng.h"
+#include "util/bytes.h"
 #include "util/strings.h"
 
 namespace ednsm::core {
@@ -41,10 +42,8 @@ void collect_result_metrics(const CampaignResult& result, obs::Metrics& m) {
       if (r.connection_reused) m.add("campaign.records_reused_connection");
     } else {
       m.add("campaign.records_failed");
-      const std::string stage = r.failure_stage.empty()
-                                    ? std::string(derive_failure_stage(r.error_class))
-                                    : r.failure_stage;
-      m.add("campaign.failure_stage." + (stage.empty() ? std::string("unknown") : stage));
+      m.add("campaign.failure_stage." +
+            (r.failure_stage.empty() ? std::string("unknown") : r.failure_stage));
       if (!r.error_class.empty()) m.add("campaign.error_class." + r.error_class);
     }
   }
@@ -100,13 +99,7 @@ std::vector<ShardPlan> slice_plans(const std::vector<ShardPlan>& plans, const Sh
 }
 
 std::uint64_t spec_fingerprint(const MeasurementSpec& spec) {
-  const std::string canonical = spec.to_json().dump();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
+  return util::fnv1a(spec.to_json().dump());
 }
 
 ShardOutcome run_shard(const MeasurementSpec& spec, const ShardPlan& plan,

@@ -72,6 +72,7 @@ struct ProbeChain : std::enable_shared_from_this<ProbeChain> {
       rec.ok = false;
       rec.error_class = "malformed";
       rec.error_detail = name_r.error();
+      rec.failure_stage = std::string(derive_failure_stage(rec.error_class));
       records.push_back(std::move(rec));
       next(index + 1);
       return;

@@ -1,27 +1,9 @@
 #include "core/shard_io.h"
 
-#include <cstdio>
-
+#include "util/bytes.h"
 #include "util/fs.h"
 
 namespace ednsm::core {
-
-std::string u64_to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-Result<std::uint64_t> u64_from_hex(const std::string& s) {
-  if (s.size() != 16 || s.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Err{"expected 16 lowercase hex digits: " + s};
-  }
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v = (v << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return v;
-}
 
 namespace {
 util::Json slice_json(const ShardSlice& slice) {
@@ -37,7 +19,7 @@ util::Json ShardFile::to_json() const {
   o["magic"] = std::string(kMagic);
   o["version"] = kVersion;
   o["spec"] = spec.to_json();
-  o["spec_fingerprint"] = u64_to_hex(spec_fingerprint(spec));
+  o["spec_fingerprint"] = util::u64_to_hex(spec_fingerprint(spec));
   o["slice"] = slice_json(slice);
   o["total_shards"] = static_cast<std::uint64_t>(total_shards);
   o["has_trace"] = has_trace;
@@ -48,7 +30,7 @@ util::Json ShardFile::to_json() const {
     util::JsonObject oo;
     oo["index"] = static_cast<std::uint64_t>(out.index);
     oo["vantage"] = out.vantage;
-    oo["seed"] = u64_to_hex(out.seed);
+    oo["seed"] = util::u64_to_hex(out.seed);
     util::JsonArray records;
     records.reserve(out.result.records.size());
     for (const ResultRecord& r : out.result.records) records.push_back(r.to_json());
@@ -82,7 +64,7 @@ Result<ShardFile> ShardFile::from_json(const util::Json& j) {
   if (!j.at("spec_fingerprint").is_string()) {
     return Err{std::string("shard file: missing spec_fingerprint")};
   }
-  auto fp = u64_from_hex(j.at("spec_fingerprint").as_string());
+  auto fp = util::u64_from_hex(j.at("spec_fingerprint").as_string());
   if (!fp) return Err{"shard file: bad spec_fingerprint: " + fp.error()};
   if (fp.value() != spec_fingerprint(f.spec)) {
     return Err{std::string("shard file: spec_fingerprint does not match embedded spec")};
@@ -114,7 +96,7 @@ Result<ShardFile> ShardFile::from_json(const util::Json& j) {
     ShardOutcome out;
     out.index = static_cast<std::size_t>(oj.at("index").as_number());
     out.vantage = oj.at("vantage").as_string();
-    auto seed = u64_from_hex(oj.at("seed").as_string());
+    auto seed = util::u64_from_hex(oj.at("seed").as_string());
     if (!seed) return Err{"shard file: bad outcome seed: " + seed.error()};
     out.seed = seed.value();
     for (const util::Json& rj : oj.at("records").as_array()) {
@@ -205,7 +187,7 @@ Result<void> ShardFile::write(const std::string& path) const {
     w.key("records");
     w.array_of(out.result.records);
     w.key("seed");
-    w.value(u64_to_hex(out.seed));
+    w.value(util::u64_to_hex(out.seed));
     if (has_trace) {
       w.key("trace");
       w.value(out.trace.to_json());
@@ -220,7 +202,7 @@ Result<void> ShardFile::write(const std::string& path) const {
   w.key("spec");
   w.value(spec.to_json());
   w.key("spec_fingerprint");
-  w.value(u64_to_hex(spec_fingerprint(spec)));
+  w.value(util::u64_to_hex(spec_fingerprint(spec)));
   w.key("total_shards");
   w.value(static_cast<std::uint64_t>(total_shards));
   w.key("version");

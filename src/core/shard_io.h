@@ -60,9 +60,4 @@ struct ShardFile {
   [[nodiscard]] static Result<ShardFile> load(const std::string& path);
 };
 
-// 64-bit value <-> fixed-width lowercase hex (16 digits), used for seeds and
-// spec fingerprints inside shard files.
-[[nodiscard]] std::string u64_to_hex(std::uint64_t v);
-[[nodiscard]] Result<std::uint64_t> u64_from_hex(const std::string& s);
-
 }  // namespace ednsm::core

@@ -12,25 +12,12 @@
 #include <utility>
 #include <vector>
 
-#include "netsim/time.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
 namespace ednsm::http {
 
 using HeaderList = std::vector<std::pair<std::string, std::string>>;
-
-// One HTTP exchange's phase stamps: when the serialized request was handed to
-// the transport and when the decoded response came back. The DoH clients
-// populate QueryTiming::exchange from this.
-struct ExchangeTiming {
-  netsim::SimTime request_sent{0};
-  netsim::SimTime response_received{0};
-
-  [[nodiscard]] netsim::SimDuration elapsed() const noexcept {
-    return response_received - request_sent;
-  }
-};
 
 // Case-insensitive header lookup; returns nullptr if absent.
 [[nodiscard]] const std::string* find_header(const HeaderList& headers, std::string_view name);

@@ -15,6 +15,7 @@
 
 #include "http/h1.h"  // shared Request/Response representation
 #include "http/hpack.h"
+#include "netsim/time.h"
 #include "util/result.h"
 
 namespace ednsm::http {

@@ -4,37 +4,19 @@
 #include <chrono>
 #include <cstdio>
 
+#include "util/bytes.h"
 #include "util/fs.h"
 
 namespace ednsm::obs {
 
 namespace {
 
-// Telemetry-domain hex codec for 64-bit identity fields (fingerprint, seed):
-// JSON numbers are doubles and cannot hold all 64 bits. Mirrors the shard
-// file's convention without depending on core.
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-Result<std::uint64_t> hex16_parse(const util::Json& j, const char* field) {
+// A 64-bit identity field (fingerprint, seed) stored as 16 hex digits:
+// JSON numbers are doubles and cannot hold all 64 bits.
+Result<std::uint64_t> hex_field(const util::Json& j, const char* field) {
   if (!j.is_string()) return Err{std::string(field) + ": expected a hex string"};
-  const std::string& s = j.as_string();
-  if (s.size() != 16) return Err{std::string(field) + ": expected 16 hex digits"};
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    int digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return Err{std::string(field) + ": invalid hex digit"};
-    }
-    v = (v << 4) | static_cast<std::uint64_t>(digit);
-  }
+  auto v = util::u64_from_hex(j.as_string());
+  if (!v) return Err{std::string(field) + ": " + v.error()};
   return v;
 }
 
@@ -132,7 +114,7 @@ util::Json RuntimeHeartbeat::heartbeat_json() const {
   o["schema"] = util::Json(std::string(kSchemaName));
   o["version"] = util::Json(kSchemaVersion);
   o["status"] = util::Json(status);
-  o["spec_fingerprint"] = util::Json(hex16(spec_fingerprint));
+  o["spec_fingerprint"] = util::Json(util::u64_to_hex(spec_fingerprint));
   util::JsonObject shard;
   shard["k"] = util::Json(static_cast<double>(shard_k));
   shard["n"] = util::Json(static_cast<double>(shard_n));
@@ -165,7 +147,7 @@ Result<RuntimeHeartbeat> RuntimeHeartbeat::heartbeat_from_json(const util::Json&
       h.status != "failed") {
     return Err{"status: unknown value \"" + h.status + "\""};
   }
-  auto fp = hex16_parse(j.at("spec_fingerprint"), "spec_fingerprint");
+  auto fp = hex_field(j.at("spec_fingerprint"), "spec_fingerprint");
   if (!fp) return Err{fp.error()};
   h.spec_fingerprint = fp.value();
   const util::Json& shard = j.at("shard");
@@ -237,8 +219,8 @@ util::Json RunManifest::manifest_json() const {
   util::JsonObject o;
   o["schema"] = util::Json(std::string(kSchemaName));
   o["version"] = util::Json(kSchemaVersion);
-  o["spec_fingerprint"] = util::Json(hex16(spec_fingerprint));
-  o["seed"] = util::Json(hex16(seed));
+  o["spec_fingerprint"] = util::Json(util::u64_to_hex(spec_fingerprint));
+  o["seed"] = util::Json(util::u64_to_hex(seed));
   util::JsonObject shard;
   shard["k"] = util::Json(static_cast<double>(shard_k));
   shard["n"] = util::Json(static_cast<double>(shard_n));
@@ -263,8 +245,8 @@ util::Json RunManifest::manifest_json() const {
 Result<RunManifest> RunManifest::manifest_from_json(const util::Json& j) {
   if (auto ok = expect_schema(j, kSchemaName, kSchemaVersion); !ok) return Err{ok.error()};
   RunManifest m;
-  auto fp = hex16_parse(j.at("spec_fingerprint"), "spec_fingerprint");
-  auto seed = hex16_parse(j.at("seed"), "seed");
+  auto fp = hex_field(j.at("spec_fingerprint"), "spec_fingerprint");
+  auto seed = hex_field(j.at("seed"), "seed");
   if (!fp) return Err{fp.error()};
   if (!seed) return Err{seed.error()};
   m.spec_fingerprint = fp.value();
@@ -397,7 +379,7 @@ util::Json campaign_manifest_json(const std::vector<RunManifest>& manifests) {
     shard_rows.push_back(util::Json(std::move(row)));
   }
   if (!manifests.empty()) {
-    o["spec_fingerprint"] = util::Json(hex16(manifests.front().spec_fingerprint));
+    o["spec_fingerprint"] = util::Json(util::u64_to_hex(manifests.front().spec_fingerprint));
     o["shard_count"] = util::Json(static_cast<double>(manifests.size()));
     o["total_shards"] = util::Json(static_cast<double>(manifests.front().total_shards));
   }

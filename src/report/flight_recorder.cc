@@ -61,10 +61,7 @@ Table failure_breakdown_table(const core::CampaignResult& result) {
   for (const core::ResultRecord& r : result.records) {
     if (r.ok) continue;
     ++failed;
-    const std::string stage = r.failure_stage.empty()
-                                  ? std::string(core::derive_failure_stage(r.error_class))
-                                  : r.failure_stage;
-    ++counts[{stage.empty() ? "unknown" : stage, r.error_class}];
+    ++counts[{r.failure_stage.empty() ? "unknown" : r.failure_stage, r.error_class}];
   }
 
   std::vector<std::pair<std::pair<std::string, std::string>, std::uint64_t>> rows(

@@ -64,9 +64,11 @@ struct PoolStats {
 
 class ConnectionPool {
  public:
-  // A leased session: valid until release()/invalidate(). `fresh` says the
-  // lease paid connection setup; `early_data_accepted` says the request
-  // already reached the server inside the handshake (0-RTT).
+  // A leased session: valid until invalidate(), or until a later acquire
+  // for the same (remote, SNI) replaces the session (policy None always
+  // does, the others when the pooled session is not established). `fresh`
+  // says the lease paid connection setup; `early_data_accepted` says the
+  // request already reached the server inside the handshake (0-RTT).
   struct Lease {
     TcpConnection* tcp = nullptr;
     TlsClient* tls = nullptr;

@@ -241,6 +241,7 @@ QuicConnection::QuicConnection(netsim::Network& net, Endpoint local, Endpoint re
 }
 
 QuicConnection::~QuicConnection() {
+  if (destroyed_during_replay_ != nullptr) *destroyed_during_replay_ = true;
   close();
   net_.unbind(local_);
 }
@@ -368,10 +369,17 @@ void QuicConnection::handle_datagram(const Datagram& d) {
         connect_cb_ = nullptr;
         cb(info);
       }
-      // Replay stream packets that arrived ahead of the handshake.
+      // Replay stream packets that arrived ahead of the handshake, stopping
+      // if a stream handler destroys this connection.
       std::vector<QuicPacket> reordered;
       reordered.swap(reordered_);
-      for (const QuicPacket& early_pkt : reordered) core_.handle(early_pkt);
+      bool destroyed = false;
+      destroyed_during_replay_ = &destroyed;
+      for (const QuicPacket& early_pkt : reordered) {
+        core_.handle(early_pkt);
+        if (destroyed) return;
+      }
+      destroyed_during_replay_ = nullptr;
       return;
     }
     case QuicPacketType::Retry:

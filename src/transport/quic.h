@@ -173,6 +173,10 @@ class QuicConnection {
   // Stream packets that outran the ServerInitial under reordering; replayed
   // once the handshake completes (dropped if it fails).
   std::vector<QuicPacket> reordered_;
+  // Set while that replay runs; the destructor raises it, because a stream
+  // handler may destroy this connection (its owner can go with the query
+  // the stream answers).
+  bool* destroyed_during_replay_ = nullptr;
 
   static constexpr netsim::SimDuration kInitialPto = std::chrono::seconds(1);
   static constexpr int kMaxInitialTransmissions = 3;

@@ -1,5 +1,7 @@
 #include "util/bytes.h"
 
+#include <cstdio>
+
 namespace ednsm::util {
 
 namespace {
@@ -51,6 +53,21 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::string u64_to_hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
+Result<std::uint64_t> u64_from_hex(std::string_view s) {
+  if (s.size() != 16 || s.find_first_not_of(kHexDigits) != std::string_view::npos) {
+    return Err{"expected 16 lowercase hex digits: " + std::string(s)};
+  }
+  std::uint64_t v = 0;
+  for (const char c : s) v = (v << 4) | static_cast<std::uint64_t>(hex_value(c));
+  return v;
 }
 
 }  // namespace ednsm::util

@@ -155,6 +155,30 @@ TEST(Campaign, JsonRoundTrip) {
             result.availability.overall().errors);
 }
 
+// A record of an unparseable domain carries its failure stage from the
+// probe on, so loading a results file and writing it again gives the same
+// bytes.
+TEST(Campaign, UnparseableDomainRoundTripsByteIdentical) {
+  MeasurementSpec spec = tiny_spec();
+  spec.resolvers = {"dns.google"};
+  spec.domains = {"google.com", "a..b"};
+  spec.rounds = 1;
+  const CampaignResult result = run_parallel_campaign(spec);
+  ASSERT_EQ(result.records.size(), 2u);
+  EXPECT_EQ(result.records[1].error_class, "malformed");
+  EXPECT_EQ(result.records[1].failure_stage, "query");
+
+  std::ostringstream written;
+  result.write_json(written);
+  auto parsed = util::Json::parse(written.str());
+  ASSERT_TRUE(parsed.has_value()) << parsed.error();
+  auto loaded = CampaignResult::from_json(parsed.value());
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  std::ostringstream rewritten;
+  loaded.value().write_json(rewritten);
+  EXPECT_EQ(rewritten.str(), written.str());
+}
+
 TEST(Campaign, MultiVantageRecordsAllVantages) {
   MeasurementSpec spec = tiny_spec();
   spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "home-chicago-1"};

@@ -13,6 +13,7 @@
 
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
+#include "util/bytes.h"
 
 namespace ednsm::core {
 namespace {
@@ -193,15 +194,15 @@ TEST(Pipeline, AnyShardTopologyMergesByteIdentical) {
 TEST(ShardIo, HexRoundTrip) {
   for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xdeadbeef},
                                 ~std::uint64_t{0}}) {
-    const std::string hex = u64_to_hex(v);
+    const std::string hex = util::u64_to_hex(v);
     EXPECT_EQ(hex.size(), 16u);
-    const auto back = u64_from_hex(hex);
+    const auto back = util::u64_from_hex(hex);
     ASSERT_TRUE(back.has_value()) << hex;
     EXPECT_EQ(back.value(), v);
   }
-  EXPECT_FALSE(u64_from_hex("").has_value());
-  EXPECT_FALSE(u64_from_hex("123").has_value());             // wrong width
-  EXPECT_FALSE(u64_from_hex("00000000000000zz").has_value());  // non-hex
+  EXPECT_FALSE(util::u64_from_hex("").has_value());
+  EXPECT_FALSE(util::u64_from_hex("123").has_value());             // wrong width
+  EXPECT_FALSE(util::u64_from_hex("00000000000000zz").has_value());  // non-hex
 }
 
 ShardFile make_shard_file(const MeasurementSpec& spec, const ShardSlice& slice,
@@ -254,7 +255,7 @@ TEST(ShardIo, FromJsonRejectsTampering) {
   }
   {
     util::Json j = file.to_json();
-    j.as_object()["spec_fingerprint"] = u64_to_hex(0);  // fingerprint/spec mismatch
+    j.as_object()["spec_fingerprint"] = util::u64_to_hex(0);  // fingerprint/spec mismatch
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {

@@ -7,6 +7,7 @@
 #include "core/probe.h"
 #include "core/world.h"
 #include "geo/geodb.h"
+#include "resolver/odoh.h"
 #include "resolver/server.h"
 
 namespace ednsm::client {
@@ -143,6 +144,43 @@ TEST(SessionTiming, Do53IsPureExchange) {
   EXPECT_EQ(out.timing.tls_handshake, netsim::kZeroDuration);
   EXPECT_EQ(out.timing.quic_handshake, netsim::kZeroDuration);
   EXPECT_EQ(out.timing.exchange, out.timing.total);
+}
+
+// A pooled TLS connection or a cached QUIC session keeps its data handler
+// after the answer; that handler must not keep the answered query's
+// callback. A callback that owns its session (a probe chain owns its client)
+// would otherwise never be freed.
+TEST(SessionLifecycle, AnsweredQueryReleasesItsCallback) {
+  for (const Protocol p :
+       {Protocol::Do53, Protocol::DoT, Protocol::DoH, Protocol::DoQ, Protocol::ODoH}) {
+    SessionWorld w;
+    const resolver::OdohRelay relay(
+        w.net, "relay.example", geo::city::kChicago,
+        [&w](std::string_view host) -> std::optional<IpAddr> {
+          if (host == "dns.example") return w.server->address();
+          return std::nullopt;
+        });
+    QueryOptions options;
+    options.reuse = transport::ReusePolicy::Keepalive;
+    SessionTarget target;
+    target.server = w.server->address();
+    target.hostname = "dns.example";
+    if (p == Protocol::ODoH) {
+      target.relay = relay.address();
+      target.relay_sni = relay.hostname();
+    }
+    const auto session = SessionFactory(w.net, w.client_ip, *w.pool).create(p, target, options);
+
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    bool answered = false;
+    session->query(dns::Name::parse("x.com").value(), dns::RecordType::A,
+                   [&answered, token](QueryOutcome o) { answered = o.ok; });
+    token.reset();
+    w.queue.run_until_idle();
+    ASSERT_TRUE(answered) << to_string(p);
+    EXPECT_TRUE(watch.expired()) << to_string(p);
+  }
 }
 
 TEST(ProtocolNames, RoundTripAllFive) {

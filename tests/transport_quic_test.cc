@@ -417,27 +417,6 @@ TEST(DoqClient, ZeroRttQuery) {
   EXPECT_LT(netsim::to_ms(outs[1].timing.total), netsim::to_ms(outs[0].timing.total) - 4.0);
 }
 
-// The cached session keeps its stream handler after the answer; it must not
-// keep the answered query's callback too. A callback that owns the client
-// (a probe chain owns its DoqClient) would otherwise never be freed.
-TEST(DoqClient, AnsweredQueryReleasesItsCallback) {
-  DoqWorld w;
-  client::QueryOptions options;
-  options.reuse = transport::ReusePolicy::Keepalive;
-  client::DoqClient doq(w.net, w.client_ip, options);
-  auto token = std::make_shared<int>(0);
-  const std::weak_ptr<int> watch = token;
-  bool answered = false;
-  doq.query(w.server->address(), "dns.example", dns::Name::parse("x.com").value(),
-            dns::RecordType::A,
-            [&answered, token](client::QueryOutcome o) { answered = o.ok; });
-  token.reset();
-  w.queue.run_until_idle();
-  ASSERT_TRUE(answered);
-  EXPECT_EQ(doq.live_sessions(), 1u);
-  EXPECT_TRUE(watch.expired());
-}
-
 TEST(DoqClient, ServerWithoutDoqTimesOut) {
   resolver::ServerBehavior b;
   b.supports_doq = false;

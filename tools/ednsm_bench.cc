@@ -45,7 +45,6 @@
 
 #include "cli.h"
 #include "core/parallel_campaign.h"
-#include "core/shard_io.h"
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
@@ -182,7 +181,7 @@ int tool_main(const cli::Args& args) {
     o["wall_ms"] = util::Json(best_wall_ms);
     o["records_per_sec"] = util::Json(records_per_sec);
     o["results_json_bytes"] = util::Json(static_cast<double>(results_text.size()));
-    o["results_json_fnv1a"] = util::Json(core::u64_to_hex(util::fnv1a(results_text)));
+    o["results_json_fnv1a"] = util::Json(util::u64_to_hex(util::fnv1a(results_text)));
     o["encode_wall_ms"] = util::Json(encode_wall_ms);
     if (trace_overhead) {
       o["trace_on_wall_ms"] = util::Json(best_traced_wall_ms);
@@ -262,7 +261,7 @@ int tool_main(const cli::Args& args) {
     o["slo_samples"] = util::Json(static_cast<double>(mon.slos.size()));
     o["events"] = util::Json(static_cast<double>(mon.events.size()));
     o["diagnoses"] = util::Json(static_cast<double>(diagnosis.diagnoses.size()));
-    o["diagnosis_fnv1a"] = util::Json(core::u64_to_hex(util::fnv1a(diagnosis_text)));
+    o["diagnosis_fnv1a"] = util::Json(util::u64_to_hex(util::fnv1a(diagnosis_text)));
     o["evidence_rows"] = util::Json(static_cast<double>(mon.evidence.size()));
     o["wall_ms"] = util::Json(best_wall_ms);
     o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
