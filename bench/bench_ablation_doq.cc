@@ -36,7 +36,7 @@ double run_cell(const Cell& cell, int queries) {
 
   client::DotClient dot(world.net(), *vantage.pool, options);
   client::DohClient doh(world.net(), *vantage.pool, options);
-  client::DoqClient doq(world.net(), vantage.addr, options);
+  client::DoqClient doq(world.net(), *vantage.pool, options);
   const dns::Name name = dns::Name::parse("google.com").value();
 
   std::vector<double> times;
@@ -61,7 +61,7 @@ double run_cell(const Cell& cell, int queries) {
     if (cell.early_data) {
       // Force a fresh (resumed) connection so each query exercises 0-RTT.
       vantage.pool->invalidate({*server, netsim::kPortHttps}, "dns.google");
-      doq.invalidate(doq_remote, "dns.google");
+      vantage.pool->invalidate(doq_remote, "dns.google");
     }
   }
   if (cell.policy != transport::ReusePolicy::None && times.size() > 1) {

@@ -4,30 +4,27 @@
 // a single flight), and 0-RTT resumption can push a query into the first
 // packet.
 //
-// QUIC connections are not pooled with the TCP/TLS pool (different transport
-// object); the client keeps its own per-(endpoint, sni) session cache and
-// ticket store, honoring the same ReusePolicy semantics.
+// Connections come from the vantage's shared pool (acquire_quic), so reuse
+// and resumption follow the same ReusePolicy, tickets and stats as DoT and
+// DoH; the client keeps only the wire exchange.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "client/query.h"
 #include "client/session.h"
 #include "netsim/network.h"
-#include "transport/pool.h"  // SessionKey
-#include "transport/quic.h"
-#include "transport/udp.h"
+#include "transport/pool.h"
 
 namespace ednsm::client {
 
 class DoqClient : public ResolverSession {
  public:
-  DoqClient(netsim::Network& net, netsim::IpAddr local_ip, QueryOptions options = {});
+  // The pool is shared with other clients on the same vantage host.
+  DoqClient(netsim::Network& net, transport::ConnectionPool& pool, QueryOptions options = {});
   // Session-bound form: ResolverSession::query goes to (target.server,
   // target.hostname).
-  DoqClient(netsim::Network& net, netsim::IpAddr local_ip, SessionTarget target,
+  DoqClient(netsim::Network& net, transport::ConnectionPool& pool, SessionTarget target,
             QueryOptions options = {});
 
   // Resolve (qname, qtype) against the DoQ endpoint of `server`. Callback
@@ -41,27 +38,12 @@ class DoqClient : public ResolverSession {
   [[nodiscard]] const SessionTarget& target() const noexcept override { return target_; }
 
   [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
-  [[nodiscard]] std::size_t live_sessions() const noexcept { return sessions_.size(); }
-  [[nodiscard]] bool has_ticket(const netsim::Endpoint& remote, const std::string& sni) const {
-    return tickets_.contains({remote, sni});
-  }
-
-  // Drop the cached session (transport errors / timeouts); ticket survives.
-  void invalidate(const netsim::Endpoint& remote, const std::string& sni);
 
  private:
-  using Key = transport::SessionKey;
-
   netsim::Network& net_;
-  netsim::IpAddr local_ip_;
+  transport::ConnectionPool& pool_;
   SessionTarget target_;
   QueryOptions options_;
-  std::uint64_t next_conn_id_ = 1;
-  // Point access only (never iterated) — hashed, keyed like the pool's
-  // session cache.
-  std::unordered_map<Key, std::shared_ptr<transport::QuicConnection>, transport::SessionKeyHash>
-      sessions_;
-  std::unordered_map<Key, transport::SessionTicket, transport::SessionKeyHash> tickets_;
 };
 
 }  // namespace ednsm::client

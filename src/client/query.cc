@@ -103,11 +103,16 @@ PendingQuery::PendingQuery(netsim::Network& net, Protocol protocol, QueryCallbac
 
 const transport::ConnectionPool::Lease* PendingQuery::lease(
     const Result<transport::ConnectionPool::Lease>& acquired) {
-  if (!open()) return nullptr;  // the deadline came first
   if (!acquired) {
-    fail_connect(acquired.error());
+    if (claim()) {  // unless the deadline came first
+      QueryOutcome fail;
+      fail.error = QueryError{classify_transport_error(acquired.error()), acquired.error()};
+      fail.timing.connect = queue_.now() - started_;
+      deliver(std::move(fail));
+    }
     return nullptr;
   }
+  if (!open()) return nullptr;  // the deadline came first
   const transport::ConnectionPool::Lease& l = acquired.value();
   connected = true;
   timing.connect = l.fresh ? queue_.now() - started_ : netsim::kZeroDuration;
@@ -115,17 +120,9 @@ const transport::ConnectionPool::Lease* PendingQuery::lease(
   timing.tls_mode = l.mode;
   timing.tcp_handshake = l.tcp_handshake;
   timing.tls_handshake = l.tls_handshake;
+  timing.quic_handshake = l.quic_handshake;
   timing.wait_in_pool = l.wait_in_pool;
   return &l;
-}
-
-void PendingQuery::fail_connect(std::string detail) {
-  if (!claim()) return;
-  QueryOutcome fail;
-  const QueryErrorClass error_class = classify_transport_error(detail);
-  fail.error = QueryError{error_class, std::move(detail)};
-  fail.timing.connect = queue_.now() - started_;
-  deliver(std::move(fail));
 }
 
 QueryOutcome PendingQuery::response_outcome(netsim::SimDuration exchange,

@@ -125,9 +125,9 @@ class SingleFire {
 // One query from issue to delivery: what every protocol client keeps while
 // its wire exchange runs. Clients share it through a shared_ptr with the
 // handlers they install; delivery moves the caller's callback out, so a
-// handler that outlives the answer (a pooled connection's, a cached QUIC
-// session's) keeps the query but never the callback. Exactly one outcome
-// reaches the callback: a response, a connection failure, or the deadline.
+// handler that outlives the answer (one installed on a pooled connection)
+// keeps the query but never the callback. Exactly one outcome reaches the
+// callback: a response, a connection failure, or the deadline.
 class PendingQuery {
  public:
   // Stamps the start time, draws the DNS id from the network RNG and arms
@@ -160,15 +160,12 @@ class PendingQuery {
   // The connection's phases, which every response outcome carries.
   QueryTiming timing;
 
-  // Takes a pool acquire's result (DoT, DoH, ODoH). A lease marks the query
-  // connected and stamps its phases into `timing`; a failed acquire is
-  // delivered as a connection failure. Returns the lease to send on, or
-  // null when the query is settled.
+  // Takes a pool acquire's result (DoT, DoH, DoQ, ODoH). A lease marks the
+  // query connected and stamps its phases into `timing`; a failed acquire
+  // is delivered as a connection failure, classified from the transport's
+  // error. Returns the lease to send on, or null when the query is settled.
   [[nodiscard]] const transport::ConnectionPool::Lease* lease(
       const Result<transport::ConnectionPool::Lease>& acquired);
-
-  // Delivers a connection failure, classified from the transport's `detail`.
-  void fail_connect(std::string detail);
 
   // Delivers a DNS response that took `exchange` on the connection: ok with
   // its rcode and answers, or malformed with the decoder's error.

@@ -44,16 +44,16 @@ class ResolverSession {
 // The single Protocol -> concrete client dispatch in the codebase.
 class SessionFactory {
  public:
-  // `local_ip` hosts the UDP protocols (Do53/DoQ); `pool` is the vantage
-  // host's shared TCP/TLS connection pool (DoT/DoH/ODoH).
-  SessionFactory(netsim::Network& net, netsim::IpAddr local_ip, transport::ConnectionPool& pool);
+  // `pool` is the vantage host's shared connection pool: it owns every
+  // reusable connection (DoT/DoH/ODoH over TLS, DoQ over QUIC), and its
+  // address hosts Do53's UDP sockets.
+  SessionFactory(netsim::Network& net, transport::ConnectionPool& pool);
 
   [[nodiscard]] std::unique_ptr<ResolverSession> create(Protocol protocol, SessionTarget target,
                                                         QueryOptions options = {}) const;
 
  private:
   netsim::Network& net_;
-  netsim::IpAddr local_ip_;
   transport::ConnectionPool& pool_;
 };
 

@@ -43,8 +43,9 @@ ResultRecord from_outcome(ResultRecord r, const client::QueryOutcome& outcome) {
 }
 
 // Sequential driver for one resolver's domain list. Owns the protocol
-// session so connection state lives exactly as long as the probe; which
-// concrete client backs it is the SessionFactory's business.
+// session for the probe's queries; the connections behind it belong to the
+// vantage's pool and outlive the probe as the reuse policy allows. Which
+// concrete client backs the session is the SessionFactory's business.
 struct ProbeChain : std::enable_shared_from_this<ProbeChain> {
   SimWorld& world;
   std::string vantage_id;
@@ -131,7 +132,7 @@ void DnsProbe::run(SimWorld& world, const std::string& vantage_id,
     target.relay = relay.address();
     target.relay_sni = relay.hostname();
   }
-  const client::SessionFactory factory(world.net(), vantage.addr, *vantage.pool);
+  const client::SessionFactory factory(world.net(), *vantage.pool);
   chain->session = factory.create(protocol, std::move(target), options);
   chain->next(0);
 }

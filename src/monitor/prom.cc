@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -54,8 +53,6 @@ std::string labels_of(const obs::SeriesPoint& p, std::string_view extra = {}) {
 // Collapsed-across-buckets accumulator for one (metric, labels) series.
 struct Collapsed {
   double counter = 0.0;
-  std::int64_t gauge_bucket = std::numeric_limits<std::int64_t>::min();
-  double gauge = 0.0;
   stats::Welford welford;
   stats::Histogram histogram{obs::TimeSeries::kHistBinWidthMs, obs::TimeSeries::kHistBins};
 };
@@ -74,11 +71,6 @@ std::string to_prometheus(const obs::TimeSeries& series) {
     Collapsed& c = collapsed[key];
     if (p.kind == "counter") {
       c.counter += p.value;
-    } else if (p.kind == "gauge") {
-      if (p.bucket >= c.gauge_bucket) {
-        c.gauge_bucket = p.bucket;
-        c.gauge = p.value;
-      }
     } else {
       c.welford.merge(stats::Welford::from_moments(p.count, p.mean, p.m2, p.min, p.max));
       for (const auto& [bin, n] : p.bins) (void)c.histogram.add_count(bin, n);
@@ -99,12 +91,6 @@ std::string to_prometheus(const obs::TimeSeries& series) {
         last_header = full;
       }
       os << full << labels_of(p) << ' ' << fmt_double(c.counter) << '\n';
-    } else if (kind == "gauge") {
-      if (last_header != name) {
-        os << "# TYPE " << name << " gauge\n";
-        last_header = name;
-      }
-      os << name << labels_of(p) << ' ' << fmt_double(c.gauge) << '\n';
     } else {
       if (last_header != name) {
         os << "# TYPE " << name << " summary\n";

@@ -2,8 +2,8 @@
 //
 // The store keeps history per bucket; Prometheus wants a point-in-time
 // scrape, so series collapse across buckets: counters sum (they are
-// monotonic totals), gauges take the highest bucket's value (most recent),
-// histograms merge and export summary-style quantiles plus _sum/_count.
+// monotonic totals), histograms merge and export summary-style quantiles
+// plus _sum/_count.
 // Metric names are prefixed "ednsm_" and sanitized ('.', '-', '/' -> '_');
 // output order is deterministic (metric name, then label set).
 #pragma once

@@ -16,12 +16,11 @@ constexpr char kMagic[4] = {'E', 'D', 'T', 'S'};
 constexpr std::string_view kSchema = "ednsm.timeseries.v1";
 
 constexpr std::string_view kKindCounter = "counter";
-constexpr std::string_view kKindGauge = "gauge";
 constexpr std::string_view kKindHistogram = "histogram";
 
-// Binary point tags (persisted; do not renumber).
+// Binary point tags (persisted; do not renumber). Tag 1 was the removed
+// gauge kind and is rejected.
 constexpr std::uint8_t kTagCounter = 0;
-constexpr std::uint8_t kTagGauge = 1;
 constexpr std::uint8_t kTagHistogram = 2;
 
 void put_u32(util::Bytes& out, std::uint32_t v) {
@@ -190,12 +189,6 @@ void TimeSeries::add_counter(std::string_view metric, std::string_view vantage,
   counters_[intern_key(metric, vantage, resolver, protocol, bucket_of(t))] += delta;
 }
 
-void TimeSeries::set_gauge(std::string_view metric, std::string_view vantage,
-                           std::string_view resolver, std::string_view protocol, std::int64_t t,
-                           double value) {
-  gauges_[intern_key(metric, vantage, resolver, protocol, bucket_of(t))] = value;
-}
-
 void TimeSeries::observe(std::string_view metric, std::string_view vantage,
                          std::string_view resolver, std::string_view protocol, std::int64_t t,
                          double value_ms) {
@@ -213,15 +206,6 @@ std::uint64_t TimeSeries::counter_at(std::string_view metric, std::string_view v
   if (!find_key(metric, vantage, resolver, protocol, bucket, k)) return 0;
   const auto it = counters_.find(k);
   return it != counters_.end() ? it->second : 0;
-}
-
-double TimeSeries::gauge_at(std::string_view metric, std::string_view vantage,
-                            std::string_view resolver, std::string_view protocol,
-                            std::int64_t bucket) const {
-  PointKey k{};
-  if (!find_key(metric, vantage, resolver, protocol, bucket, k)) return 0.0;
-  const auto it = gauges_.find(k);
-  return it != gauges_.end() ? it->second : 0.0;
 }
 
 const stats::Welford* TimeSeries::dist_at(std::string_view metric, std::string_view vantage,
@@ -272,27 +256,12 @@ std::pair<std::int64_t, std::int64_t> TimeSeries::bucket_range() const noexcept 
     }
   };
   scan(counters_);
-  scan(gauges_);
   scan(dists_);
   if (lo > hi) return {0, -1};
   return {lo, hi};
 }
 
-// -- merge / snapshot / insert ------------------------------------------------
-
-void TimeSeries::merge(const TimeSeries& other) {
-  const auto rekey = [&](const PointKey& k) {
-    return intern_key(other.names_.name(k.metric), other.names_.name(k.vantage),
-                      other.names_.name(k.resolver), other.names_.name(k.protocol), k.bucket);
-  };
-  for (const auto& [k, v] : other.counters_) counters_[rekey(k)] += v;
-  for (const auto& [k, v] : other.gauges_) gauges_[rekey(k)] += v;
-  for (const auto& [k, d] : other.dists_) {
-    Dist& mine = dists_[rekey(k)];
-    mine.welford.merge(d.welford);
-    mine.histogram.merge(d.histogram);
-  }
-}
+// -- snapshot / insert --------------------------------------------------------
 
 std::vector<SeriesPoint> TimeSeries::snapshot() const {
   std::vector<SeriesPoint> out;
@@ -309,13 +278,6 @@ std::vector<SeriesPoint> TimeSeries::snapshot() const {
     labels(k, p);
     p.kind = std::string(kKindCounter);
     p.value = static_cast<double>(v);
-    out.push_back(std::move(p));
-  }
-  for (const auto& [k, v] : gauges_) {
-    SeriesPoint p;
-    labels(k, p);
-    p.kind = std::string(kKindGauge);
-    p.value = v;
     out.push_back(std::move(p));
   }
   for (const auto& [k, d] : dists_) {
@@ -344,10 +306,6 @@ Result<void> TimeSeries::insert(const SeriesPoint& p) {
   const PointKey k = intern_key(p.metric, p.vantage, p.resolver, p.protocol, p.bucket);
   if (p.kind == kKindCounter) {
     counters_[k] += static_cast<std::uint64_t>(p.value);
-    return {};
-  }
-  if (p.kind == kKindGauge) {
-    gauges_[k] += p.value;
     return {};
   }
   if (p.kind == kKindHistogram) {
@@ -383,35 +341,6 @@ std::string TimeSeries::jsonl() const {
   return std::move(os).str();
 }
 
-Result<TimeSeries> TimeSeries::read_jsonl(std::string_view text) {
-  TimeSeries ts;
-  std::size_t start = 0;
-  bool saw_header = false;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    auto parsed = util::Json::parse(line);
-    if (!parsed) return Err{std::string("timeseries: ") + parsed.error()};
-    const util::Json& j = parsed.value();
-    if (j.is_object() && j.at("kind").is_string() && j.at("kind").as_string() == "header") {
-      if (j.at("bucket_width").is_number()) {
-        ts.bucket_width_ = static_cast<std::int64_t>(j.at("bucket_width").as_number());
-        if (ts.bucket_width_ <= 0) return Err{std::string("timeseries: bucket_width must be > 0")};
-      }
-      saw_header = true;
-      continue;
-    }
-    auto point = SeriesPoint::from_json(j);
-    if (!point) return Err{point.error()};
-    if (auto ins = ts.insert(point.value()); !ins) return Err{ins.error()};
-  }
-  if (!saw_header && ts.empty()) return Err{std::string("timeseries: empty input")};
-  return ts;
-}
-
 // -- binary codec -------------------------------------------------------------
 
 util::Bytes TimeSeries::to_binary() const {
@@ -443,9 +372,6 @@ util::Bytes TimeSeries::to_binary() const {
     if (p.kind == kKindCounter) {
       out.push_back(kTagCounter);
       put_u64(out, static_cast<std::uint64_t>(p.value));
-    } else if (p.kind == kKindGauge) {
-      out.push_back(kTagGauge);
-      put_f64(out, p.value);
     } else {
       out.push_back(kTagHistogram);
       put_u64(out, p.count);
@@ -516,9 +442,6 @@ Result<TimeSeries> TimeSeries::from_binary(const util::Bytes& bytes) {
       std::uint64_t v = 0;
       if (!r.read_u64(v)) return fail("truncated counter value");
       p.value = static_cast<double>(v);
-    } else if (tag == kTagGauge) {
-      p.kind = std::string(kKindGauge);
-      if (!r.read_f64(p.value)) return fail("truncated gauge value");
     } else if (tag == kTagHistogram) {
       p.kind = std::string(kKindHistogram);
       if (!r.read_u64(p.count) || !r.read_f64(p.mean) || !r.read_f64(p.m2) ||

@@ -8,12 +8,11 @@
 // u32 symbols; persisted output is always re-sorted by the label *names*, so
 // the serialized store is independent of intern order and shard count.
 //
-// Three point kinds mirror obs::Metrics: counters (sum), gauges (last write
-// wins in a bucket, merge sums), and histograms (welford moments + fixed-bin
-// histogram, persisted exactly via m2/bins so codecs round-trip the
+// Two point kinds: counters (sum) and histograms (welford moments +
+// fixed-bin histogram, persisted exactly via m2/bins so codecs round-trip the
 // accumulators bit-for-bit). Persistence is JSONL (header line + one
-// SeriesPoint per line) and a compact binary format ("EDTS") with a canonical
-// string table.
+// SeriesPoint per line; written, never read back) and a compact binary format
+// ("EDTS") with a canonical string table.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +32,14 @@
 namespace ednsm::obs {
 
 // One persisted bucket sample — the codec-facing snapshot of a live point.
-// `value` carries the counter total or gauge value; `count`/`mean`/`m2`/
-// `min`/`max`/`bins` carry the histogram accumulators (sparse nonzero bins).
+// `value` carries the counter total; `count`/`mean`/`m2`/`min`/`max`/`bins`
+// carry the histogram accumulators (sparse nonzero bins).
 struct SeriesPoint {
   std::string metric;
   std::string vantage;
   std::string resolver;
   std::string protocol;
-  std::string kind;  // "counter" | "gauge" | "histogram"
+  std::string kind;  // "counter" | "histogram"
   std::int64_t bucket = 0;
   double value = 0.0;
   std::uint64_t count = 0;
@@ -73,8 +72,6 @@ class TimeSeries {
   // -- writes (t is a raw time coordinate; the point lands in bucket_of(t)) --
   void add_counter(std::string_view metric, std::string_view vantage, std::string_view resolver,
                    std::string_view protocol, std::int64_t t, std::uint64_t delta = 1);
-  void set_gauge(std::string_view metric, std::string_view vantage, std::string_view resolver,
-                 std::string_view protocol, std::int64_t t, double value);
   void observe(std::string_view metric, std::string_view vantage, std::string_view resolver,
                std::string_view protocol, std::int64_t t, double value_ms);
 
@@ -82,9 +79,6 @@ class TimeSeries {
   [[nodiscard]] std::uint64_t counter_at(std::string_view metric, std::string_view vantage,
                                          std::string_view resolver, std::string_view protocol,
                                          std::int64_t bucket) const;
-  [[nodiscard]] double gauge_at(std::string_view metric, std::string_view vantage,
-                                std::string_view resolver, std::string_view protocol,
-                                std::int64_t bucket) const;
   // Welford moments for a histogram point; nullptr when the point is absent.
   [[nodiscard]] const stats::Welford* dist_at(std::string_view metric, std::string_view vantage,
                                               std::string_view resolver, std::string_view protocol,
@@ -99,12 +93,8 @@ class TimeSeries {
                                        std::string_view resolver, std::string_view protocol,
                                        std::int64_t from, std::int64_t to, double q) const;
 
-  // Combine another store by label names (symbol tables may differ): counters
-  // sum, gauges sum (shard-additive, matching obs::Metrics), histograms merge.
-  void merge(const TimeSeries& other);
-
   [[nodiscard]] std::size_t size() const noexcept {
-    return counters_.size() + gauges_.size() + dists_.size();
+    return counters_.size() + dists_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   // Inclusive [min, max] bucket over all points; {0, -1} when empty.
@@ -113,14 +103,13 @@ class TimeSeries {
   // Canonical listing, sorted by (metric, vantage, resolver, protocol, kind,
   // bucket) label *names* — identical for any intern/insert order.
   [[nodiscard]] std::vector<SeriesPoint> snapshot() const;
-  // Fold one decoded point back in (counter adds, gauge sums, histogram
-  // merges); rejects unknown kinds and out-of-range histogram bins.
+  // Fold one decoded point back in (counter adds, histogram merges);
+  // rejects unknown kinds and out-of-range histogram bins.
   [[nodiscard]] Result<void> insert(const SeriesPoint& p);
 
   // JSONL: one header line ({"kind":"header",...}) then one point per line.
   void write_jsonl(std::ostream& os) const;
   [[nodiscard]] std::string jsonl() const;
-  [[nodiscard]] static Result<TimeSeries> read_jsonl(std::string_view text);
 
   // Compact binary: "EDTS" magic, version, bucket width, canonical string
   // table, then symbol-referenced points in snapshot order.
@@ -154,7 +143,6 @@ class TimeSeries {
   // std::map keyed by symbols: deterministic iteration given deterministic
   // intern order; canonical outputs re-sort by name regardless.
   std::map<PointKey, std::uint64_t> counters_;
-  std::map<PointKey, double> gauges_;
   std::map<PointKey, Dist> dists_;
 };
 

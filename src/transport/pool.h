@@ -1,14 +1,17 @@
-// Connection pool for one vantage host.
+// Connection pool for one vantage host: the one owner of its reusable
+// connections, TLS over TCP (DoT, DoH, ODoH) and QUIC (DoQ) alike.
 //
 // Encrypted DNS cost is dominated by connection setup (TCP + TLS round
-// trips); Zhu et al. and Böttger et al. both show the overhead is largely
-// amortized by connection re-use. The pool implements the three policies the
-// ablation bench compares:
-//   None              every query pays TCP + full TLS
+// trips, or QUIC's combined one); Zhu et al. and Böttger et al. both show
+// the overhead is largely amortized by connection re-use. The pool
+// implements the three policies the ablation bench compares:
+//   None              every query pays a fresh connection and full handshake
 //   Keepalive         live sessions are re-used while they last
 //   TicketResumption  like Keepalive, plus PSK tickets cut the crypto cost
 //                     (and optionally carry 0-RTT early data) after a session
 //                     dies
+// Both transports share one acquire path; they differ only in how a fresh
+// connection is built and handshaken.
 #pragma once
 
 #include <functional>
@@ -17,6 +20,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "transport/quic.h"
 #include "transport/tcp.h"
 #include "transport/tls.h"
 #include "transport/udp.h"
@@ -54,7 +58,7 @@ struct SessionKeyHash {
 
 // Lease-lifecycle counters for the "transport.pool_*" metrics. `reused` and
 // `fresh` partition successful acquires; `handshake_failures` counts acquires
-// that died in TCP connect or the TLS handshake.
+// that died in TCP connect or in the TLS or QUIC handshake.
 struct PoolStats {
   std::uint64_t acquires = 0;
   std::uint64_t reused = 0;
@@ -66,20 +70,22 @@ class ConnectionPool {
  public:
   // A leased session: valid until invalidate(), or until a later acquire
   // for the same (remote, SNI) replaces the session (policy None always
-  // does, the others when the pooled session is not established). `fresh`
-  // says the lease paid connection setup; `early_data_accepted` says the
-  // request already reached the server inside the handshake (0-RTT).
+  // does, the others when the pooled session is not established). It
+  // carries `tls` from acquire(), `quic` from acquire_quic(). `fresh` says
+  // the lease paid connection setup; `early_data_accepted` says the request
+  // already reached the server inside the handshake (0-RTT).
   struct Lease {
-    TcpConnection* tcp = nullptr;
     TlsClient* tls = nullptr;
+    QuicConnection* quic = nullptr;
     bool fresh = false;
     TlsMode mode = TlsMode::Full;
     bool early_data_accepted = false;
-    // Phase breakdown of a fresh acquire (all zero on re-use): the TCP and
-    // TLS handshake round trips as stamped by the transports, plus whatever
-    // acquire time is attributable to neither (pool queueing/scheduling).
+    // Phase breakdown of a fresh acquire (all zero on re-use): the handshake
+    // round trips as stamped by the transports, plus whatever acquire time
+    // is attributable to none of them (pool queueing/scheduling).
     netsim::SimDuration tcp_handshake{0};
     netsim::SimDuration tls_handshake{0};
+    netsim::SimDuration quic_handshake{0};
     netsim::SimDuration wait_in_pool{0};
     // The connection's application-protocol slot (e.g. an HTTP/2 session's
     // stream ids and HPACK tables), set on every lease the pool hands out.
@@ -96,18 +102,20 @@ class ConnectionPool {
   ConnectionPool(const ConnectionPool&) = delete;
   ConnectionPool& operator=(const ConnectionPool&) = delete;
 
-  // Ensure an established TLS session to (remote, sni). With
+  // Ensure an established TLS-over-TCP session to (remote, sni). With
   // TicketResumption and a stored ticket, `early_data` (if non-empty) is
   // offered as 0-RTT. The callback fires exactly once.
   void acquire(const netsim::Endpoint& remote, const std::string& sni, ReusePolicy policy,
                util::Bytes early_data, AcquireCallback cb);
 
+  // The same for a QUIC connection (DoQ); 0-RTT `early_data` reaches the
+  // server as stream 0, replayed there if the server rejects it.
+  void acquire_quic(const netsim::Endpoint& remote, const std::string& sni, ReusePolicy policy,
+                    util::Bytes early_data, AcquireCallback cb);
+
   // Drop the pooled session for (remote, sni) — call after transport errors.
   // The stored ticket survives (real clients retry with resumption).
   void invalidate(const netsim::Endpoint& remote, const std::string& sni);
-
-  // Forget the resumption ticket too (e.g. server rejected it).
-  void forget_ticket(const netsim::Endpoint& remote, const std::string& sni);
 
   [[nodiscard]] std::size_t live_sessions() const noexcept { return sessions_.size(); }
   [[nodiscard]] const PoolStats& stats() const noexcept { return stats_; }
@@ -115,14 +123,15 @@ class ConnectionPool {
   [[nodiscard]] netsim::IpAddr local_ip() const noexcept { return local_ip_; }
 
  private:
-  struct Session {
-    TcpConnection tcp;
-    TlsClient tls;
-    std::shared_ptr<void> protocol_state;  // see Lease::protocol_state
-    Session(netsim::Network& net, netsim::Endpoint local, netsim::Endpoint remote,
-            std::uint32_t conn_id, TlsClientConfig config)
-        : tcp(net, local, remote, conn_id), tls(tcp, std::move(config)) {}
-  };
+  // One pooled connection, TLS over TCP or QUIC (defined in pool.cc).
+  struct Session;
+  struct TlsSession;
+  struct QuicSession;
+  // The acquire path both transports share; a fresh acquire builds an S.
+  template <typename S>
+  void acquire_as(const netsim::Endpoint& remote, const std::string& sni, ReusePolicy policy,
+                  util::Bytes early_data, AcquireCallback cb);
+
   netsim::Network& net_;
   netsim::IpAddr local_ip_;
   std::uint32_t next_conn_id_ = 1;

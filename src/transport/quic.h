@@ -54,11 +54,8 @@ struct QuicPacket {
   [[nodiscard]] static Result<QuicPacket> decode(std::span<const std::uint8_t> wire);
 };
 
-struct QuicHandshakeInfo {
-  TlsMode mode = TlsMode::Full;
-  bool early_data_accepted = false;
-  std::optional<SessionTicket> ticket;
-};
+// QUIC's crypto handshake is TLS 1.3 (RFC 9001), with the same outcome.
+using QuicHandshakeInfo = TlsHandshakeInfo;
 
 struct QuicStats {
   std::uint64_t initial_transmissions = 0;
@@ -174,8 +171,8 @@ class QuicConnection {
   // once the handshake completes (dropped if it fails).
   std::vector<QuicPacket> reordered_;
   // Set while that replay runs; the destructor raises it, because a stream
-  // handler may destroy this connection (its owner can go with the query
-  // the stream answers).
+  // handler may destroy this connection (the answered query's caller can
+  // start the next one, whose acquire replaces it in the pool).
   bool* destroyed_during_replay_ = nullptr;
 
   static constexpr netsim::SimDuration kInitialPto = std::chrono::seconds(1);

@@ -278,8 +278,9 @@ TEST(Clients, ConcurrentClientsOnOneHostDoNotCollide) {
 
   client::Do53Client do53_a(w.net, w.client_ip, client::QueryOptions{});
   client::Do53Client do53_b(w.net, w.client_ip, client::QueryOptions{});
-  client::DoqClient doq_a(w.net, w.client_ip, client::QueryOptions{});
-  client::DoqClient doq_b(w.net, w.client_ip, client::QueryOptions{});
+  transport::ConnectionPool pool_b(w.net, w.client_ip);  // a second owner on the host
+  client::DoqClient doq_a(w.net, *w.pool, client::QueryOptions{});
+  client::DoqClient doq_b(w.net, pool_b, client::QueryOptions{});
 
   int ok = 0;
   auto count_ok = [&](client::QueryOutcome o) {

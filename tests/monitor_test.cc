@@ -41,7 +41,7 @@ monitor::MonitorSpec small_monitor_spec() {
   return spec;
 }
 
-TEST(TimeSeries, CountersGaugesHistogramsByBucket) {
+TEST(TimeSeries, CountersAndHistogramsByBucket) {
   obs::TimeSeries ts(10);
   EXPECT_EQ(ts.bucket_of(29), 2);
   ts.add_counter("q", "v", "r", "DoH", 5, 3);
@@ -52,10 +52,6 @@ TEST(TimeSeries, CountersGaugesHistogramsByBucket) {
   EXPECT_EQ(ts.counter_at("q", "v", "r", "DoH", 2), 1u);
   EXPECT_EQ(ts.counter_at("q", "other", "r", "DoH", 0), 0u);
 
-  ts.set_gauge("g", "v", "r", "DoH", 5, 1.5);
-  ts.set_gauge("g", "v", "r", "DoH", 9, 2.5);  // same bucket: last write wins
-  EXPECT_DOUBLE_EQ(ts.gauge_at("g", "v", "r", "DoH", 0), 2.5);
-
   ts.observe("lat", "v", "r", "DoH", 5, 10.0);
   ts.observe("lat", "v", "r", "DoH", 6, 30.0);
   const stats::Welford* d = ts.dist_at("lat", "v", "r", "DoH", 0);
@@ -64,9 +60,8 @@ TEST(TimeSeries, CountersGaugesHistogramsByBucket) {
   EXPECT_DOUBLE_EQ(d->mean(), 20.0);
   EXPECT_TRUE(std::isnan(ts.dist_quantile("lat", "v", "r", "DoH", 3, 0.5)));
 
-  // 2 counter buckets + 1 gauge + 1 histogram (both observations share
-  // bucket 0).
-  EXPECT_EQ(ts.size(), 4u);
+  // 2 counter buckets + 1 histogram (both observations share bucket 0).
+  EXPECT_EQ(ts.size(), 3u);
   EXPECT_EQ(ts.bucket_range(), (std::pair<std::int64_t, std::int64_t>{0, 2}));
 }
 
@@ -93,58 +88,10 @@ TEST(TimeSeries, SnapshotCanonicalAcrossInternOrder) {
   EXPECT_EQ(a.to_binary(), b.to_binary());
 }
 
-TEST(TimeSeries, MergeByNameAcrossSymbolTables) {
-  obs::TimeSeries a(1), b(1);
-  a.add_counter("q", "v1", "r1", "DoH", 0, 2);
-  b.add_counter("extra", "v9", "r9", "DoH", 0, 7);  // interned first in b only
-  b.add_counter("q", "v1", "r1", "DoH", 0, 5);
-  b.set_gauge("g", "v1", "r1", "DoH", 0, 1.0);
-  a.observe("lat", "v1", "r1", "DoH", 0, 10.0);
-  b.observe("lat", "v1", "r1", "DoH", 0, 20.0);
-  a.merge(b);
-  EXPECT_EQ(a.counter_at("q", "v1", "r1", "DoH", 0), 7u);
-  EXPECT_EQ(a.counter_at("extra", "v9", "r9", "DoH", 0), 7u);
-  EXPECT_DOUBLE_EQ(a.gauge_at("g", "v1", "r1", "DoH", 0), 1.0);
-  const stats::Welford* d = a.dist_at("lat", "v1", "r1", "DoH", 0);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count(), 2u);
-  EXPECT_DOUBLE_EQ(d->mean(), 15.0);
-
-  // Merging an empty store in either direction is a no-op on contents.
-  obs::TimeSeries empty(1);
-  const std::string before = a.jsonl();
-  a.merge(empty);
-  EXPECT_EQ(a.jsonl(), before);
-  empty.merge(a);
-  EXPECT_EQ(empty.jsonl(), before);
-}
-
-TEST(TimeSeries, JsonlRoundTripIsExact) {
-  obs::TimeSeries ts(3);
-  ts.add_counter("q", "v1", "r1", "DoH", 0, 4);
-  ts.set_gauge("g", "v1", "r1", "DoH", 3, 2.25);
-  for (int i = 0; i < 17; ++i) ts.observe("lat", "v1", "r1", "DoH", 6, 12.5 * i);
-  const std::string text = ts.jsonl();
-
-  auto back = obs::TimeSeries::read_jsonl(text);
-  ASSERT_TRUE(back) << back.error();
-  EXPECT_EQ(back.value().bucket_width(), 3);
-  EXPECT_EQ(back.value().jsonl(), text);
-  // Histogram accumulators survive exactly, not approximately.
-  const stats::Welford* d = back.value().dist_at("lat", "v1", "r1", "DoH", 2);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count(), 17u);
-  EXPECT_DOUBLE_EQ(d->mean(), ts.dist_at("lat", "v1", "r1", "DoH", 2)->mean());
-  EXPECT_DOUBLE_EQ(d->m2(), ts.dist_at("lat", "v1", "r1", "DoH", 2)->m2());
-
-  EXPECT_FALSE(obs::TimeSeries::read_jsonl(""));
-  EXPECT_FALSE(obs::TimeSeries::read_jsonl("{\"kind\":\"point\"}"));
-}
-
 TEST(TimeSeries, BinaryRoundTripAndValidation) {
   obs::TimeSeries ts(2);
   ts.add_counter("q", "v1", "r1", "DoH", 0, 9);
-  ts.set_gauge("g", "v2", "r2", "DoT", 4, -1.5);
+  ts.add_counter("q", "v2", "r2", "DoT", 4, 3);
   for (int i = 0; i < 40; ++i) ts.observe("lat", "v1", "r1", "DoH", 2, 7.0 * i);
   const util::Bytes blob = ts.to_binary();
 
@@ -163,6 +110,16 @@ TEST(TimeSeries, BinaryRoundTripAndValidation) {
   trailing.push_back(0);
   EXPECT_FALSE(obs::TimeSeries::from_binary(trailing));
   EXPECT_FALSE(obs::TimeSeries::from_binary(util::Bytes{}));
+
+  // A lone counter's blob ends in its tag byte and u64 value. Tag 1 (the
+  // removed gauge kind) is unknown now; tags 0 and 2 keep their numbers.
+  obs::TimeSeries one(1);
+  one.add_counter("q", "v", "r", "DoH", 0, 5);
+  util::Bytes tagged = one.to_binary();
+  const std::size_t tag_at = tagged.size() - 9;
+  ASSERT_EQ(tagged[tag_at], 0);
+  tagged[tag_at] = 1;
+  EXPECT_FALSE(obs::TimeSeries::from_binary(tagged));
 }
 
 TEST(TimeSeries, SeriesPointCodecAndInsertValidation) {

@@ -54,13 +54,20 @@ TEST(ParallelCampaign, ShardSeedsAreStableAndDistinct) {
 
 TEST(ParallelCampaign, ThreadCountNeverChangesPaperCampaignJson) {
   // The acceptance bar: --threads 4 output is byte-identical to --threads 1
-  // for the paper campaign (full registry, the Fig. 2 vantage set).
-  const MeasurementSpec spec = paper_spec(/*rounds=*/2);
-  const std::string serial = dump(run_parallel_campaign(spec, 1));
-  const std::string parallel = dump(run_parallel_campaign(spec, 4));
-  EXPECT_EQ(serial, parallel);
-  const std::string oversubscribed = dump(run_parallel_campaign(spec, 64));
-  EXPECT_EQ(serial, oversubscribed);
+  // for the paper campaign (full registry, the Fig. 2 vantage set), and for
+  // the same campaign over DoQ with ticket resumption, whose connections and
+  // tickets live in each shard world's pool.
+  MeasurementSpec doq = paper_spec(/*rounds=*/2);
+  doq.protocol = client::Protocol::DoQ;
+  doq.query_options.reuse = transport::ReusePolicy::TicketResumption;
+  for (const MeasurementSpec& spec : {paper_spec(/*rounds=*/2), doq}) {
+    SCOPED_TRACE(client::to_string(spec.protocol));
+    const std::string serial = dump(run_parallel_campaign(spec, 1));
+    const std::string parallel = dump(run_parallel_campaign(spec, 4));
+    EXPECT_EQ(serial, parallel);
+    const std::string oversubscribed = dump(run_parallel_campaign(spec, 64));
+    EXPECT_EQ(serial, oversubscribed);
+  }
 }
 
 TEST(ParallelCampaign, MergeIsRoundMajorThenVantageInSpecOrder) {

@@ -87,13 +87,13 @@ TEST(ProtocolMatrix, ResultsMatchPinnedDigests) {
       {"DoH/h1-0rtt-post", Protocol::DoH, ReusePolicy::TicketResumption, false, true, true,
        0xc9d64ee6769f3208, 0xc3ae8783e9b8e60f},
       {"DoQ/none", Protocol::DoQ, ReusePolicy::None, true, false, false,
-       0x6e269cf294e036f5, 0xdc6d5cc6811ea733},
+       0xed886e98294bab94, 0xcc5b381a9c9573ee},
       {"DoQ/keepalive", Protocol::DoQ, ReusePolicy::Keepalive, true, false, false,
-       0x20e1abfa85c85673, 0x221d001ddbb9c55e},
+       0x4962297b1477aac4, 0xd95d8b7c7b1b845a},
       {"DoQ/ticket-resumption", Protocol::DoQ, ReusePolicy::TicketResumption, true, false, false,
-       0xc819c9427da5ef0c, 0x0bb6a18e67ce3a56},
+       0x82fcc21e1286a6c6, 0x85e9d24f18ac6efb},
       {"DoQ/0rtt", Protocol::DoQ, ReusePolicy::TicketResumption, true, false, true,
-       0x7c4e7a3d7392118f, 0x484f242566b6727b},
+       0x800214268e3c02ce, 0x7f0d387ddfee3470},
       {"ODoH/none", Protocol::ODoH, ReusePolicy::None, true, false, false,
        0xede3145a3e89fd53, 0x11ad8bffcd946eef},
       {"ODoH/keepalive", Protocol::ODoH, ReusePolicy::Keepalive, true, false, false,

@@ -185,18 +185,22 @@ TEST_F(FigureTest, NonmainstreamWinnersFromSeoulIncludesAlidns) {
 // session and land in the warm population.
 class DecompositionTest : public ::testing::Test {
  protected:
-  static const core::CampaignResult& result() {
-    static const core::CampaignResult kResult = [] {
+  // A 4-round keepalive campaign from one vantage over `protocol`.
+  static const core::CampaignResult& result(client::Protocol protocol = client::Protocol::DoH) {
+    static std::map<client::Protocol, core::CampaignResult> results;
+    auto it = results.find(protocol);
+    if (it == results.end()) {
       core::SimWorld world(47);
       core::MeasurementSpec spec;
       spec.resolvers = {"dns.google", "ordns.he.net"};
       spec.vantage_ids = {"ec2-ohio"};
+      spec.protocol = protocol;
       spec.rounds = 4;
       spec.seed = 47;
       spec.query_options.reuse = transport::ReusePolicy::Keepalive;
-      return core::CampaignRunner(world, spec).run();
-    }();
-    return kResult;
+      it = results.emplace(protocol, core::CampaignRunner(world, spec).run()).first;
+    }
+    return it->second;
   }
 };
 
@@ -218,16 +222,21 @@ TEST_F(DecompositionTest, TableSplitsColdAndWarm) {
 }
 
 TEST_F(DecompositionTest, OnlyTheFirstQueryPerPairIsCold) {
-  // Keepalive carries each pair's connection, and the HTTP/2 session state
-  // on it, across probes and rounds: exactly one cold success per resolver,
-  // and no query stalls on a reused connection.
-  std::map<std::string, int> cold_successes;
-  for (const core::ResultRecord& r : result().records) {
-    EXPECT_NE(r.error_class, "timeout") << r.resolver << " round " << r.round << " " << r.domain;
-    if (r.ok && !r.connection_reused) ++cold_successes[r.resolver];
-  }
-  for (const std::string& host : result().spec.resolvers) {
-    EXPECT_EQ(cold_successes[host], 1) << host;
+  // Keepalive carries each pair's connection in the vantage's pool (for
+  // DoH with the HTTP/2 session state on it) across probes and rounds, for
+  // TLS and QUIC alike: exactly one cold success per resolver, and no query
+  // stalls on a reused connection.
+  for (const client::Protocol protocol :
+       {client::Protocol::DoH, client::Protocol::DoT, client::Protocol::DoQ}) {
+    SCOPED_TRACE(client::to_string(protocol));
+    std::map<std::string, int> cold_successes;
+    for (const core::ResultRecord& r : result(protocol).records) {
+      EXPECT_NE(r.error_class, "timeout") << r.resolver << " round " << r.round << " " << r.domain;
+      if (r.ok && !r.connection_reused) ++cold_successes[r.resolver];
+    }
+    for (const std::string& host : result(protocol).spec.resolvers) {
+      EXPECT_EQ(cold_successes[host], 1) << host;
+    }
   }
 }
 

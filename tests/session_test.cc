@@ -40,7 +40,7 @@ struct SessionWorld {
 
   [[nodiscard]] std::unique_ptr<ResolverSession> make(Protocol protocol,
                                                       QueryOptions options = {}) {
-    const SessionFactory factory(net, client_ip, *pool);
+    const SessionFactory factory(net, *pool);
     SessionTarget target;
     target.server = server->address();
     target.hostname = "dns.example";
@@ -169,7 +169,7 @@ TEST(SessionLifecycle, AnsweredQueryReleasesItsCallback) {
       target.relay = relay.address();
       target.relay_sni = relay.hostname();
     }
-    const auto session = SessionFactory(w.net, w.client_ip, *w.pool).create(p, target, options);
+    const auto session = SessionFactory(w.net, *w.pool).create(p, target, options);
 
     auto token = std::make_shared<int>(0);
     const std::weak_ptr<int> watch = token;

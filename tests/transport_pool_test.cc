@@ -113,15 +113,6 @@ TEST(Pool, ResumptionAfterInvalidate) {
   EXPECT_EQ(lease.mode, TlsMode::Resume);
 }
 
-TEST(Pool, ForgetTicketFallsBackToFull) {
-  PoolWorld w;
-  (void)w.acquire(ReusePolicy::TicketResumption);
-  w.pool->invalidate(w.server_ep, "dns.example");
-  w.pool->forget_ticket(w.server_ep, "dns.example");
-  const auto lease = w.acquire(ReusePolicy::TicketResumption);
-  EXPECT_EQ(lease.mode, TlsMode::Full);
-}
-
 TEST(Pool, EarlyDataDeliveredWithResumption) {
   PoolWorld w;
   (void)w.acquire(ReusePolicy::TicketResumption);

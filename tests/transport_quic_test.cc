@@ -330,6 +330,7 @@ struct DoqWorld {
   netsim::Network net{queue, Rng(43)};
   IpAddr client_ip;
   std::unique_ptr<resolver::ResolverServer> server;
+  std::unique_ptr<ConnectionPool> pool;
 
   explicit DoqWorld(resolver::ServerBehavior behavior = {}) {
     behavior.warm_cache_probability = 1.0;
@@ -338,12 +339,13 @@ struct DoqWorld {
     server = std::make_unique<resolver::ResolverServer>(
         net, "dns.example", resolver::AnycastSite{"Chicago", geo::city::kChicago},
         behavior);
+    pool = std::make_unique<ConnectionPool>(net, client_ip);
   }
 };
 
 TEST(DoqClient, ResolvesOverQuic) {
   DoqWorld w;
-  client::DoqClient doq(w.net, w.client_ip, client::QueryOptions{});
+  client::DoqClient doq(w.net, *w.pool, client::QueryOptions{});
   std::optional<client::QueryOutcome> out;
   doq.query(w.server->address(), "dns.example", dns::Name::parse("example.com").value(),
             dns::RecordType::A, [&](client::QueryOutcome o) { out = std::move(o); });
@@ -357,15 +359,14 @@ TEST(DoqClient, ResolvesOverQuic) {
 
 TEST(DoqClient, ColdDoqBeatsColdDohByOneRtt) {
   DoqWorld w;
-  client::DoqClient doq(w.net, w.client_ip, client::QueryOptions{});
+  client::DoqClient doq(w.net, *w.pool, client::QueryOptions{});
   double doq_ms = 0;
   doq.query(w.server->address(), "dns.example", dns::Name::parse("a.com").value(),
             dns::RecordType::A,
             [&](client::QueryOutcome o) { doq_ms = netsim::to_ms(o.timing.total); });
   w.queue.run_until_idle();
 
-  transport::ConnectionPool pool(w.net, w.client_ip);
-  client::DohClient doh(w.net, pool, client::QueryOptions{});
+  client::DohClient doh(w.net, *w.pool, client::QueryOptions{});
   double doh_ms = 0;
   doh.query(w.server->address(), "dns.example", dns::Name::parse("b.com").value(),
             dns::RecordType::A,
@@ -380,7 +381,7 @@ TEST(DoqClient, KeepaliveReusesConnection) {
   DoqWorld w;
   client::QueryOptions options;
   options.reuse = transport::ReusePolicy::Keepalive;
-  client::DoqClient doq(w.net, w.client_ip, options);
+  client::DoqClient doq(w.net, *w.pool, options);
   std::vector<client::QueryOutcome> outs;
   for (int i = 0; i < 3; ++i) {
     doq.query(w.server->address(), "dns.example", dns::Name::parse("x.com").value(),
@@ -391,7 +392,7 @@ TEST(DoqClient, KeepaliveReusesConnection) {
   EXPECT_FALSE(outs[0].timing.connection_reused);
   EXPECT_TRUE(outs[1].timing.connection_reused);
   EXPECT_TRUE(outs[2].timing.connection_reused);
-  EXPECT_EQ(doq.live_sessions(), 1u);
+  EXPECT_EQ(w.pool->live_sessions(), 1u);
   EXPECT_LT(netsim::to_ms(outs[1].timing.total), netsim::to_ms(outs[0].timing.total));
 }
 
@@ -400,7 +401,7 @@ TEST(DoqClient, ZeroRttQuery) {
   client::QueryOptions options;
   options.reuse = transport::ReusePolicy::TicketResumption;
   options.offer_early_data = true;
-  client::DoqClient doq(w.net, w.client_ip, options);
+  client::DoqClient doq(w.net, *w.pool, options);
   std::vector<client::QueryOutcome> outs;
   auto ask = [&] {
     doq.query(w.server->address(), "dns.example", dns::Name::parse("x.com").value(),
@@ -408,7 +409,7 @@ TEST(DoqClient, ZeroRttQuery) {
     w.queue.run_until_idle();
   };
   ask();
-  doq.invalidate({w.server->address(), netsim::kPortDoq}, "dns.example");
+  w.pool->invalidate({w.server->address(), netsim::kPortDoq}, "dns.example");
   ask();
   ASSERT_EQ(outs.size(), 2u);
   ASSERT_TRUE(outs[1].ok) << (outs[1].error ? outs[1].error->detail : "");
@@ -423,7 +424,7 @@ TEST(DoqClient, ServerWithoutDoqTimesOut) {
   DoqWorld w(b);
   client::QueryOptions options;
   options.timeout = std::chrono::seconds(2);
-  client::DoqClient doq(w.net, w.client_ip, options);
+  client::DoqClient doq(w.net, *w.pool, options);
   std::optional<client::QueryOutcome> out;
   doq.query(w.server->address(), "dns.example", dns::Name::parse("x.com").value(),
             dns::RecordType::A, [&](client::QueryOutcome o) { out = std::move(o); });
