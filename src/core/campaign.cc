@@ -108,8 +108,9 @@ Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
   return out;
 }
 
-// Streams the to_json() layout: records and pings go out one at a time, so
-// the document never exists as a Json tree.
+// Streams the to_json() layout: records and pings stream themselves
+// (ResultRecord::write_json), so neither the document nor any record exists
+// as a Json tree.
 void CampaignResult::write_json(const std::function<void(std::string_view)>& sink,
                                 int indent) const {
   util::JsonWriter w(sink, indent);

@@ -160,24 +160,24 @@ Result<void> ShardFile::validate() const {
 }
 
 // Streams the to_json() layout into the file in chunks; each outcome's
-// records and pings go out one at a time, so no outcome exists as a Json
-// tree either.
+// records and pings stream themselves (ResultRecord::write_json), so no
+// record exists as a Json tree.
 Result<void> ShardFile::write(const std::string& path) const {
   util::AtomicFileWriter file(path);
   util::JsonWriter w([&file](std::string_view bytes) { file.append(bytes); }, 2);
   w.begin_object();
   w.key("has_metrics");
-  w.value(has_metrics);
+  w.boolean(has_metrics);
   w.key("has_trace");
-  w.value(has_trace);
+  w.boolean(has_trace);
   w.key("magic");
-  w.value(std::string(kMagic));
+  w.string(kMagic);
   w.key("outcomes");
   w.begin_array();
   for (const ShardOutcome& out : outcomes) {
     w.begin_object();
     w.key("index");
-    w.value(static_cast<std::uint64_t>(out.index));
+    w.number(static_cast<double>(out.index));
     if (has_metrics) {
       w.key("metrics");
       w.value(out.metrics.to_json());
@@ -187,13 +187,13 @@ Result<void> ShardFile::write(const std::string& path) const {
     w.key("records");
     w.array_of(out.result.records);
     w.key("seed");
-    w.value(util::u64_to_hex(out.seed));
+    w.string(util::u64_to_hex(out.seed));
     if (has_trace) {
       w.key("trace");
       w.value(out.trace.to_json());
     }
     w.key("vantage");
-    w.value(out.vantage);
+    w.string(out.vantage);
     w.end_object();
   }
   w.end_array();
@@ -202,11 +202,11 @@ Result<void> ShardFile::write(const std::string& path) const {
   w.key("spec");
   w.value(spec.to_json());
   w.key("spec_fingerprint");
-  w.value(util::u64_to_hex(spec_fingerprint(spec)));
+  w.string(util::u64_to_hex(spec_fingerprint(spec)));
   w.key("total_shards");
-  w.value(static_cast<std::uint64_t>(total_shards));
+  w.number(static_cast<double>(total_shards));
   w.key("version");
-  w.value(kVersion);
+  w.number(kVersion);
   w.end_object();
   w.finish();
   file.append("\n");

@@ -208,6 +208,60 @@ util::Json ResultRecord::to_json() const {
   return util::Json(std::move(o));
 }
 
+// Keys in ascending byte order, the order to_json()'s JsonObject iterates
+// in; JsonWriter::key throws on any other.
+void ResultRecord::write_json(util::JsonWriter& w) const {
+  const auto optional_number = [&w](std::string_view key, double v) {
+    if (v == 0) return;
+    w.key(key);
+    w.number(v);
+  };
+  w.begin_object();
+  w.key("answers");
+  w.number(answer_count);
+  w.key("connect_ms");
+  w.number(connect_ms);
+  w.key("domain");
+  w.string(domain);
+  if (!ok) {
+    w.key("error_class");
+    w.string(error_class);
+    w.key("error_detail");
+    w.string(error_detail);
+  }
+  optional_number("exchange_ms", exchange_ms);
+  if (!ok && !failure_stage.empty()) {
+    w.key("failure_stage");
+    w.string(failure_stage);
+  }
+  optional_number("http_status", http_status);
+  w.key("issued_at_ms");
+  w.number(issued_at_ms);
+  w.key("ok");
+  w.boolean(ok);
+  optional_number("pool_wait_ms", pool_wait_ms);
+  w.key("protocol");
+  w.string(protocol_name(protocol));
+  optional_number("quic_handshake_ms", quic_handshake_ms);
+  if (ok) {
+    w.key("rcode");
+    w.string(rcode);
+  }
+  w.key("resolver");
+  w.string(resolver);
+  w.key("response_ms");
+  w.number(response_ms);
+  w.key("reused");
+  w.boolean(connection_reused);
+  w.key("round");
+  w.number(round);
+  optional_number("tcp_handshake_ms", tcp_handshake_ms);
+  optional_number("tls_handshake_ms", tls_handshake_ms);
+  w.key("vantage");
+  w.string(vantage);
+  w.end_object();
+}
+
 Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("record: not an object")};
   ResultRecord r;
@@ -264,6 +318,23 @@ util::Json PingRecord::to_json() const {
   o["ok"] = ok;
   if (ok) o["rtt_ms"] = rtt_ms;
   return util::Json(std::move(o));
+}
+
+void PingRecord::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("ok");
+  w.boolean(ok);
+  w.key("resolver");
+  w.string(resolver);
+  w.key("round");
+  w.number(round);
+  if (ok) {
+    w.key("rtt_ms");
+    w.number(rtt_ms);
+  }
+  w.key("vantage");
+  w.string(vantage);
+  w.end_object();
 }
 
 Result<PingRecord> PingRecord::from_json(const util::Json& j) {

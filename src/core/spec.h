@@ -83,6 +83,8 @@ struct ResultRecord {
 
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static Result<ResultRecord> from_json(const util::Json& j);
+  // Streams the to_json() object (the same bytes) without building it.
+  void write_json(util::JsonWriter& w) const;
 };
 
 // Maps an error_class string to the query phase it failed in. Returns "" for
@@ -99,6 +101,8 @@ struct PingRecord {
 
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static Result<PingRecord> from_json(const util::Json& j);
+  // Streams the to_json() object (the same bytes) without building it.
+  void write_json(util::JsonWriter& w) const;
 };
 
 }  // namespace ednsm::core

@@ -1,34 +1,115 @@
 #include "obs/trace.h"
 
-#include <ostream>
-#include <sstream>
+#include <charconv>
+#include <optional>
 
 namespace ednsm::obs {
 
 namespace {
 
-// Minimal JSON string escape for trace labels (subsystem/name literals and
-// vantage ids; kept self-contained so obs does not link the core JSON DOM).
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
+// Appends `s` as a quoted JSON string with the trace's own escapes: quote,
+// backslash, \n, \r and \t by name, and every other control byte as \u00XX
+// (\b and \f too, which util::json_escape spells \b and \f). Runs of plain
+// bytes are copied whole.
+void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.push_back('"');
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
   }
-  os << '"';
+  out.append(s.data() + plain, s.size() - plain);
+  out.push_back('"');
 }
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+template <typename Int>
+std::size_t int_width(Int v) {
+  char buf[24];
+  return static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
+}
+
+// The fixed pieces of one event and of the footer; ShardText::event_size()
+// counts what ShardText::append_event() writes.
+constexpr std::string_view kCompleteHead = ",\n{\"ph\":\"X\",\"name\":";
+constexpr std::string_view kInstantHead = ",\n{\"ph\":\"i\",\"name\":";
+constexpr std::string_view kCat = ",\"cat\":";
+constexpr std::string_view kTs = ",\"ts\":";
+constexpr std::string_view kDur = ",\"dur\":";
+constexpr std::string_view kThreadScope = ",\"s\":\"t\"";
+static_assert(kCompleteHead.size() == kInstantHead.size());
+constexpr std::string_view kFooterHead =
+    "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":";
+constexpr std::string_view kFooterTail = "}}\n";
+
+// One shard as the writer sees it: every symbol escaped and quoted once,
+// the closing `,"pid":0,"tid":N}`, and the subsystem filter as a symbol.
+struct ShardText {
+  std::vector<std::string> quoted;
+  std::string tail;
+  bool filtered = false;                         // keep only `only`'s events
+  std::optional<util::InternTable::Symbol> only;  // unset: the shard has none
+
+  ShardText(const TraceData& data, std::size_t tid, std::string_view subsystem_filter)
+      : filtered(!subsystem_filter.empty()) {
+    if (filtered) only = data.symbols.find(subsystem_filter);
+    quoted.resize(data.symbols.size());
+    for (util::InternTable::Symbol sym = 0; sym < data.symbols.size(); ++sym) {
+      append_quoted(quoted[sym], data.symbols.name(sym));
+    }
+    tail.assign(",\"pid\":0,\"tid\":");
+    append_int(tail, tid);
+    tail.push_back('}');
+  }
+
+  [[nodiscard]] bool keeps(const TraceEvent& e) const {
+    return !filtered || (only && e.subsystem == *only);
+  }
+
+  [[nodiscard]] std::size_t event_size(const TraceEvent& e) const {
+    const bool complete = e.kind == EventKind::Complete;
+    return kCompleteHead.size() + quoted.at(e.name).size() + kCat.size() +
+           quoted.at(e.subsystem).size() + kTs.size() + int_width(e.ts.count()) +
+           (complete ? kDur.size() + int_width(e.dur.count()) : kThreadScope.size()) +
+           tail.size();
+  }
+
+  void append_event(std::string& out, const TraceEvent& e) const {
+    const bool complete = e.kind == EventKind::Complete;
+    out.append(complete ? kCompleteHead : kInstantHead);
+    out.append(quoted.at(e.name));
+    out.append(kCat);
+    out.append(quoted.at(e.subsystem));
+    out.append(kTs);
+    append_int(out, e.ts.count());
+    if (complete) {
+      out.append(kDur);
+      append_int(out, e.dur.count());
+    } else {
+      out.append(kThreadScope);
+    }
+    out.append(tail);
+  }
+};
 
 }  // namespace
 
@@ -185,44 +266,64 @@ std::uint64_t MergedTrace::total_dropped() const noexcept {
   return n;
 }
 
-void MergedTrace::write_chrome_json(std::ostream& os, std::string_view subsystem_filter) const {
-  os << "{\"traceEvents\":[\n";
-  os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
-        "\"args\":{\"name\":\"ednsm\"}}";
+void MergedTrace::format_chrome(std::string& out, std::string_view subsystem_filter,
+                                const std::function<void(std::string_view)>* sink) const {
+  out.append("{\"traceEvents\":[\n");
+  out.append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
+             "\"args\":{\"name\":\"ednsm\"}}");
+  std::vector<ShardText> texts;
+  texts.reserve(shards_.size());
   for (std::size_t si = 0; si < shards_.size(); ++si) {
-    const std::uint64_t tid = si + 1;
-    os << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":" << tid
-       << ",\"args\":{\"name\":";
-    write_escaped(os, shards_[si].label);
-    os << "}}";
+    out.append(",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":");
+    append_int(out, si + 1);
+    out.append(",\"args\":{\"name\":");
+    append_quoted(out, shards_[si].label);
+    out.append("}}");
+    texts.emplace_back(shards_[si].data, si + 1, subsystem_filter);
+  }
+  const std::uint64_t dropped = total_dropped();
+  if (sink == nullptr) {
+    // The whole document goes into `out`: size it exactly first, so it is
+    // allocated once instead of doubling (which peaks at up to twice the
+    // document while the last copy is made).
+    std::size_t size = out.size() + kFooterHead.size() + int_width(dropped) + kFooterTail.size();
+    for (std::size_t si = 0; si < shards_.size(); ++si) {
+      for (const TraceEvent& e : shards_[si].data.events) {
+        if (texts[si].keeps(e)) size += texts[si].event_size(e);
+      }
+    }
+    out.reserve(size);
   }
   for (std::size_t si = 0; si < shards_.size(); ++si) {
-    const Shard& shard = shards_[si];
-    const std::uint64_t tid = si + 1;
-    for (const TraceEvent& e : shard.data.events) {
-      const std::string& subsystem = shard.data.symbols.name(e.subsystem);
-      if (!subsystem_filter.empty() && subsystem != subsystem_filter) continue;
-      os << ",\n{\"ph\":\"" << (e.kind == EventKind::Complete ? 'X' : 'i') << "\",\"name\":";
-      write_escaped(os, shard.data.symbols.name(e.name));
-      os << ",\"cat\":";
-      write_escaped(os, subsystem);
-      os << ",\"ts\":" << e.ts.count();
-      if (e.kind == EventKind::Complete) {
-        os << ",\"dur\":" << e.dur.count();
-      } else {
-        os << ",\"s\":\"t\"";
+    for (const TraceEvent& e : shards_[si].data.events) {
+      if (!texts[si].keeps(e)) continue;
+      texts[si].append_event(out, e);
+      if (sink != nullptr && out.size() >= util::JsonWriter::kChunkBytes) {
+        (*sink)(out);
+        out.clear();
       }
-      os << ",\"pid\":0,\"tid\":" << tid << '}';
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":" << total_dropped()
-     << "}}\n";
+  out.append(kFooterHead);
+  append_int(out, dropped);
+  out.append(kFooterTail);
+  if (sink != nullptr) {
+    (*sink)(out);
+    out.clear();
+  }
+}
+
+void MergedTrace::write_chrome_json(const std::function<void(std::string_view)>& sink,
+                                    std::string_view subsystem_filter) const {
+  std::string out;
+  out.reserve(util::JsonWriter::kChunkBytes + util::JsonWriter::kChunkBytes / 4);
+  format_chrome(out, subsystem_filter, &sink);
 }
 
 std::string MergedTrace::chrome_json(std::string_view subsystem_filter) const {
-  std::ostringstream os;
-  write_chrome_json(os, subsystem_filter);
-  return std::move(os).str();
+  std::string out;
+  format_chrome(out, subsystem_filter, nullptr);
+  return out;
 }
 
 }  // namespace ednsm::obs

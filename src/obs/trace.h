@@ -28,7 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -171,8 +171,12 @@ class MergedTrace {
   // Chrome trace-event JSON (JSON-array-of-objects under "traceEvents";
   // loadable by chrome://tracing and Perfetto). `subsystem_filter` keeps only
   // events whose subsystem ("cat") matches; empty keeps everything. Output is
-  // deterministic: fixed key order, integer microsecond timestamps.
-  void write_chrome_json(std::ostream& os, std::string_view subsystem_filter = {}) const;
+  // deterministic: fixed key order, integer microsecond timestamps. Both
+  // forms write the same bytes; the sink form hands them over in chunks of
+  // util::JsonWriter::kChunkBytes or more (e.g. to a util::AtomicFileWriter),
+  // so the document never exists as one string.
+  void write_chrome_json(const std::function<void(std::string_view)>& sink,
+                         std::string_view subsystem_filter = {}) const;
   [[nodiscard]] std::string chrome_json(std::string_view subsystem_filter = {}) const;
 
  private:
@@ -180,6 +184,13 @@ class MergedTrace {
     std::string label;
     TraceData data;
   };
+
+  // Formats into `out`. With a sink, hands `out` over and clears it whenever
+  // a chunk is pending, and at the end; without one, reserves the exact
+  // document size first, so `out` is allocated once.
+  void format_chrome(std::string& out, std::string_view subsystem_filter,
+                     const std::function<void(std::string_view)>* sink) const;
+
   std::vector<Shard> shards_;
 };
 

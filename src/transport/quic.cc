@@ -403,14 +403,8 @@ void QuicConnection::handle_datagram(const Datagram& d) {
 
 // ---- server ----------------------------------------------------------------------
 
-QuicServerConn::QuicServerConn(netsim::Network& net, Endpoint local, Endpoint peer,
-                               std::uint64_t conn_id, QuicStreamCore::SendFn send)
-    : net_(net), local_(local), peer_(peer), conn_id_(conn_id),
-      core_(net.queue(), std::move(send)) {
-  (void)net_;
-  (void)local_;
-  (void)conn_id_;
-}
+QuicServerConn::QuicServerConn(netsim::Network& net, Endpoint peer, QuicStreamCore::SendFn send)
+    : peer_(peer), core_(net.queue(), std::move(send)) {}
 
 void QuicServerConn::send_stream(std::uint64_t stream_id, util::Bytes data) {
   core_.send_stream(stream_id, std::move(data));
@@ -469,7 +463,7 @@ void QuicListener::handle_datagram(const Datagram& d) {
       const Endpoint peer = d.src;
       const std::uint64_t conn_id = p.conn_id;
       conn = std::make_shared<QuicServerConn>(
-          net_, local_, peer, conn_id, [this, peer, conn_id](const QuicPacket& out) {
+          net_, peer, [this, peer, conn_id](const QuicPacket& out) {
             QuicPacket o = out;
             o.conn_id = conn_id;
             net_.send(Datagram{local_, peer, o.encode()});

@@ -191,8 +191,7 @@ struct QuicServerConfig {
 
 class QuicServerConn {
  public:
-  QuicServerConn(netsim::Network& net, netsim::Endpoint local, netsim::Endpoint peer,
-                 std::uint64_t conn_id, QuicStreamCore::SendFn send);
+  QuicServerConn(netsim::Network& net, netsim::Endpoint peer, QuicStreamCore::SendFn send);
 
   void on_stream(QuicStreamCore::StreamHandler h) { core_.on_stream(std::move(h)); }
   void send_stream(std::uint64_t stream_id, util::Bytes data);
@@ -201,10 +200,7 @@ class QuicServerConn {
   [[nodiscard]] const netsim::Endpoint& peer() const noexcept { return peer_; }
 
  private:
-  netsim::Network& net_;
-  netsim::Endpoint local_;
   netsim::Endpoint peer_;
-  std::uint64_t conn_id_;
   QuicStreamCore core_;
 };
 

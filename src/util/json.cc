@@ -300,11 +300,11 @@ void JsonWriter::newline(std::size_t depth) {
 // Structure checks, then the separator an array element needs. An object
 // member's separator went out with its key.
 void JsonWriter::before_value() {
-  if (stack_.empty()) {
+  if (depth_ == 0) {
     if (done_) misuse("a second top-level value");
     return;
   }
-  Frame& f = stack_.back();
+  Frame& f = top();
   if (f.object) {
     if (!f.key_pending) misuse("a value in an object where a key is due");
     f.key_pending = false;
@@ -312,11 +312,11 @@ void JsonWriter::before_value() {
   }
   if (!f.empty) out_.push_back(',');
   f.empty = false;
-  newline(stack_.size());
+  newline(depth_);
 }
 
 void JsonWriter::after_value() {
-  if (stack_.empty()) done_ = true;
+  if (depth_ == 0) done_ = true;
   if (sink_ && out_.size() >= kChunkBytes) {
     sink_(out_);
     out_.clear();
@@ -326,17 +326,22 @@ void JsonWriter::after_value() {
 void JsonWriter::open(bool object, char bracket) {
   before_value();
   out_.push_back(bracket);
-  stack_.push_back(Frame{object, true, false, {}});
+  if (depth_ == stack_.size()) stack_.emplace_back();
+  Frame& f = stack_[depth_++];
+  f.object = object;
+  f.empty = true;
+  f.key_pending = false;
+  f.last_key.clear();
 }
 
 void JsonWriter::close(bool object, char bracket) {
-  if (stack_.empty() || stack_.back().object != object) {
+  if (depth_ == 0 || top().object != object) {
     misuse(object ? "end_object without an open object" : "end_array without an open array");
   }
-  if (stack_.back().key_pending) misuse("end_object after a key without a value");
-  const bool empty = stack_.back().empty;
-  stack_.pop_back();
-  if (!empty) newline(stack_.size());
+  if (top().key_pending) misuse("end_object after a key without a value");
+  const bool empty = top().empty;
+  --depth_;
+  if (!empty) newline(depth_);
   out_.push_back(bracket);
   after_value();
 }
@@ -347,8 +352,8 @@ void JsonWriter::begin_array() { open(false, '['); }
 void JsonWriter::end_array() { close(false, ']'); }
 
 void JsonWriter::key(std::string_view k) {
-  if (stack_.empty() || !stack_.back().object) misuse("a key outside an object");
-  Frame& f = stack_.back();
+  if (depth_ == 0 || !top().object) misuse("a key outside an object");
+  Frame& f = top();
   if (f.key_pending) misuse("a key where a value is due");
   if (!f.empty && k <= f.last_key) {
     misuse("key \"" + std::string(k) + "\" after \"" + f.last_key +
@@ -361,11 +366,11 @@ void JsonWriter::key(std::string_view k) {
 // A JsonObject's keys ascend by construction, so value() writes them
 // through here without the check.
 void JsonWriter::write_key(std::string_view k) {
-  Frame& f = stack_.back();
+  Frame& f = top();
   if (!f.empty) out_.push_back(',');
   f.empty = false;
   f.key_pending = true;
-  newline(stack_.size());
+  newline(depth_);
   out_.push_back('"');
   append_escaped(out_, k);
   out_.append(indent_ > 0 ? "\": " : "\":");
@@ -387,23 +392,41 @@ void JsonWriter::value(const Json& v) {
     end_object();
     return;
   }
-  before_value();
   if (v.is_null()) {
+    before_value();
     out_.append("null");
+    after_value();
   } else if (v.is_bool()) {
-    out_.append(v.as_bool() ? "true" : "false");
+    boolean(v.as_bool());
   } else if (v.is_number()) {
-    append_number(out_, v.as_number());
+    number(v.as_number());
   } else {
-    out_.push_back('"');
-    append_escaped(out_, v.as_string());
-    out_.push_back('"');
+    string(v.as_string());
   }
+}
+
+void JsonWriter::number(double d) {
+  before_value();
+  append_number(out_, d);
+  after_value();
+}
+
+void JsonWriter::boolean(bool b) {
+  before_value();
+  out_.append(b ? "true" : "false");
+  after_value();
+}
+
+void JsonWriter::string(std::string_view s) {
+  before_value();
+  out_.push_back('"');
+  append_escaped(out_, s);
+  out_.push_back('"');
   after_value();
 }
 
 void JsonWriter::finish() {
-  if (!done_ || !stack_.empty()) misuse("finish before the document is complete");
+  if (!done_ || depth_ != 0) misuse("finish before the document is complete");
   if (sink_ && !out_.empty()) {
     sink_(out_);
     out_.clear();

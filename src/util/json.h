@@ -109,12 +109,25 @@ class JsonWriter {
   void key(std::string_view k);
   void value(const Json& v);
 
-  // An array of one element per item, each from the item's own to_json(),
-  // so no more than one element exists as a Json tree at a time.
+  // Scalars without a Json temporary: each emits exactly the bytes
+  // value(Json(x)) emits.
+  void number(double d);
+  void boolean(bool b);
+  void string(std::string_view s);
+
+  // An array of one element per item. An item that has its own
+  // write_json(JsonWriter&) streams itself, so it never exists as a Json
+  // tree; any other item comes from its to_json(), one tree at a time.
   template <typename Range>
   void array_of(const Range& items) {
     begin_array();
-    for (const auto& item : items) value(item.to_json());
+    for (const auto& item : items) {
+      if constexpr (requires { item.write_json(*this); }) {
+        item.write_json(*this);
+      } else {
+        value(item.to_json());
+      }
+    }
     end_array();
   }
 
@@ -136,12 +149,17 @@ class JsonWriter {
   void after_value();
   void write_key(std::string_view k);
   void newline(std::size_t depth);
+  [[nodiscard]] Frame& top() { return stack_[depth_ - 1]; }
 
   std::string buffer_;  // streaming form only
   std::string& out_;
   std::function<void(std::string_view)> sink_;
   int indent_;
+  // Open containers are stack_[0, depth_). Closed frames stay allocated, so
+  // the next container at that depth reuses its last_key buffer: a streamed
+  // array of records allocates nothing per record.
   std::vector<Frame> stack_;
+  std::size_t depth_ = 0;
   bool done_ = false;
 };
 

@@ -15,6 +15,32 @@
 namespace ednsm::util {
 namespace {
 
+// One-value documents written through JsonWriter's typed scalar calls; each
+// must equal the Json(x).dump() of the same value.
+std::string number_doc(double d) {
+  std::string out;
+  JsonWriter w(out);
+  w.number(d);
+  w.finish();
+  return out;
+}
+
+std::string string_doc(std::string_view s) {
+  std::string out;
+  JsonWriter w(out);
+  w.string(s);
+  w.finish();
+  return out;
+}
+
+std::string boolean_doc(bool b) {
+  std::string out;
+  JsonWriter w(out);
+  w.boolean(b);
+  w.finish();
+  return out;
+}
+
 TEST(Json, ScalarsDump) {
   EXPECT_EQ(Json(nullptr).dump(), "null");
   EXPECT_EQ(Json(true).dump(), "true");
@@ -23,6 +49,10 @@ TEST(Json, ScalarsDump) {
   EXPECT_EQ(Json(-3).dump(), "-3");
   EXPECT_EQ(Json(2.5).dump(), "2.5");
   EXPECT_EQ(Json("hi").dump(), "\"hi\"");
+  EXPECT_EQ(boolean_doc(true), "true");
+  EXPECT_EQ(boolean_doc(false), "false");
+  EXPECT_EQ(number_doc(42), "42");
+  EXPECT_EQ(string_doc("hi"), "\"hi\"");
 }
 
 TEST(Json, NanBecomesNull) {
@@ -226,10 +256,19 @@ TEST(JsonNumbers, EdgeValuesMatchPrintf) {
                            std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()};
-  for (const double v : values) EXPECT_EQ(Json(v).dump(), printf_number(v)) << std::hexfloat << v;
-  EXPECT_EQ(Json(-0.0).dump(), "-0");
-  EXPECT_EQ(Json(1e15).dump(), "1000000000000000");
-  EXPECT_EQ(Json(1e15 - 1).dump(), "999999999999999");
+  for (const double v : values) {
+    EXPECT_EQ(Json(v).dump(), printf_number(v)) << std::hexfloat << v;
+    EXPECT_EQ(number_doc(v), printf_number(v)) << std::hexfloat << v;
+  }
+  for (const auto& dump : {+[](double d) { return Json(d).dump(); }, +number_doc}) {
+    EXPECT_EQ(dump(0.0), "0");
+    EXPECT_EQ(dump(-0.0), "-0");
+    EXPECT_EQ(dump(1e15), "1000000000000000");
+    EXPECT_EQ(dump(1e15 - 1), "999999999999999");
+    EXPECT_EQ(dump(std::numeric_limits<double>::quiet_NaN()), "null");
+    EXPECT_EQ(dump(std::numeric_limits<double>::infinity()), "null");
+    EXPECT_EQ(dump(-std::numeric_limits<double>::infinity()), "null");
+  }
 }
 
 TEST(JsonNumbers, RandomBitPatternsMatchPrintf) {
@@ -237,6 +276,7 @@ TEST(JsonNumbers, RandomBitPatternsMatchPrintf) {
   for (int i = 0; i < 100000; ++i) {
     const double d = std::bit_cast<double>(rng());
     ASSERT_EQ(Json(d).dump(), printf_number(d)) << std::hexfloat << d;
+    ASSERT_EQ(number_doc(d), printf_number(d)) << std::hexfloat << d;
   }
   // Random bit patterns almost never land on the "%.0f" branch or on the
   // millisecond values result files hold; cover those explicitly.
@@ -245,8 +285,10 @@ TEST(JsonNumbers, RandomBitPatternsMatchPrintf) {
   for (int i = 0; i < 100000; ++i) {
     const auto n = static_cast<double>(integers(rng));
     ASSERT_EQ(Json(n).dump(), printf_number(n)) << n;
+    ASSERT_EQ(number_doc(n), printf_number(n)) << n;
     const double ms = millis(rng);
     ASSERT_EQ(Json(ms).dump(), printf_number(ms)) << std::hexfloat << ms;
+    ASSERT_EQ(number_doc(ms), printf_number(ms)) << std::hexfloat << ms;
   }
 }
 
@@ -260,12 +302,17 @@ TEST(Json, EscapeEveryControlByte) {
     if (c == '\n') want = "\\n";
     if (c == '\r') want = "\\r";
     if (c == '\t') want = "\\t";
-    EXPECT_EQ(json_escape(std::string(1, static_cast<char>(c))), want) << c;
+    const std::string byte(1, static_cast<char>(c));
+    EXPECT_EQ(json_escape(byte), want) << c;
+    EXPECT_EQ(string_doc(byte), "\"" + want + "\"") << c;
+    EXPECT_EQ(string_doc(byte), Json(byte).dump()) << c;
   }
   // DEL and UTF-8 pass through untouched.
   EXPECT_EQ(json_escape("\x7f caf\xc3\xa9 \xe2\x82\xac"), "\x7f caf\xc3\xa9 \xe2\x82\xac");
+  EXPECT_EQ(string_doc("\x7f caf\xc3\xa9 \xe2\x82\xac"), "\"\x7f caf\xc3\xa9 \xe2\x82\xac\"");
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(string_doc(""), "\"\"");
 }
 
 // ---- JsonWriter ---------------------------------------------------------------
@@ -289,13 +336,13 @@ void stream_reference_document(JsonWriter& w) {
   w.begin_object();
   w.key("a");
   w.begin_array();
-  w.value(1);
+  w.number(1);
   w.begin_object();
   w.end_object();
   w.value(Json(inner));
   w.end_array();
   w.key("b");
-  w.value("q\"b\\s\x01 caf\xc3\xa9");
+  w.string("q\"b\\s\x01 caf\xc3\xa9");
   w.key("c");
   w.begin_object();
   w.end_object();
@@ -361,6 +408,21 @@ TEST(JsonWriter, KeysMustAscendLikeAJsonObject) {
   o["caf\xc3\xa9"] = Json(3);
   o["\xe2\x82\xac"] = Json(4);
   EXPECT_EQ(out, Json(o).dump());
+
+  // Sibling objects order their keys independently: the second may start
+  // below the first one's last key.
+  std::string siblings;
+  JsonWriter ws(siblings);
+  ws.begin_array();
+  for (const char* k : {"z", "a"}) {
+    ws.begin_object();
+    ws.key(k);
+    ws.boolean(true);
+    ws.end_object();
+  }
+  ws.end_array();
+  ws.finish();
+  EXPECT_EQ(siblings, "[{\"z\":true},{\"a\":true}]");
 }
 
 TEST(JsonWriter, RejectsUnbalancedAndMisplacedCalls) {

@@ -193,6 +193,15 @@ TEST(Taint, OneHopHelperPathIsReported) {
   EXPECT_NE(d.message.find("get_id"), std::string::npos) << d.message;
 }
 
+TEST(Taint, StreamedWriterIsASink) {
+  const auto diags = ednsm::lint::run_lint({fixture("taint_write_json_bad.cc")});
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  const Diagnostic& d = diags[0];
+  EXPECT_EQ(d.rule, "determinism-taint");
+  EXPECT_EQ(d.trace, (std::vector<std::string>{"lane_of_this_thread", "Record::write_json"}));
+  EXPECT_NE(d.message.find("get_id"), std::string::npos) << d.message;
+}
+
 TEST(Taint, CrossFilePathLandsAtTheSource) {
   const auto diags = ednsm::lint::run_lint(
       {fixture("taint_cross_file_a.cc"), fixture("taint_cross_file_b.cc")});

@@ -229,7 +229,7 @@ TEST(LintFixtures, EveryRuleCovered) {
       "codec_parity_bad.cc",   "phase_sum_bad.h",      "phase_sum_missing.h",
       "pragma_once_bad.h",     "using_namespace_bad.h", "nodiscard_bad.h",
       "obs_span_balance_bad.cc", "raw_thread_bad.cc",   "taint_direct_bad.cc",
-      "taint_one_hop_bad.cc",
+      "taint_one_hop_bad.cc",  "taint_write_json_bad.cc",
   };
   std::set<std::string> triggered;
   for (const std::string& name : bad_fixtures) {

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "report/flight_recorder.h"
+#include "util/bytes.h"
 
 namespace {
 
@@ -239,6 +240,66 @@ TEST(MergedTrace, ChromeJsonParsesAndFilters) {
     }
   }
   EXPECT_EQ(kept, 1u);
+}
+
+// A traced campaign plus one hand-built shard whose label and symbols need
+// every escape the trace writer knows: quote, backslash, \n \r \t, and the
+// other control bytes (\b and \f among them, spelled \u0008 and \u000c).
+obs::MergedTrace traced_campaign_with_odd_labels(int rounds) {
+  core::MeasurementSpec spec = small_spec();
+  spec.rounds = rounds;
+  core::CampaignObsOptions opts;
+  opts.trace = true;
+  core::CampaignObsData data;
+  (void)core::run_parallel_campaign(spec, 1, opts, &data);
+  obs::Tracer t;
+  t.enable();
+  t.instant("core", "quote\" back\\slash", us(5));
+  t.complete("core", std::string("bs\b ff\f nl\n cr\r tab\t ctl\x01 nul") + '\0' + " end", us(1),
+             SimDuration(std::chrono::microseconds(3)));
+  t.instant("resolver\x1f", "caf\xc3\xa9 del\x7f", us(9));
+  data.trace.add_shard("vantage/\"odd\\label\"\b\f\x02", t.drain());
+  return std::move(data.trace);
+}
+
+// Pins the Chrome trace bytes by FNV-1a, unfiltered and filtered to one
+// subsystem: a change to the trace writer that moves any byte fails here.
+TEST(MergedTrace, ChromeJsonMatchesPinnedDigests) {
+  const obs::MergedTrace merged = traced_campaign_with_odd_labels(2);
+  const std::string all = merged.chrome_json();
+  const std::string core = merged.chrome_json("core");
+  for (const char* escaped : {"\\\"odd\\\\label\\\"\\u0008\\u000c\\u0002", "\\\"", "\\\\",
+                              "\\n", "\\r", "\\t", "\\u0001", "\\u0000", "\\u001f",
+                              "caf\xc3\xa9 del\x7f"}) {
+    EXPECT_NE(all.find(escaped), std::string::npos) << escaped;
+  }
+  EXPECT_NE(core.find("bs\\u0008 ff\\u000c"), std::string::npos);
+  // The string form is sized before it is written, so it is allocated once.
+  EXPECT_EQ(all.capacity(), all.size());
+  EXPECT_EQ(core.capacity(), core.size());
+  EXPECT_EQ(core.find("\"cat\":\"resolver"), std::string::npos);
+  EXPECT_EQ(util::u64_to_hex(util::fnv1a(all)), "f4056e56e51e0d90");
+  EXPECT_EQ(util::u64_to_hex(util::fnv1a(core)), "127c0ff1ff9343be");
+}
+
+// The sink form (what ednsm_measure and ednsm_merge stream into their atomic
+// file writers) hands over chrome_json()'s bytes in chunks of at least
+// kChunkBytes, the last one excepted.
+TEST(MergedTrace, SinkFormMatchesChromeJsonAcrossChunks) {
+  const obs::MergedTrace merged = traced_campaign_with_odd_labels(8);
+  for (const std::string_view filter : {std::string_view{}, std::string_view{"netsim"}}) {
+    std::vector<std::string> chunks;
+    merged.write_chrome_json([&chunks](std::string_view s) { chunks.emplace_back(s); }, filter);
+    EXPECT_GE(chunks.size(), 2u) << filter;
+    std::string joined;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      if (i + 1 < chunks.size()) {
+        EXPECT_GE(chunks[i].size(), util::JsonWriter::kChunkBytes);
+      }
+      joined += chunks[i];
+    }
+    EXPECT_EQ(joined, merged.chrome_json(filter)) << filter;
+  }
 }
 
 // The headline guarantee: the merged trace of a sharded campaign is a pure

@@ -257,6 +257,14 @@ TEST(ResultRecordJson, PhaseFieldsRoundTripLosslessly) {
   EXPECT_TRUE(p.connection_reused);
   // A second round trip is byte-identical: the codec is a fixed point.
   EXPECT_EQ(p.to_json().dump(), r.to_json().dump());
+  // The streamed writer emits the same bytes with every phase key present.
+  for (const int indent : {0, 2}) {
+    std::string streamed;
+    util::JsonWriter w(streamed, indent);
+    r.write_json(w);
+    w.finish();
+    EXPECT_EQ(streamed, r.to_json().dump(indent)) << "indent " << indent;
+  }
 }
 
 TEST(ResultRecordJson, AbsentPhaseFieldsParseAsZero) {

@@ -275,9 +275,10 @@ int tool_main(const cli::Args& args) {
       for (const core::ShardOutcome& outcome : file.outcomes) {
         view.add_shard("vantage/" + outcome.vantage, outcome.trace);
       }
-      if (!committed(util::write_file_atomic(*trace_path, view.chrome_json(trace_filter)))) {
-        return 3;
-      }
+      util::AtomicFileWriter trace_file(*trace_path);
+      view.write_chrome_json([&trace_file](std::string_view bytes) { trace_file.append(bytes); },
+                             trace_filter);
+      if (!committed(trace_file.commit())) return 3;
     }
     if (metrics_path != nullptr) {
       obs::Metrics slice_metrics;
@@ -320,10 +321,10 @@ int tool_main(const cli::Args& args) {
   }
 
   if (trace_path != nullptr) {
-    if (!committed(
-            util::write_file_atomic(*trace_path, obs_data.trace.chrome_json(trace_filter)))) {
-      return 3;
-    }
+    util::AtomicFileWriter trace_file(*trace_path);
+    obs_data.trace.write_chrome_json(
+        [&trace_file](std::string_view bytes) { trace_file.append(bytes); }, trace_filter);
+    if (!committed(trace_file.commit())) return 3;
     std::fprintf(stderr, "trace: %llu events (%llu dropped) across %zu shards -> %s\n",
                  static_cast<unsigned long long>(obs_data.trace.total_events()),
                  static_cast<unsigned long long>(obs_data.trace.total_dropped()),

@@ -31,7 +31,6 @@
 //
 // Exit codes: 0 ok, 1 bad usage, 2 inconsistent/invalid shard set, 3 I/O.
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -196,20 +195,19 @@ int tool_main(const cli::Args& args) {
   const core::CampaignResult result = collector.finish(&obs_data);
 
   const std::string path = args.text("out", "results.json");
-  std::ostringstream out;
-  result.write_json(out);
-  if (auto written = util::write_file_atomic(path, std::move(out).str()); !written) {
+  util::AtomicFileWriter results_file(path);
+  result.write_json([&results_file](std::string_view bytes) { results_file.append(bytes); });
+  if (auto written = results_file.commit(); !written) {
     std::fprintf(stderr, "error: %s\n", written.error().c_str());
     return 3;
   }
 
   if (trace_path != nullptr) {
-    const std::string* filter = args.get("trace-filter");
-    std::ostringstream trace_out;
-    obs_data.trace.write_chrome_json(trace_out,
-                                     filter != nullptr ? *filter : std::string_view{});
-    if (auto written = util::write_file_atomic(*trace_path, std::move(trace_out).str());
-        !written) {
+    util::AtomicFileWriter trace_file(*trace_path);
+    obs_data.trace.write_chrome_json(
+        [&trace_file](std::string_view bytes) { trace_file.append(bytes); },
+        args.text("trace-filter", ""));
+    if (auto written = trace_file.commit(); !written) {
       std::fprintf(stderr, "error: %s\n", written.error().c_str());
       return 3;
     }

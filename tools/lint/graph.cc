@@ -112,7 +112,7 @@ CallGraph build_call_graph(const SymbolIndex& index) {
 
 bool is_taint_sink(const SymbolIndex& index, const FunctionDef& f) {
   static const std::set<std::string_view> kSinkNames = {
-      "to_json", "to_binary", "to_prometheus", "write_chrome_json", "write_jsonl"};
+      "to_json", "to_binary", "to_prometheus", "write_json", "write_chrome_json", "write_jsonl"};
   if (kSinkNames.count(f.name) > 0) return true;
   // shard_io writers: anything that pushes bytes into the merge-ordered shard
   // stream is an output boundary, whatever it is called.

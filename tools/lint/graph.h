@@ -50,8 +50,9 @@ struct TaintSource {
 
 // The determinism taint rule: for every source site, walk caller edges from
 // the enclosing function; if a serialization sink (to_json / to_binary /
-// to_prometheus / write_chrome_json / write_jsonl / shard_io writers) is
-// reachable, report the full source-to-sink call path at the source line.
+// to_prometheus / write_json / write_chrome_json / write_jsonl / shard_io
+// writers) is reachable, report the full source-to-sink call path at the
+// source line.
 // `extra_sources` lets the driver feed in sites its own rules discovered
 // (unordered-container iteration), already suppression-filtered.
 void check_determinism_taint(const SymbolIndex& index, const CallGraph& graph,
