@@ -28,8 +28,6 @@ class Do53Client : public ResolverSession {
   [[nodiscard]] Protocol protocol() const noexcept override { return Protocol::Do53; }
   [[nodiscard]] const SessionTarget& target() const noexcept override { return target_; }
 
-  [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
-
  private:
   netsim::Network& net_;
   netsim::IpAddr local_ip_;
@@ -38,6 +36,8 @@ class Do53Client : public ResolverSession {
   std::uint64_t inflight_ = 0;  // live query states (for leak checks in tests)
 
  public:
+  // ednsm-lint: allow(hygiene-dead-function) — Server.AnswersDo53Query checks that an answered
+  // query releases its state.
   [[nodiscard]] std::uint64_t inflight() const noexcept { return inflight_; }
 };
 

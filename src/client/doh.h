@@ -30,8 +30,6 @@ class DohClient : public ResolverSession {
   [[nodiscard]] Protocol protocol() const noexcept override { return Protocol::DoH; }
   [[nodiscard]] const SessionTarget& target() const noexcept override { return target_; }
 
-  [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
-
  private:
   netsim::Network& net_;
   transport::ConnectionPool& pool_;

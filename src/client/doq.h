@@ -37,8 +37,6 @@ class DoqClient : public ResolverSession {
   [[nodiscard]] Protocol protocol() const noexcept override { return Protocol::DoQ; }
   [[nodiscard]] const SessionTarget& target() const noexcept override { return target_; }
 
-  [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
-
  private:
   netsim::Network& net_;
   transport::ConnectionPool& pool_;

@@ -5,10 +5,6 @@
 namespace ednsm::client {
 
 OdohClient::OdohClient(netsim::Network& net, transport::ConnectionPool& pool,
-                       QueryOptions options)
-    : net_(net), pool_(pool), options_(options) {}
-
-OdohClient::OdohClient(netsim::Network& net, transport::ConnectionPool& pool,
                        SessionTarget target, QueryOptions options)
     : net_(net), pool_(pool), target_(std::move(target)), options_(options) {}
 

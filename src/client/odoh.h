@@ -15,9 +15,8 @@ namespace ednsm::client {
 
 class OdohClient : public ResolverSession {
  public:
-  OdohClient(netsim::Network& net, transport::ConnectionPool& pool, QueryOptions options = {});
-  // Session-bound form: ResolverSession::query reaches target.hostname via
-  // the relay at (target.relay, target.relay_sni).
+  // ResolverSession::query reaches target.hostname via the relay at
+  // (target.relay, target.relay_sni).
   OdohClient(netsim::Network& net, transport::ConnectionPool& pool, SessionTarget target,
              QueryOptions options = {});
 
@@ -31,8 +30,6 @@ class OdohClient : public ResolverSession {
   void query(const dns::Name& qname, dns::RecordType qtype, QueryCallback cb) override;
   [[nodiscard]] Protocol protocol() const noexcept override { return Protocol::ODoH; }
   [[nodiscard]] const SessionTarget& target() const noexcept override { return target_; }
-
-  [[nodiscard]] const QueryOptions& options() const noexcept { return options_; }
 
  private:
   netsim::Network& net_;

@@ -70,6 +70,8 @@ struct QueryTiming {
   transport::TlsMode tls_mode = transport::TlsMode::Full;
 
   // Sum of all stamped phases; invariant: phase_sum() <= total.
+  // ednsm-lint: allow(hygiene-dead-function) — SessionTiming.ColdPhasesDecomposeTotal checks
+  // phase_sum() <= total; the phase-sum rule also requires it here.
   [[nodiscard]] netsim::SimDuration phase_sum() const noexcept {
     return tcp_handshake + tls_handshake + quic_handshake + wait_in_pool + exchange;
   }

@@ -24,8 +24,6 @@ struct SessionTarget {
   std::string hostname;       // TLS SNI / HTTP authority / ODoH target
   netsim::IpAddr relay{};     // ODoH only
   std::string relay_sni;      // ODoH only
-
-  [[nodiscard]] bool via_relay() const noexcept { return !relay_sni.empty(); }
 };
 
 // One measurement session against one resolver target. Implementations run

@@ -1,7 +1,5 @@
 #include "core/availability.h"
 
-#include <algorithm>
-
 namespace ednsm::core {
 
 namespace {
@@ -43,16 +41,6 @@ bool AvailabilityLedger::unresponsive_from(const std::string& vantage,
                                            const std::string& hostname) const {
   const AvailabilityCounts c = per_pair(vantage, hostname);
   return c.total() > 0 && c.successes == 0;
-}
-
-std::vector<std::string> AvailabilityLedger::resolvers() const {
-  std::vector<std::string> out;
-  out.reserve(by_resolver_.size());
-  // ednsm-lint: allow(determinism-unordered-iter) — keys are collected and
-  // sorted before they escape, so the hash order never reaches the output.
-  for (const auto& [sym, counts] : by_resolver_) out.push_back(hostnames_.name(sym));
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::string AvailabilityLedger::dominant_error_class() const {

@@ -46,9 +46,6 @@ class AvailabilityLedger {
   [[nodiscard]] bool unresponsive_from(const std::string& vantage,
                                        const std::string& hostname) const;
 
-  // Hostnames with at least one recorded query, sorted.
-  [[nodiscard]] std::vector<std::string> resolvers() const;
-
   // Most common error class overall ("" when there are no errors).
   [[nodiscard]] std::string dominant_error_class() const;
 

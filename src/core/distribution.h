@@ -35,7 +35,11 @@ class PrivacyLedger {
  public:
   void record(const std::string& resolver, const std::string& domain);
 
+  // ednsm-lint: allow(hygiene-dead-function) — the PrivacyLedger.* tests and
+  // DistFixture.ResolveRecordsPrivacyAndAnswers count recorded queries.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  // ednsm-lint: allow(hygiene-dead-function) — PrivacyLedger.SingleResolverSeesEverything checks
+  // per-resolver counts with these two.
   [[nodiscard]] std::uint64_t queries_seen(const std::string& resolver) const;
   [[nodiscard]] std::size_t domains_seen(const std::string& resolver) const;
 
@@ -86,10 +90,9 @@ class QueryDistributor {
   void resolve(const std::string& domain, ResolveCallback cb);
 
   [[nodiscard]] const PrivacyLedger& privacy() const noexcept { return privacy_; }
+  // ednsm-lint: allow(hygiene-dead-function) — DistFixture.CalibrationRanksLocalResolversFirst
+  // checks the calibrated order.
   [[nodiscard]] const std::vector<std::string>& ranking() const noexcept { return ranking_; }
-  [[nodiscard]] const std::vector<std::string>& resolvers() const noexcept {
-    return resolvers_;
-  }
 
  private:
   SimWorld& world_;

@@ -190,7 +190,7 @@ Result<void> ShardFile::write(const std::string& path) const {
     w.string(util::u64_to_hex(out.seed));
     if (has_trace) {
       w.key("trace");
-      w.value(out.trace.to_json());
+      out.trace.write_json(w);
     }
     w.key("vantage");
     w.string(out.vantage);

@@ -1,7 +1,5 @@
 #include "dns/message.h"
 
-#include <sstream>
-
 namespace ednsm::dns {
 
 namespace {
@@ -243,30 +241,6 @@ void write_rr(WireWriter& w, NameCompressor& comp, const ResourceRecord& rr) {
 
 }  // namespace
 
-// ---- address presentation -----------------------------------------------------
-
-std::string ARecord::to_string() const {
-  std::ostringstream os;
-  os << int{address[0]} << '.' << int{address[1]} << '.' << int{address[2]} << '.'
-     << int{address[3]};
-  return os.str();
-}
-
-std::string AaaaRecord::to_string() const {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  for (std::size_t g = 0; g < 8; ++g) {
-    if (g != 0) out.push_back(':');
-    const std::uint16_t v =
-        static_cast<std::uint16_t>((address[g * 2] << 8) | address[g * 2 + 1]);
-    out.push_back(kHex[(v >> 12) & 0xf]);
-    out.push_back(kHex[(v >> 8) & 0xf]);
-    out.push_back(kHex[(v >> 4) & 0xf]);
-    out.push_back(kHex[v & 0xf]);
-  }
-  return out;
-}
-
 // ---- message codec --------------------------------------------------------
 
 util::Bytes Message::encode(std::size_t pad_block) const {
@@ -379,19 +353,6 @@ Message make_response(const Message& query, Rcode rcode, std::vector<ResourceRec
     m.edns = edns;
   }
   return m;
-}
-
-std::string summarize(const Message& m) {
-  std::ostringstream os;
-  os << (m.header.qr ? "RESPONSE" : "QUERY");
-  if (!m.questions.empty()) {
-    os << ' ' << m.questions.front().qname.to_string() << ' '
-       << to_string(m.questions.front().qtype);
-  }
-  if (m.header.qr) {
-    os << " -> " << to_string(m.header.rcode) << ' ' << m.answers.size() << " ans";
-  }
-  return os.str();
 }
 
 }  // namespace ednsm::dns

@@ -42,13 +42,11 @@ struct Header {
 
 struct ARecord {
   std::array<std::uint8_t, 4> address{};
-  [[nodiscard]] std::string to_string() const;  // dotted quad
   [[nodiscard]] bool operator==(const ARecord&) const = default;
 };
 
 struct AaaaRecord {
   std::array<std::uint8_t, 16> address{};
-  [[nodiscard]] std::string to_string() const;  // full (uncompressed) hex groups
   [[nodiscard]] bool operator==(const AaaaRecord&) const = default;
 };
 
@@ -152,8 +150,5 @@ struct Message {
 // A response echoing `query`'s id and question with the given rcode/answers.
 [[nodiscard]] Message make_response(const Message& query, Rcode rcode,
                                     std::vector<ResourceRecord> answers);
-
-// Human-oriented one-line summary ("QUERY google.com A -> NOERROR 1 ans").
-[[nodiscard]] std::string summarize(const Message& m);
 
 }  // namespace ednsm::dns

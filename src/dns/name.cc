@@ -84,22 +84,6 @@ std::size_t Name::hash() const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-bool Name::is_subdomain_of(const Name& zone) const noexcept {
-  if (zone.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - zone.labels_.size();
-  for (std::size_t i = 0; i < zone.labels_.size(); ++i) {
-    if (!util::iequals(labels_[offset + i], zone.labels_[i])) return false;
-  }
-  return true;
-}
-
-Name Name::parent() const {
-  Name p;
-  if (labels_.size() <= 1) return p;
-  p.labels_.assign(labels_.begin() + 1, labels_.end());
-  return p;
-}
-
 void NameCompressor::write(WireWriter& w, const Name& name) {
   const auto& labels = name.labels();
   // One lowercased key per name; each suffix key is a view into it (labels

@@ -28,7 +28,6 @@ class Name {
 
   [[nodiscard]] const std::vector<std::string>& labels() const noexcept { return labels_; }
   [[nodiscard]] bool is_root() const noexcept { return labels_.empty(); }
-  [[nodiscard]] std::size_t label_count() const noexcept { return labels_.size(); }
 
   // Encoded wire length in octets (sum of label lengths + length octets + root).
   [[nodiscard]] std::size_t wire_length() const noexcept;
@@ -39,12 +38,6 @@ class Name {
   // Case-insensitive equality and hashing (RFC 4343).
   [[nodiscard]] bool operator==(const Name& other) const noexcept;
   [[nodiscard]] std::size_t hash() const noexcept;
-
-  // True if this name equals `zone` or is a subdomain of it.
-  [[nodiscard]] bool is_subdomain_of(const Name& zone) const noexcept;
-
-  // Parent name (drops the leftmost label); parent of root is root.
-  [[nodiscard]] Name parent() const;
 
  private:
   std::vector<std::string> labels_;

@@ -1,47 +1,6 @@
 #include "dns/types.h"
 
-#include "util/strings.h"
-
 namespace ednsm::dns {
-
-std::string_view to_string(RecordType t) noexcept {
-  switch (t) {
-    case RecordType::A: return "A";
-    case RecordType::NS: return "NS";
-    case RecordType::CNAME: return "CNAME";
-    case RecordType::SOA: return "SOA";
-    case RecordType::PTR: return "PTR";
-    case RecordType::MX: return "MX";
-    case RecordType::TXT: return "TXT";
-    case RecordType::AAAA: return "AAAA";
-    case RecordType::SRV: return "SRV";
-    case RecordType::OPT: return "OPT";
-    case RecordType::SVCB: return "SVCB";
-    case RecordType::HTTPS: return "HTTPS";
-    case RecordType::ANY: return "ANY";
-  }
-  return "TYPE?";
-}
-
-std::string_view to_string(RecordClass c) noexcept {
-  switch (c) {
-    case RecordClass::IN: return "IN";
-    case RecordClass::CH: return "CH";
-    case RecordClass::ANY: return "ANY";
-  }
-  return "CLASS?";
-}
-
-std::string_view to_string(Opcode o) noexcept {
-  switch (o) {
-    case Opcode::Query: return "QUERY";
-    case Opcode::IQuery: return "IQUERY";
-    case Opcode::Status: return "STATUS";
-    case Opcode::Notify: return "NOTIFY";
-    case Opcode::Update: return "UPDATE";
-  }
-  return "OPCODE?";
-}
 
 std::string_view to_string(Rcode r) noexcept {
   switch (r) {
@@ -53,33 +12,6 @@ std::string_view to_string(Rcode r) noexcept {
     case Rcode::Refused: return "REFUSED";
   }
   return "RCODE?";
-}
-
-bool parse_record_type(std::string_view name, RecordType& out) noexcept {
-  struct Entry {
-    std::string_view name;
-    RecordType type;
-  };
-  static constexpr Entry kTable[] = {
-      {"A", RecordType::A},       {"NS", RecordType::NS},
-      {"CNAME", RecordType::CNAME}, {"SOA", RecordType::SOA},
-      {"PTR", RecordType::PTR},   {"MX", RecordType::MX},
-      {"TXT", RecordType::TXT},   {"AAAA", RecordType::AAAA},
-      {"SRV", RecordType::SRV},   {"OPT", RecordType::OPT},
-      {"SVCB", RecordType::SVCB}, {"HTTPS", RecordType::HTTPS},
-      {"ANY", RecordType::ANY},
-  };
-  for (const Entry& e : kTable) {
-    if (util::iequals(name, e.name)) {
-      out = e.type;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool is_query_type(RecordType t) noexcept {
-  return t != RecordType::OPT;
 }
 
 }  // namespace ednsm::dns

@@ -1,9 +1,8 @@
-// DNS protocol enumerations (RFC 1035, RFC 6891, RFC 8484) and their string
-// forms. Values are the on-the-wire code points.
+// DNS protocol enumerations (RFC 1035, RFC 6891, RFC 8484), and the string
+// form of Rcode. Values are the on-the-wire code points.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace ednsm::dns {
@@ -47,15 +46,6 @@ enum class Rcode : std::uint8_t {
   Refused = 5,
 };
 
-[[nodiscard]] std::string_view to_string(RecordType t) noexcept;
-[[nodiscard]] std::string_view to_string(RecordClass c) noexcept;
-[[nodiscard]] std::string_view to_string(Opcode o) noexcept;
 [[nodiscard]] std::string_view to_string(Rcode r) noexcept;
-
-// Parse "A"/"AAAA"/... (case-insensitive). Returns false for unknown names.
-[[nodiscard]] bool parse_record_type(std::string_view name, RecordType& out) noexcept;
-
-// True for types that may appear in a question section in this toolkit.
-[[nodiscard]] bool is_query_type(RecordType t) noexcept;
 
 }  // namespace ednsm::dns

@@ -1,7 +1,5 @@
 #include "geo/geodb.h"
 
-#include <algorithm>
-
 namespace ednsm::geo {
 
 void GeoDb::add(std::string hostname, GeoRecord record) {
@@ -14,17 +12,6 @@ std::optional<GeoRecord> GeoDb::lookup(std::string_view hostname) const {
     return std::nullopt;
   }
   return it->second;
-}
-
-std::vector<std::string> GeoDb::hostnames_in(Continent c) const {
-  std::vector<std::string> out;
-  // ednsm-lint: allow(determinism-unordered-iter) — hostnames are collected
-  // and sorted before they escape, so the hash order never reaches callers.
-  for (const auto& [host, rec] : records_) {
-    if (rec.continent == c) out.push_back(host);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace ednsm::geo

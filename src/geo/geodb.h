@@ -34,9 +34,6 @@ class GeoDb {
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
-  // All hostnames on a given continent (sorted, deterministic).
-  [[nodiscard]] std::vector<std::string> hostnames_in(Continent c) const;
-
  private:
   std::unordered_map<std::string, GeoRecord> records_;
 };

@@ -1,19 +1,6 @@
 #include "netsim/address.h"
 
-#include <sstream>
-
 namespace ednsm::netsim {
-
-std::string IpAddr::to_string() const {
-  std::ostringstream os;
-  os << ((value >> 24) & 0xff) << '.' << ((value >> 16) & 0xff) << '.'
-     << ((value >> 8) & 0xff) << '.' << (value & 0xff);
-  return os.str();
-}
-
-std::string Endpoint::to_string() const {
-  return ip.to_string() + ":" + std::to_string(port);
-}
 
 IpAddr AddressAllocator::next() {
   // 10.0.0.0/8, skipping .0 and .255 in the last octet for realism.

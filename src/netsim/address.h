@@ -4,14 +4,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace ednsm::netsim {
 
 struct IpAddr {
   std::uint32_t value = 0;  // host byte order
 
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool operator==(const IpAddr&) const = default;
   [[nodiscard]] auto operator<=>(const IpAddr&) const = default;
 };
@@ -20,7 +18,6 @@ struct Endpoint {
   IpAddr ip;
   std::uint16_t port = 0;
 
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool operator==(const Endpoint&) const = default;
   [[nodiscard]] auto operator<=>(const Endpoint&) const = default;
 };

@@ -60,9 +60,14 @@ class EventQueue {
   // Run events with time <= deadline; leaves later events pending. Advances
   // now() to exactly `deadline` (events never execute past it, and time
   // reaches the deadline even when the queue drains early).
+  // ednsm-lint: allow(hygiene-dead-function) — the netsim, transport and client tests step the
+  // queue to a fixed time with it (e.g. EventQueue.RunUntilStopsAtDeadline,
+  // EventQueueStress.MatchesMapModelOracle).
   std::size_t run_until(SimTime deadline);
 
   [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
+  // ednsm-lint: allow(hygiene-dead-function) — EventQueue.CancelledEventsLeavePendingCount and
+  // EventQueueStress.MatchesMapModelOracle count live events after cancellations.
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
   // Events executed over the queue's whole lifetime (run_until* return only

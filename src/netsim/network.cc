@@ -112,10 +112,4 @@ std::optional<geo::GeoPoint> Network::location_of(IpAddr host) const {
   return it->second.location;
 }
 
-std::optional<std::string> Network::label_of(IpAddr host) const {
-  const auto it = hosts_.find(host);
-  if (it == hosts_.end()) return std::nullopt;
-  return it->second.label;
-}
-
 }  // namespace ednsm::netsim

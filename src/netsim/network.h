@@ -85,7 +85,6 @@ class Network {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::optional<geo::GeoPoint> location_of(IpAddr host) const;
-  [[nodiscard]] std::optional<std::string> label_of(IpAddr host) const;
 
   // Sample one one-way trip; returns nullopt if the packet is lost.
   [[nodiscard]] std::optional<SimDuration> sample_trip(IpAddr src, IpAddr dst);

@@ -34,8 +34,4 @@ double PathModel::loss_probability() const noexcept {
   return std::clamp(1.0 - keep, 0.0, 1.0);
 }
 
-double PathModel::floor_ms() const noexcept {
-  return propagation_ms + quirk.extra_base_ms + src_access.base_ms + dst_access.base_ms;
-}
-
 }  // namespace ednsm::netsim

@@ -44,9 +44,6 @@ struct PathModel {
 
   // Probability this packet is lost anywhere on the path.
   [[nodiscard]] double loss_probability() const noexcept;
-
-  // Deterministic minimum (used by tests and for sanity bounds).
-  [[nodiscard]] double floor_ms() const noexcept;
 };
 
 }  // namespace ednsm::netsim

@@ -39,10 +39,6 @@ double Rng::next_double() noexcept {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * next_double();
-}
-
 std::uint64_t Rng::uniform_u64(std::uint64_t n) noexcept {
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t threshold = (0ULL - n) % n;

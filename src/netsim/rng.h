@@ -21,9 +21,6 @@ class Rng {
   // Uniform on [0, 1).
   [[nodiscard]] double next_double() noexcept;
 
-  // Uniform on [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
-
   // Uniform integer on [0, n); n must be > 0.
   [[nodiscard]] std::uint64_t uniform_u64(std::uint64_t n) noexcept;
 

@@ -17,13 +17,8 @@ std::string fmt_double(double v) {
   return std::string(buf);
 }
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
+void write_name(std::ostream& os, std::string_view name) {
+  os << '"' << util::json_escape(name) << '"';
 }
 
 }  // namespace
@@ -37,17 +32,6 @@ Metrics::Key Metrics::counter_key(std::string_view name) {
 std::uint64_t Metrics::counter(std::string_view name) const {
   const auto k = counter_names_.find(name);
   return k.has_value() && *k < counters_.size() ? counters_[*k] : 0;
-}
-
-void Metrics::set_gauge(std::string_view name, double value) {
-  const Key k = gauge_names_.intern(name);
-  if (k >= gauges_.size()) gauges_.resize(k + 1, 0.0);
-  gauges_[k] = value;
-}
-
-double Metrics::gauge(std::string_view name) const {
-  const auto k = gauge_names_.find(name);
-  return k.has_value() && *k < gauges_.size() ? gauges_[*k] : 0.0;
 }
 
 Metrics::Key Metrics::distribution_key(std::string_view name) {
@@ -71,12 +55,6 @@ void Metrics::merge(const Metrics& other) {
   for (Key k = 0; k < other.counters_.size(); ++k) {
     if (other.counters_[k] != 0) add(other.counter_names_.name(k), other.counters_[k]);
   }
-  for (Key k = 0; k < other.gauges_.size(); ++k) {
-    const std::string& name = other.gauge_names_.name(k);
-    const Key mine = gauge_names_.intern(name);
-    if (mine >= gauges_.size()) gauges_.resize(mine + 1, 0.0);
-    gauges_[mine] += other.gauges_[k];
-  }
   for (Key k = 0; k < other.dists_.size(); ++k) {
     const Key mine = distribution_key(other.dist_names_.name(k));
     dists_[mine].welford.merge(other.dists_[k].welford);
@@ -87,47 +65,38 @@ void Metrics::merge(const Metrics& other) {
 void Metrics::write_jsonl(std::ostream& os) const {
   struct Line {
     std::string_view name;
-    int kind;  // 0 counter, 1 distribution, 2 gauge — tiebreak for sorting
+    int kind;  // 0 counter, 1 distribution — tiebreak for sorting
     Key key;
   };
   std::vector<Line> lines;
-  lines.reserve(counters_.size() + gauges_.size() + dists_.size());
+  lines.reserve(counters_.size() + dists_.size());
   for (Key k = 0; k < counters_.size(); ++k) lines.push_back({counter_names_.name(k), 0, k});
   for (Key k = 0; k < dists_.size(); ++k) lines.push_back({dist_names_.name(k), 1, k});
-  for (Key k = 0; k < gauges_.size(); ++k) lines.push_back({gauge_names_.name(k), 2, k});
   std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
     return a.name != b.name ? a.name < b.name : a.kind < b.kind;
   });
 
   for (const Line& line : lines) {
-    switch (line.kind) {
-      case 0:
-        os << "{\"kind\":\"counter\",\"name\":";
-        write_escaped(os, line.name);
-        os << ",\"value\":" << counters_[line.key] << "}\n";
-        break;
-      case 1: {
-        const Distribution& d = dists_[line.key];
-        os << "{\"kind\":\"distribution\",\"name\":";
-        write_escaped(os, line.name);
-        os << ",\"count\":" << d.welford.count();
-        if (d.welford.count() > 0) {
-          os << ",\"mean\":" << fmt_double(d.welford.mean())
-             << ",\"stddev\":" << fmt_double(d.welford.stddev())
-             << ",\"min\":" << fmt_double(d.welford.min())
-             << ",\"max\":" << fmt_double(d.welford.max())
-             << ",\"p50\":" << fmt_double(d.histogram.approx_quantile(0.50))
-             << ",\"p90\":" << fmt_double(d.histogram.approx_quantile(0.90))
-             << ",\"p99\":" << fmt_double(d.histogram.approx_quantile(0.99));
-        }
-        os << "}\n";
-        break;
-      }
-      default:
-        os << "{\"kind\":\"gauge\",\"name\":";
-        write_escaped(os, line.name);
-        os << ",\"value\":" << fmt_double(gauges_[line.key]) << "}\n";
+    if (line.kind == 0) {
+      os << "{\"kind\":\"counter\",\"name\":";
+      write_name(os, line.name);
+      os << ",\"value\":" << counters_[line.key] << "}\n";
+      continue;
     }
+    const Distribution& d = dists_[line.key];
+    os << "{\"kind\":\"distribution\",\"name\":";
+    write_name(os, line.name);
+    os << ",\"count\":" << d.welford.count();
+    if (d.welford.count() > 0) {
+      os << ",\"mean\":" << fmt_double(d.welford.mean())
+         << ",\"stddev\":" << fmt_double(d.welford.stddev())
+         << ",\"min\":" << fmt_double(d.welford.min())
+         << ",\"max\":" << fmt_double(d.welford.max())
+         << ",\"p50\":" << fmt_double(d.histogram.approx_quantile(0.50))
+         << ",\"p90\":" << fmt_double(d.histogram.approx_quantile(0.90))
+         << ",\"p99\":" << fmt_double(d.histogram.approx_quantile(0.99));
+    }
+    os << "}\n";
   }
 }
 
@@ -148,15 +117,7 @@ util::Json Metrics::to_json() const {
     counters.emplace_back(std::move(entry));
   }
   o["counters"] = util::Json(std::move(counters));
-  util::JsonArray gauges;
-  gauges.reserve(gauges_.size());
-  for (Key k = 0; k < gauges_.size(); ++k) {
-    util::JsonArray entry;
-    entry.emplace_back(gauge_names_.name(k));
-    entry.emplace_back(gauges_[k]);
-    gauges.emplace_back(std::move(entry));
-  }
-  o["gauges"] = util::Json(std::move(gauges));
+  o["gauges"] = util::Json(util::JsonArray{});
   util::JsonArray dists;
   dists.reserve(dists_.size());
   for (Key k = 0; k < dists_.size(); ++k) {
@@ -200,12 +161,8 @@ Result<Metrics> Metrics::from_json(const util::Json& j) {
     m.add(e.as_array()[0].as_string(),
           static_cast<std::uint64_t>(e.as_array()[1].as_number()));
   }
-  for (const util::Json& e : j.at("gauges").as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2 || !e.as_array()[0].is_string() ||
-        !e.as_array()[1].is_number()) {
-      return Err{std::string("metrics: gauge entries must be [name, value]")};
-    }
-    m.set_gauge(e.as_array()[0].as_string(), e.as_array()[1].as_number());
+  if (!j.at("gauges").as_array().empty()) {
+    return Err{std::string("metrics: \"gauges\" must be empty (the gauge kind was removed)")};
   }
   for (const util::Json& e : j.at("dists").as_array()) {
     if (!e.is_object() || !e.at("name").is_string() || !e.at("count").is_number()) {

@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and distributions keyed by
+// Metrics registry: named counters and distributions keyed by
 // interned symbols (the core/availability convention — one dense u32 per
 // name, assigned in first-registration order, so identical workloads produce
 // identical tables).
@@ -39,35 +39,36 @@ class Metrics {
   void add(std::string_view name, std::uint64_t delta = 1) { add(counter_key(name), delta); }
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 
-  // -- gauges (last write wins; merge sums, for shard-additive gauges) --------
-  void set_gauge(std::string_view name, double value);
-  [[nodiscard]] double gauge(std::string_view name) const;
-
   // -- distributions ----------------------------------------------------------
   [[nodiscard]] Key distribution_key(std::string_view name);
   void observe(Key distribution, double value);
   void observe(std::string_view name, double value) { observe(distribution_key(name), value); }
+  // ednsm-lint: allow(hygiene-dead-function) — Metrics.CountersGaugesDistributions and the
+  // Metrics.Merge* tests read a distribution's moments.
   [[nodiscard]] const stats::Welford* distribution(std::string_view name) const;
 
   // Combine another registry into this one by metric name (not symbol):
-  // counters and gauges sum, distributions merge moments and bins.
+  // counters sum, distributions merge moments and bins.
   void merge(const Metrics& other);
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && gauges_.empty() && dists_.empty();
+    return counters_.empty() && dists_.empty();
   }
 
   // JSONL dump: one JSON object per line, sorted by (name, kind) so the
   // stream is deterministic regardless of registration order. Counters:
-  // {"kind":"counter","name":...,"value":N}. Gauges: {"kind":"gauge",...,
-  // "value":X}. Distributions: {"kind":"distribution","name":...,"count":N,
-  // "mean":...,"stddev":...,"min":...,"max":...,"p50":...,"p90":...,"p99":...}.
+  // {"kind":"counter","name":...,"value":N}. Distributions:
+  // {"kind":"distribution","name":...,"count":N,"mean":...,"stddev":...,
+  // "min":...,"max":...,"p50":...,"p90":...,"p99":...}. Names are escaped
+  // as JSON strings, so every line parses whatever the name holds.
   void write_jsonl(std::ostream& os) const;
   [[nodiscard]] std::string jsonl() const;
 
   // Exact (mergeable) JSON round trip, unlike the summary-only JSONL dump:
-  // counters and gauges by name, distributions with their full Welford
-  // moments and sparse histogram bins. This is what shard files embed so a
+  // counters by name, distributions with their full Welford moments and
+  // sparse histogram bins. The "gauges" array is always written empty (the
+  // gauge kind is gone; files keep their layout) and a non-empty one is
+  // rejected. This is what shard files embed so a
   // cross-process merge combines distributions exactly as an in-process merge
   // does. Entries are persisted in intern order, which from_json replays, so
   // symbol assignment survives the round trip byte-for-byte.
@@ -82,8 +83,6 @@ class Metrics {
 
   util::InternTable counter_names_;
   std::vector<std::uint64_t> counters_;
-  util::InternTable gauge_names_;
-  std::vector<double> gauges_;
   util::InternTable dist_names_;
   std::vector<Distribution> dists_;
 };

@@ -168,7 +168,6 @@ class RuntimeTelemetry {
   void note_bytes_encoded(std::uint64_t n);
 
   [[nodiscard]] std::uint64_t clock_now_ns() const { return now_ns_(); }
-  [[nodiscard]] std::uint64_t clock_unix_ms() const { return unix_ms_(); }
 
   // Assemble the current heartbeat view (status supplied by the caller).
   [[nodiscard]] RuntimeHeartbeat snapshot_runtime(std::string status) const;

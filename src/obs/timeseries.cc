@@ -245,22 +245,6 @@ double TimeSeries::window_quantile(std::string_view metric, std::string_view van
   return merged.approx_quantile(q);  // NaN when no samples in the window
 }
 
-std::pair<std::int64_t, std::int64_t> TimeSeries::bucket_range() const noexcept {
-  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
-  const auto scan = [&](const auto& m) {
-    for (const auto& [k, unused] : m) {
-      (void)unused;
-      lo = std::min(lo, k.bucket);
-      hi = std::max(hi, k.bucket);
-    }
-  };
-  scan(counters_);
-  scan(dists_);
-  if (lo > hi) return {0, -1};
-  return {lo, hi};
-}
-
 // -- snapshot / insert --------------------------------------------------------
 
 std::vector<SeriesPoint> TimeSeries::snapshot() const {

@@ -80,10 +80,14 @@ class TimeSeries {
                                          std::string_view resolver, std::string_view protocol,
                                          std::int64_t bucket) const;
   // Welford moments for a histogram point; nullptr when the point is absent.
+  // ednsm-lint: allow(hygiene-dead-function) — TimeSeries.CountersAndHistogramsByBucket reads one
+  // bucket's moments.
   [[nodiscard]] const stats::Welford* dist_at(std::string_view metric, std::string_view vantage,
                                               std::string_view resolver, std::string_view protocol,
                                               std::int64_t bucket) const;
   // Approximate quantile for a histogram point; NaN when absent or empty.
+  // ednsm-lint: allow(hygiene-dead-function) — TimeSeries.WindowQuantileMergesBuckets compares one
+  // bucket's quantile with the window's.
   [[nodiscard]] double dist_quantile(std::string_view metric, std::string_view vantage,
                                      std::string_view resolver, std::string_view protocol,
                                      std::int64_t bucket, double q) const;
@@ -97,8 +101,6 @@ class TimeSeries {
     return counters_.size() + dists_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-  // Inclusive [min, max] bucket over all points; {0, -1} when empty.
-  [[nodiscard]] std::pair<std::int64_t, std::int64_t> bucket_range() const noexcept;
 
   // Canonical listing, sorted by (metric, vantage, resolver, protocol, kind,
   // bucket) label *names* — identical for any intern/insert order.

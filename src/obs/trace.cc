@@ -211,6 +211,31 @@ util::Json TraceData::to_json() const {
   return util::Json(std::move(o));
 }
 
+void TraceData::write_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("dropped");
+  w.number(static_cast<double>(dropped));
+  w.key("emitted");
+  w.number(static_cast<double>(emitted));
+  w.key("events");
+  w.begin_array();
+  for (const TraceEvent& e : events) {
+    w.begin_array();
+    w.number(static_cast<double>(e.ts.count()));
+    w.number(static_cast<double>(e.dur.count()));
+    w.number(static_cast<double>(e.subsystem));
+    w.number(static_cast<double>(e.name));
+    w.number(e.kind == EventKind::Complete ? 1 : 0);
+    w.end_array();
+  }
+  w.end_array();
+  w.key("symbols");
+  w.begin_array();
+  for (util::InternTable::Symbol s = 0; s < symbols.size(); ++s) w.string(symbols.name(s));
+  w.end_array();
+  w.end_object();
+}
+
 Result<TraceData> TraceData::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("trace data: not an object")};
   TraceData out;

@@ -65,8 +65,13 @@ struct TraceData {
   // are persisted in dense intern order (which preserves them exactly on
   // reload); events are compact 5-tuples [ts_us, dur_us, subsystem, name,
   // kind].
+  // ednsm-lint: allow(hygiene-dead-function) — the reference write_json() is held to:
+  // StreamedWriter.ShardFileWithTraceAndMetricsMatchesDomReference compares a shard file with
+  // ShardFile::to_json(), which embeds this.
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static Result<TraceData> from_json(const util::Json& j);
+  // Streams the to_json() layout (shard files), one event at a time.
+  void write_json(util::JsonWriter& w) const;
 };
 
 class Tracer {
@@ -88,7 +93,6 @@ class Tracer {
   // Start recording into a ring of `capacity` events. Idempotent; capacity
   // changes take effect only from an empty buffer.
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() noexcept { enabled_.store(false, std::memory_order_relaxed); }
 
   void instant(std::string_view subsystem, std::string_view name, netsim::SimTime ts);
   void complete(std::string_view subsystem, std::string_view name, netsim::SimTime begin,
@@ -104,6 +108,8 @@ class Tracer {
 
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  // ednsm-lint: allow(hygiene-dead-function) — Tracer.RecordsInstantAndComplete,
+  // Tracer.RingDropsOldest and Tracer.DisabledRecordsNothing check the ring's fill level.
   [[nodiscard]] std::size_t buffered() const noexcept { return ring_.size(); }
 
   // Move the buffered events out in chronological emission order (oldest

@@ -39,33 +39,6 @@ std::string Table::to_text() const {
   return out;
 }
 
-std::string Table::to_markdown() const {
-  std::string out = "|";
-  for (const std::string& h : header_) out += " " + h + " |";
-  out += "\n|";
-  for (std::size_t c = 0; c < header_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : rows_) {
-    out += "|";
-    for (const std::string& cell : row) out += " " + cell + " |";
-    out += "\n";
-  }
-  return out;
-}
-
-std::string Table::to_tsv() const {
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out += row[c];
-      out += (c + 1 < row.size()) ? '\t' : '\n';
-    }
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 std::string fmt(double value, int decimals) {
   if (std::isnan(value)) return "-";
   char buf[64];

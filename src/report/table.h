@@ -1,4 +1,4 @@
-// Plain-text / markdown table rendering for the reproduction reports.
+// Plain-text table rendering for the reproduction reports.
 #pragma once
 
 #include <string>
@@ -13,17 +13,10 @@ class Table {
   void add_row(std::vector<std::string> row);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t columns() const noexcept { return header_.size(); }
   [[nodiscard]] const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
 
   // Aligned monospace rendering with a separator under the header.
   [[nodiscard]] std::string to_text() const;
-
-  // GitHub-flavored markdown.
-  [[nodiscard]] std::string to_markdown() const;
-
-  // Tab-separated (for piping into plotting tools).
-  [[nodiscard]] std::string to_tsv() const;
 
  private:
   std::vector<std::string> header_;

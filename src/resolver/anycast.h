@@ -29,15 +29,10 @@ class Deployment {
   // Anycast over the given sites (>= 2).
   [[nodiscard]] static Deployment anycast(std::vector<AnycastSite> sites);
 
-  [[nodiscard]] bool is_anycast() const noexcept { return sites_.size() > 1; }
   [[nodiscard]] const std::vector<AnycastSite>& sites() const noexcept { return sites_; }
 
   // The site serving a client at `from` (nearest by great-circle distance).
   [[nodiscard]] const AnycastSite& site_for(const geo::GeoPoint& from) const;
-
-  // The site whose location the paper's GeoLite2 lookup would report
-  // (registration location = first site).
-  [[nodiscard]] const AnycastSite& primary_site() const { return sites_.front(); }
 
  private:
   std::vector<AnycastSite> sites_;

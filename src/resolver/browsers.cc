@@ -1,7 +1,5 @@
 #include "resolver/browsers.h"
 
-#include "util/strings.h"
-
 namespace ednsm::resolver {
 
 std::string_view to_string(Browser b) noexcept {
@@ -55,34 +53,6 @@ bool browser_offers(Browser browser, Provider provider) noexcept {
       return provider == Provider::Cloudflare || provider == Provider::Google;
     case Browser::Brave:
       return true;  // all six
-  }
-  return false;
-}
-
-std::vector<Provider> providers_of(Browser browser) {
-  std::vector<Provider> out;
-  for (Provider p : all_providers()) {
-    if (browser_offers(browser, p)) out.push_back(p);
-  }
-  return out;
-}
-
-bool provider_of_hostname(std::string_view hostname, Provider& out) noexcept {
-  if (util::ends_with(hostname, "cloudflare-dns.com")) {
-    out = Provider::Cloudflare;
-    return true;
-  }
-  if (hostname == "dns.google") {
-    out = Provider::Google;
-    return true;
-  }
-  if (util::ends_with(hostname, "quad9.net")) {
-    out = Provider::Quad9;
-    return true;
-  }
-  if (util::ends_with(hostname, "nextdns.io")) {
-    out = Provider::NextDNS;
-    return true;
   }
   return false;
 }

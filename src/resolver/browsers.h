@@ -3,7 +3,6 @@
 // operational definition of "mainstream".
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -21,12 +20,5 @@ enum class Provider { Cloudflare, Google, Quad9, NextDNS, CleanBrowsing, OpenDNS
 
 // Does `browser` ship `provider` as a built-in DoH choice? (Table 1.)
 [[nodiscard]] bool browser_offers(Browser browser, Provider provider) noexcept;
-
-// Providers offered by a browser, in Table 1 column order.
-[[nodiscard]] std::vector<Provider> providers_of(Browser browser);
-
-// The provider operating a registry hostname, if it is a Table 1 provider.
-// ("dns.google" -> Google, "dns9.quad9.net" -> Quad9, ...)
-[[nodiscard]] bool provider_of_hostname(std::string_view hostname, Provider& out) noexcept;
 
 }  // namespace ednsm::resolver

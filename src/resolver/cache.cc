@@ -76,10 +76,4 @@ void Cache::touch(const CacheKey& key) {
   it->second = lru_.begin();
 }
 
-void Cache::clear() {
-  entries_.clear();
-  lru_.clear();
-  lru_index_.clear();
-}
-
 }  // namespace ednsm::resolver

@@ -67,7 +67,6 @@ class Cache {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  void clear();
 
  private:
   void touch(const CacheKey& key);

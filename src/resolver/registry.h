@@ -113,7 +113,6 @@ class ResolverFleet {
   void apply_quirks(netsim::IpAddr client, std::string_view vantage_id);
 
   [[nodiscard]] const std::vector<ResolverSpec>& specs() const noexcept { return specs_; }
-  [[nodiscard]] std::size_t total_sites() const noexcept { return servers_.size(); }
 
   // Aggregate query stats across every site of one resolver.
   [[nodiscard]] ServerQueryStats stats_of(std::string_view hostname) const;

@@ -104,7 +104,6 @@ class ResolverServer {
   [[nodiscard]] const std::string& hostname() const noexcept { return hostname_; }
   [[nodiscard]] const AnycastSite& site() const noexcept { return site_; }
   [[nodiscard]] const ServerQueryStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] Cache& cache() noexcept { return cache_; }
   [[nodiscard]] const ServerBehavior& behavior() const noexcept { return behavior_; }
 
   // Adjust failure injection mid-simulation (outage modeling).

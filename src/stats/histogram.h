@@ -16,9 +16,10 @@ class Histogram {
   void add(double value_ms) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
+  // ednsm-lint: allow(hygiene-dead-function) — Histogram.BinPlacement and
+  // Histogram.AddCountBulkLoadsBins check the overflow bin.
   [[nodiscard]] std::uint64_t overflow() const noexcept { return counts_.back(); }
   [[nodiscard]] const std::vector<std::uint64_t>& bins() const noexcept { return counts_; }
-  [[nodiscard]] double bin_width() const noexcept { return width_; }
 
   // Approximate quantile by bin interpolation (NaN when empty).
   [[nodiscard]] double approx_quantile(double q) const noexcept;

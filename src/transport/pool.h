@@ -117,6 +117,8 @@ class ConnectionPool {
   // The stored ticket survives (real clients retry with resumption).
   void invalidate(const netsim::Endpoint& remote, const std::string& sni);
 
+  // ednsm-lint: allow(hygiene-dead-function) — the Pool.* and Clients.* tests (e.g.
+  // Pool.KeepaliveReusesLiveSession) count the sessions the pool holds.
   [[nodiscard]] std::size_t live_sessions() const noexcept { return sessions_.size(); }
   [[nodiscard]] const PoolStats& stats() const noexcept { return stats_; }
   [[nodiscard]] bool has_ticket(const netsim::Endpoint& remote, const std::string& sni) const;

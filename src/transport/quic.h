@@ -224,6 +224,8 @@ class QuicListener {
   void set_refuse_probability(double p) noexcept { refuse_probability_ = p; }
   void set_drop_probability(double p) noexcept { drop_probability_ = p; }
 
+  // ednsm-lint: allow(hygiene-dead-function) — Quic.CloseReleasesServerState checks that a close
+  // frees the server connection.
   [[nodiscard]] std::size_t connection_count() const noexcept { return conns_.size(); }
 
  private:

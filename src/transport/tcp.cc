@@ -99,10 +99,9 @@ void TcpMessageCore::on_rto(std::uint32_t msg_id) {
   if (it == outbound_.end() || it->second.unacked.empty()) return;
   OutboundMessage& msg = it->second;
   msg.rto_timer.reset();
-  if (++msg.retries > kMaxDataRetries) {
-    if (on_error_) on_error_("tcp: data retransmission limit exceeded");
-    return;
-  }
+  // Out of retries: the message is abandoned, and the query waiting on it
+  // fails at its own deadline.
+  if (++msg.retries > kMaxDataRetries) return;
   for (std::uint16_t seq : msg.unacked) {
     ++stats_.data_retransmissions;
     send_(msg.segments[seq]);
@@ -261,18 +260,6 @@ void TcpConnection::handle_datagram(const Datagram& d) {
 }
 
 void TcpConnection::send_message(util::Bytes data) { core_.send_message(std::move(data)); }
-
-void TcpConnection::on_error(TcpMessageCore::ErrorHandler h) { core_.on_error(std::move(h)); }
-
-void TcpConnection::close() {
-  if (state_ == State::Established) {
-    TcpSegment fin;
-    fin.type = TcpSegmentType::Fin;
-    send_segment(fin);
-  }
-  state_ = State::Closed;
-  core_.shutdown();
-}
 
 // ---- server conn ------------------------------------------------------------
 

@@ -69,13 +69,11 @@ class TcpMessageCore {
  public:
   using SendFn = std::function<void(const TcpSegment&)>;
   using MessageHandler = std::function<void(util::Bytes)>;
-  using ErrorHandler = std::function<void(std::string)>;
 
   TcpMessageCore(netsim::EventQueue& queue, SendFn send);
   ~TcpMessageCore();
 
   void on_message(MessageHandler h) { on_message_ = std::move(h); }
-  void on_error(ErrorHandler h) { on_error_ = std::move(h); }
 
   // Send one framed application message (chunks + arms the RTO).
   void send_message(util::Bytes data);
@@ -107,7 +105,6 @@ class TcpMessageCore {
   netsim::EventQueue& queue_;
   SendFn send_;
   MessageHandler on_message_;
-  ErrorHandler on_error_;
   std::uint32_t next_msg_id_ = 1;
   std::map<std::uint32_t, OutboundMessage> outbound_;
   std::map<std::uint32_t, InboundMessage> inbound_;
@@ -137,8 +134,6 @@ class TcpConnection {
 
   void send_message(util::Bytes data);
   void on_message(TcpMessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
-  void on_error(TcpMessageCore::ErrorHandler h);
-  void close();
 
   [[nodiscard]] bool established() const noexcept { return state_ == State::Established; }
   [[nodiscard]] const netsim::Endpoint& local() const noexcept { return local_; }
@@ -226,10 +221,14 @@ class TcpListener {
   // refuse_probability -> RST in response to SYN ("connection refused");
   // drop_syn_probability -> SYN silently ignored ("connection timeout").
   // Both are sampled per incoming SYN.
+  // ednsm-lint: allow(hygiene-dead-function) — Tcp.RefusedConnectionReportsRst and
+  // Pool.ConnectFailureSurfacesError refuse every SYN with it.
   void set_refuse(bool refuse) noexcept { refuse_probability_ = refuse ? 1.0 : 0.0; }
   void set_refuse_probability(double p) noexcept { refuse_probability_ = p; }
   void set_drop_syn_probability(double p) noexcept { drop_syn_probability_ = p; }
 
+  // ednsm-lint: allow(hygiene-dead-function) — Tcp.FinReleasesServerConnection checks that a FIN
+  // frees the server connection.
   [[nodiscard]] std::size_t connection_count() const noexcept { return conns_.size(); }
 
  private:

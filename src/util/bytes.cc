@@ -7,36 +7,9 @@ namespace ednsm::util {
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-int hex_value(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+// Value of a lowercase hex digit (callers validate the digit set first).
+int hex_value(char c) noexcept { return c <= '9' ? c - '0' : c - 'a' + 10; }
 }  // namespace
-
-std::string to_hex(std::span<const std::uint8_t> data) {
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t b : data) {
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0x0f]);
-  }
-  return out;
-}
-
-bool from_hex(std::string_view hex, Bytes& out) {
-  if (hex.size() % 2 != 0) return false;
-  out.clear();
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_value(hex[i]);
-    const int lo = hex_value(hex[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return true;
-}
 
 std::string as_string(std::span<const std::uint8_t> data) {
   return std::string(reinterpret_cast<const char*>(data.data()), data.size());

@@ -14,12 +14,6 @@ namespace ednsm::util {
 
 using Bytes = std::vector<std::uint8_t>;
 
-// Lowercase hex dump, no separators: {0xde, 0xad} -> "dead".
-[[nodiscard]] std::string to_hex(std::span<const std::uint8_t> data);
-
-// Inverse of to_hex; returns false on odd length or non-hex characters.
-[[nodiscard]] bool from_hex(std::string_view hex, Bytes& out);
-
 // Interpret a byte span as text (for HTTP bodies and test assertions).
 [[nodiscard]] std::string as_string(std::span<const std::uint8_t> data);
 

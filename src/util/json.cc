@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace ednsm::util {
@@ -285,11 +284,6 @@ JsonWriter::JsonWriter(std::function<void(std::string_view)> sink, int indent)
     : out_(buffer_), sink_(std::move(sink)), indent_(indent) {
   buffer_.reserve(kChunkBytes + kChunkBytes / 4);
 }
-
-JsonWriter::JsonWriter(std::ostream& os, int indent)
-    : JsonWriter(
-          [&os](std::string_view s) { os.write(s.data(), static_cast<std::streamsize>(s.size())); },
-          indent) {}
 
 void JsonWriter::newline(std::size_t depth) {
   if (indent_ <= 0) return;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -98,7 +97,6 @@ class JsonWriter {
   // Streams: bytes collect in a buffer that goes to `sink` whenever a value
   // completes with kChunkBytes or more pending, and at finish().
   JsonWriter(std::function<void(std::string_view)> sink, int indent = 0);
-  JsonWriter(std::ostream& os, int indent = 0);
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 

@@ -20,7 +20,6 @@ namespace ednsm::util {
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 
 // Join `parts` with `sep` between elements.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -21,8 +21,4 @@ namespace ednsm::web {
 [[nodiscard]] std::string render_monitor_dashboard(const monitor::MonitorResult& result,
                                                    const monitor::DiagnosisReport* diagnoses);
 
-[[nodiscard]] inline std::string render_monitor_dashboard(const monitor::MonitorResult& result) {
-  return render_monitor_dashboard(result, nullptr);
-}
-
 }  // namespace ednsm::web

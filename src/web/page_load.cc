@@ -9,12 +9,6 @@
 
 namespace ednsm::web {
 
-std::size_t PageSpec::unique_domains() const {
-  std::set<std::string> d;
-  for (const PageObject& o : objects) d.insert(o.domain);
-  return d.size();
-}
-
 PageSpec make_page(std::string root_domain, int objects, int domains, int depth,
                    std::uint64_t seed) {
   PageSpec page;

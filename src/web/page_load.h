@@ -39,8 +39,6 @@ struct PageSpec {
   std::string root_domain;
   std::vector<PageObject> objects;  // includes the root document at level 0
   int depth = 1;
-
-  [[nodiscard]] std::size_t unique_domains() const;
 };
 
 // Deterministic synthetic page: `objects` objects over `domains` domains in
@@ -55,9 +53,6 @@ struct PageLoadResult {
   double fetch_ms = 0;          // fetch share of the critical path
   int dns_lookups = 0;          // cold lookups performed (cache misses)
   int dns_failures = 0;         // lookups that errored/timed out
-  [[nodiscard]] double dns_share() const noexcept {
-    return plt_ms > 0 ? dns_ms / plt_ms : 0.0;
-  }
 };
 
 struct PageLoadOptions {

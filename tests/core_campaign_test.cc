@@ -214,7 +214,6 @@ TEST(Availability, CountsAndClasses) {
   EXPECT_EQ(ledger.per_resolver("r").total(), 3u);
   EXPECT_EQ(ledger.per_pair("v", "r").errors, 1u);
   EXPECT_EQ(ledger.dominant_error_class(), "connect-timeout");
-  EXPECT_EQ(ledger.resolvers(), std::vector<std::string>{"r"});
 }
 
 TEST(Availability, UnresponsivePredicate) {

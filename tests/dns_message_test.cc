@@ -59,7 +59,7 @@ TEST(Message, ARecordRoundTrip) {
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded.value().answers.size(), 1u);
   const auto& a = std::get<ARecord>(decoded.value().answers[0].rdata);
-  EXPECT_EQ(a.to_string(), "192.0.2.1");
+  EXPECT_EQ(a.address, (std::array<std::uint8_t, 4>{192, 0, 2, 1}));
   EXPECT_EQ(decoded.value().answers[0].ttl, 300u);
 }
 
@@ -89,7 +89,7 @@ TEST(Message, AaaaRoundTrip) {
   auto decoded = Message::decode(m.encode());
   ASSERT_TRUE(decoded.has_value());
   const auto& got = std::get<AaaaRecord>(decoded.value().answers[0].rdata);
-  EXPECT_EQ(got.to_string(), "2001:0db8:0000:0000:0000:0000:0000:0001");
+  EXPECT_EQ(got.address, aaaa.address);
 }
 
 TEST(Message, CnameChainRoundTrip) {
@@ -279,23 +279,7 @@ TEST(MessageMalformed, EmptyInput) {
   EXPECT_FALSE(Message::decode({}).has_value());
 }
 
-TEST(Message, Summarize) {
-  EXPECT_EQ(summarize(sample_query()), "QUERY google.com A");
-  const Message r = make_response(sample_query(), Rcode::NxDomain, {});
-  EXPECT_EQ(summarize(r), "RESPONSE google.com A -> NXDOMAIN 0 ans");
-}
-
 // ---- types ----------------------------------------------------------------------
-
-TEST(Types, RecordTypeStrings) {
-  EXPECT_EQ(to_string(RecordType::A), "A");
-  EXPECT_EQ(to_string(RecordType::AAAA), "AAAA");
-  EXPECT_EQ(to_string(RecordType::OPT), "OPT");
-  RecordType t;
-  EXPECT_TRUE(parse_record_type("aaaa", t));
-  EXPECT_EQ(t, RecordType::AAAA);
-  EXPECT_FALSE(parse_record_type("bogus", t));
-}
 
 TEST(Types, RcodeStrings) {
   EXPECT_EQ(to_string(Rcode::NoError), "NOERROR");

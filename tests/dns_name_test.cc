@@ -9,7 +9,7 @@ namespace {
 TEST(Name, ParseBasic) {
   auto n = Name::parse("dns.google");
   ASSERT_TRUE(n.has_value());
-  EXPECT_EQ(n.value().label_count(), 2u);
+  EXPECT_EQ(n.value().labels().size(), 2u);
   EXPECT_EQ(n.value().to_string(), "dns.google");
 }
 
@@ -70,24 +70,6 @@ TEST(Name, WireLength) {
   ASSERT_TRUE(n.has_value());
   // 1+3 + 1+2 + 1 = 8
   EXPECT_EQ(n.value().wire_length(), 8u);
-}
-
-TEST(Name, SubdomainChecks) {
-  const Name zone = Name::parse("example.com").value();
-  EXPECT_TRUE(Name::parse("example.com").value().is_subdomain_of(zone));
-  EXPECT_TRUE(Name::parse("www.example.com").value().is_subdomain_of(zone));
-  EXPECT_TRUE(Name::parse("a.b.EXAMPLE.COM").value().is_subdomain_of(zone));
-  EXPECT_FALSE(Name::parse("example.org").value().is_subdomain_of(zone));
-  EXPECT_FALSE(Name::parse("com").value().is_subdomain_of(zone));
-  EXPECT_TRUE(zone.is_subdomain_of(Name()));  // everything under root
-}
-
-TEST(Name, Parent) {
-  const Name n = Name::parse("a.b.c").value();
-  EXPECT_EQ(n.parent().to_string(), "b.c");
-  EXPECT_EQ(n.parent().parent().to_string(), "c");
-  EXPECT_TRUE(n.parent().parent().parent().is_root());
-  EXPECT_TRUE(Name().parent().is_root());
 }
 
 // ---- wire encoding + compression ---------------------------------------------

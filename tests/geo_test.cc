@@ -69,17 +69,6 @@ TEST(GeoDb, UnknownContinentBehavesLikeNoLocation) {
   EXPECT_EQ(db.size(), 1u);
 }
 
-TEST(GeoDb, HostnamesInContinentSorted) {
-  GeoDb db;
-  db.add("b.example", {"Paris", "FR", Continent::Europe, city::kParis});
-  db.add("a.example", {"Berlin", "DE", Continent::Europe, city::kBerlin});
-  db.add("c.example", {"Tokyo", "JP", Continent::Asia, city::kTokyo});
-  const auto eu = db.hostnames_in(Continent::Europe);
-  ASSERT_EQ(eu.size(), 2u);
-  EXPECT_EQ(eu[0], "a.example");
-  EXPECT_EQ(eu[1], "b.example");
-}
-
 TEST(Vantage, PaperVantagePoints) {
   const auto& points = paper_vantage_points();
   ASSERT_EQ(points.size(), 7u);  // 3 EC2 + 4 home devices

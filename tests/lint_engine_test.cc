@@ -363,9 +363,11 @@ TEST(Report, JsonFormatIsParseableShape) {
 // ---------------------------------------------------------------------------
 
 std::vector<SourceFile> load_repo_tree() {
-  return ednsm::lint::load_tree({std::string(EDNSM_SOURCE_DIR) + "/src",
-                                 std::string(EDNSM_SOURCE_DIR) + "/tools",
-                                 std::string(EDNSM_SOURCE_DIR) + "/bench"});
+  std::vector<std::string> roots;
+  for (const std::string_view root : ednsm::lint::kTreeRoots) {
+    roots.push_back(std::string(EDNSM_SOURCE_DIR) + "/" + std::string(root));
+  }
+  return ednsm::lint::load_tree(roots);
 }
 
 ednsm::lint::Options repo_options() {
@@ -474,6 +476,182 @@ void write_extras(int& sink, const Blob& b) { sink += b.via_helper; }
 )cc"};
   const auto diags = ednsm::lint::run_lint({f});
   EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+// ---------------------------------------------------------------------------
+// Pass 3: hygiene-dead-function.
+// ---------------------------------------------------------------------------
+
+std::vector<Diagnostic> dead_functions(const std::vector<SourceFile>& files) {
+  std::vector<Diagnostic> out;
+  for (Diagnostic& d : ednsm::lint::run_lint(files)) {
+    if (d.rule == "hygiene-dead-function") out.push_back(std::move(d));
+  }
+  return out;
+}
+
+// A function passed only as a value (a clock handed to a constructor) is
+// used: the name occurs outside its declaration and definition.
+TEST(DeadFunction, FunctionPassedAsValueIsUsed) {
+  const SourceFile h{"src/obs/clock.h", R"cc(
+#pragma once
+namespace ednsm::obs {
+unsigned long runtime_now_ns();
+class Telemetry {
+ public:
+  explicit Telemetry(unsigned long (*clock)());
+};
+}  // namespace ednsm::obs
+)cc"};
+  const SourceFile cc{"src/obs/clock.cc", R"cc(
+namespace ednsm::obs {
+unsigned long runtime_now_ns() { return 1; }
+Telemetry::Telemetry(unsigned long (*clock)()) { (void)clock; }
+}  // namespace ednsm::obs
+)cc"};
+  const SourceFile tool{"tools/watch.cc", R"cc(
+int main() {
+  ednsm::obs::Telemetry telemetry(&ednsm::obs::runtime_now_ns);
+  return 0;
+}
+)cc"};
+  const auto diags = dead_functions({h, cc, tool});
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+// `Cls::fn(x);` inside a body is a call, not a declaration of Cls::fn, so it
+// counts as a use.
+TEST(DeadFunction, QualifiedCallStatementIsAUse) {
+  const SourceFile h{"src/obs/manifest.h", R"cc(
+#pragma once
+namespace ednsm::obs {
+struct RunManifest {
+  static int manifest_load(int text);
+};
+}  // namespace ednsm::obs
+)cc"};
+  const SourceFile cc{"src/obs/manifest.cc", R"cc(
+namespace ednsm::obs {
+int RunManifest::manifest_load(int text) { return text; }
+}  // namespace ednsm::obs
+)cc"};
+  const SourceFile tool{"tools/check.cc", R"cc(
+namespace ednsm::obs {
+void check(int text) {
+  RunManifest::manifest_load(text);
+}
+}  // namespace ednsm::obs
+)cc"};
+  const std::vector<SourceFile> files = {h, cc, tool};
+  const auto diags = dead_functions(files);
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+  const auto index = ednsm::lint::build_index(files);
+  for (const auto& fn : index.functions) {
+    if (fn.name == "manifest_load") {
+      EXPECT_NE(fn.file, 2) << "the call statement was indexed as a declaration";
+    }
+  }
+}
+
+// A member initializer `d = std::chrono::hours(8);` is a call, not a
+// declaration of a function named `hours`.
+TEST(DeadFunction, InitializerCallIsNotADeclaration) {
+  const SourceFile h{"src/core/spec.h", R"cc(
+#pragma once
+#include <chrono>
+namespace ednsm::core {
+struct Spec {
+  std::chrono::seconds round_interval = std::chrono::hours(8);
+};
+}  // namespace ednsm::core
+)cc"};
+  const std::vector<SourceFile> files = {h};
+  const auto index = ednsm::lint::build_index(files);
+  for (const auto& fn : index.functions) EXPECT_NE(fn.name, "hours") << fn.qualified();
+  const auto diags = dead_functions(files);
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+TEST(DeadFunction, AllowedLineIsSilent) {
+  const SourceFile h{"src/util/probe.h", R"cc(
+#pragma once
+namespace ednsm::util {
+// ednsm-lint: allow(hygiene-dead-function) — Probe.Counts reads it.
+int probe_count();
+}  // namespace ednsm::util
+)cc"};
+  const auto diags = dead_functions({h});
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+TEST(DeadFunction, ConstructorsDestructorsAndOperatorsAreExempt) {
+  const SourceFile h{"src/util/widget.h", R"cc(
+#pragma once
+namespace ednsm::util {
+class Widget {
+ public:
+  Widget();
+  explicit Widget(int size);
+  ~Widget();
+  Widget& operator=(const Widget&);
+  bool operator<(const Widget&) const;
+  explicit operator bool() const;
+};
+}  // namespace ednsm::util
+)cc"};
+  const SourceFile cc{"src/util/widget.cc", R"cc(
+namespace ednsm::util {
+Widget::Widget() = default;
+Widget::Widget(int size) { (void)size; }
+Widget::~Widget() = default;
+}  // namespace ednsm::util
+)cc"};
+  const auto diags = dead_functions({h, cc});
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+// Helpers local to a .cc file are the compiler's business
+// (-Wunused-function), not this rule's.
+TEST(DeadFunction, HelperLocalToSourceFileIsIgnored) {
+  const SourceFile cc{"src/util/local.cc", R"cc(
+namespace ednsm::util {
+namespace {
+int unused_local_helper(int x) { return x + 1; }
+}  // namespace
+}  // namespace ednsm::util
+)cc"};
+  const auto diags = dead_functions({cc});
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+// A declaration inside a `class` body pairs with its out-of-line `Cls::fn`
+// definition, so a definition alone does not count as a use.
+TEST(DeadFunction, ClassMethodUsedOnlyByItsDefinitionIsFlagged) {
+  const SourceFile h{"src/report/table.h", R"cc(
+#pragma once
+#include <string>
+namespace ednsm::report {
+class Table {
+ public:
+  std::string to_text() const;
+  std::string to_markdown() const;
+};
+}  // namespace ednsm::report
+)cc"};
+  const SourceFile cc{"src/report/table.cc", R"cc(
+namespace ednsm::report {
+std::string Table::to_text() const { return to_text_impl(); }
+std::string Table::to_markdown() const { return "|"; }
+}  // namespace ednsm::report
+)cc"};
+  const SourceFile tool{"tools/report.cc", R"cc(
+std::string render(const ednsm::report::Table& t) { return t.to_text(); }
+)cc"};
+  const auto diags = dead_functions({h, cc, tool});
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  EXPECT_EQ(diags[0].path, "src/report/table.h");
+  EXPECT_EQ(diags[0].line, 8);
+  EXPECT_NE(diags[0].message.find("Table::to_markdown"), std::string::npos) << diags[0].message;
 }
 
 }  // namespace

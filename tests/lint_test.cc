@@ -2,13 +2,16 @@
 // guarantees. Three layers:
 //   1. Every rule ID has at least one known-bad fixture that triggers it and
 //      the suppression syntax silences it.
-//   2. The real tree (src/, tools/, bench/) is lint-clean.
+//   2. The real tree (lint::kTreeRoots) is lint-clean modulo the committed
+//      baseline.
 //   3. Mutation checks: deliberately removing a JSON codec field, or adding
 //      an unsorted unordered_map emission, makes lint fail — the acceptance
 //      bar for the codec-parity and determinism rules staying alive.
 #include "lint/lint.h"
 
 #include <gtest/gtest.h>
+
+#include "lint/baseline.h"
 
 #include <algorithm>
 #include <fstream>
@@ -219,6 +222,29 @@ TEST(LintFixtures, ObsDomainSinkInsideDomainIsClean) {
   EXPECT_TRUE(diags.empty()) << dump(diags);
 }
 
+// hygiene-dead-function polices headers under src/, so the fixture is linted
+// under a synthetic src/util/ path.
+std::vector<Diagnostic> lint_dead_function_fixture() {
+  return ednsm::lint::run_lint(
+      {SourceFile{"src/util/dead_function_bad.h",
+                  read_file(std::string(EDNSM_LINT_FIXTURE_DIR) + "/dead_function_bad.h")}});
+}
+
+TEST(LintFixtures, DeadFunctionBad) {
+  const auto diags = lint_dead_function_fixture();
+  ASSERT_EQ(diags.size(), 2u) << dump(diags);
+  for (const Diagnostic& d : diags) EXPECT_EQ(d.rule, "hygiene-dead-function");
+  EXPECT_NE(diags[0].message.find("unused_helper"), std::string::npos) << diags[0].message;
+  EXPECT_NE(diags[1].message.find("Gadget::unused_method"), std::string::npos)
+      << diags[1].message;
+}
+
+// Outside src/ (tools, tests, examples) the rule stays silent.
+TEST(LintFixtures, DeadFunctionOutsideSrcIsExempt) {
+  const auto diags = lint_fixture("dead_function_bad.h");
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
 // Every advertised rule ID is exercised by at least one bad fixture. Most
 // fixtures lint standalone; the architectural rules need a little staging —
 // layering wants a src/<module>/ path plus a layers config, and the include
@@ -235,6 +261,9 @@ TEST(LintFixtures, EveryRuleCovered) {
   for (const std::string& name : bad_fixtures) {
     for (const Diagnostic& d : lint_fixture(name)) triggered.insert(d.rule);
   }
+
+  // hygiene-dead-function: only headers under src/ are in scope.
+  for (const Diagnostic& d : lint_dead_function_fixture()) triggered.insert(d.rule);
 
   // arch-layering: the fixture inverts a layer edge once placed in src/util/.
   ednsm::lint::Options layer_options;
@@ -284,16 +313,57 @@ TEST(LintFixtures, DiagnosticsSorted) {
 // ---------------------------------------------------------------------------
 
 std::vector<SourceFile> load_repo_tree() {
-  return ednsm::lint::load_tree({std::string(EDNSM_SOURCE_DIR) + "/src",
-                                 std::string(EDNSM_SOURCE_DIR) + "/tools",
-                                 std::string(EDNSM_SOURCE_DIR) + "/bench"});
+  std::vector<std::string> roots;
+  for (const std::string_view root : ednsm::lint::kTreeRoots) {
+    roots.push_back(std::string(EDNSM_SOURCE_DIR) + "/" + std::string(root));
+  }
+  return ednsm::lint::load_tree(roots);
+}
+
+// Every rule's findings minus the committed baseline. Layering (and with it
+// the staleness of the layering entries) is
+// LintTreeArch.CleanTreeConformsToLayersConf's job.
+std::vector<Diagnostic> lint_minus_baseline(const std::vector<SourceFile>& files) {
+  std::vector<ednsm::lint::BaselineEntry> baseline;
+  std::string error;
+  EXPECT_TRUE(ednsm::lint::parse_baseline(
+      read_file(std::string(EDNSM_SOURCE_DIR) + "/tools/lint/baseline.json"), &baseline, &error))
+      << error;
+  return ednsm::lint::apply_baseline(ednsm::lint::run_lint(files), baseline).remaining;
 }
 
 TEST(LintTree, CleanTree) {
   const auto files = load_repo_tree();
   ASSERT_GT(files.size(), 100u) << "tree scan found suspiciously few files";
-  const auto diags = ednsm::lint::run_lint(files);
+  const auto diags = lint_minus_baseline(files);
   EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
+// A public function nobody calls must trip hygiene-dead-function, and
+// nothing else.
+TEST(LintTree, UnreferencedPublicFunctionFails) {
+  auto files = load_repo_tree();
+  std::size_t mutated = 0;
+  for (SourceFile& f : files) {
+    if (f.path.ends_with("src/util/strings.h")) {
+      const std::size_t pos = f.content.rfind("}  // namespace");
+      ASSERT_NE(pos, std::string::npos);
+      f.content.insert(pos, "[[nodiscard]] std::string shout_label(std::string_view s);\n\n");
+      ++mutated;
+    } else if (f.path.ends_with("src/util/strings.cc")) {
+      const std::size_t pos = f.content.rfind("}  // namespace");
+      ASSERT_NE(pos, std::string::npos);
+      f.content.insert(
+          pos, "std::string shout_label(std::string_view s) { return std::string(s) + \"!\"; }\n\n");
+      ++mutated;
+    }
+  }
+  ASSERT_EQ(mutated, 2u);
+  const auto diags = lint_minus_baseline(files);
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  EXPECT_EQ(diags[0].rule, "hygiene-dead-function");
+  EXPECT_TRUE(diags[0].path.ends_with("src/util/strings.h")) << diags[0].path;
+  EXPECT_NE(diags[0].message.find("shout_label"), std::string::npos) << diags[0].message;
 }
 
 // Removing a field from the ResultRecord JSON writer must trip codec-parity:

@@ -62,7 +62,6 @@ TEST(TimeSeries, CountersAndHistogramsByBucket) {
 
   // 2 counter buckets + 1 histogram (both observations share bucket 0).
   EXPECT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts.bucket_range(), (std::pair<std::int64_t, std::int64_t>{0, 2}));
 }
 
 TEST(TimeSeries, WindowQuantileMergesBuckets) {
@@ -407,7 +406,7 @@ TEST(Monitor, DashboardRendersSelfContainedHtml) {
   auto result = monitor::run_monitor(spec, 2);
   ASSERT_TRUE(result) << result.error();
 
-  const std::string html = web::render_monitor_dashboard(result.value());
+  const std::string html = web::render_monitor_dashboard(result.value(), nullptr);
   EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
   EXPECT_NE(html.find("Availability heatmap"), std::string::npos);
   EXPECT_NE(html.find("latency bands"), std::string::npos);
@@ -417,7 +416,7 @@ TEST(Monitor, DashboardRendersSelfContainedHtml) {
   // Self-contained: no external fetches.
   EXPECT_EQ(html.find("http://"), std::string::npos);
   EXPECT_EQ(html.find("https://"), std::string::npos);
-  EXPECT_EQ(html, web::render_monitor_dashboard(result.value()));
+  EXPECT_EQ(html, web::render_monitor_dashboard(result.value(), nullptr));
 }
 
 TEST(Monitor, RejectsInvalidInputs) {
@@ -760,9 +759,6 @@ TEST(Diagnose, DashboardRendersDiagnosesSection) {
   // Still self-contained with the extra section.
   EXPECT_EQ(html.find("http://"), std::string::npos);
   EXPECT_EQ(html.find("https://"), std::string::npos);
-  // Without a report the dashboard is unchanged from the single-arg overload.
-  EXPECT_EQ(web::render_monitor_dashboard(result.value(), nullptr),
-            web::render_monitor_dashboard(result.value()));
 }
 
 }  // namespace

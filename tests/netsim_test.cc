@@ -40,8 +40,8 @@ TEST(Rng, UniformMeanApproximatelyCentered) {
   Rng rng(11);
   double sum = 0;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.uniform(10.0, 20.0);
-  EXPECT_NEAR(sum / n, 15.0, 0.05);
+  for (int i = 0; i < n; ++i) sum += rng.next_double();
+  EXPECT_NEAR(sum / n, 0.5, 0.005);
 }
 
 TEST(Rng, UniformU64InRange) {
@@ -178,8 +178,6 @@ struct World {
 TEST(Network, AddressesAreDistinct) {
   World w;
   EXPECT_NE(w.a, w.b);
-  EXPECT_EQ(w.net.label_of(w.a).value(), "a");
-  EXPECT_FALSE(w.net.label_of(IpAddr{12345}).has_value());
 }
 
 TEST(Network, DatagramDeliveryRespectsPropagation) {
@@ -275,8 +273,10 @@ TEST(Network, PathModelFloor) {
   World w;
   const PathModel& p = w.net.path(w.a, w.b);
   Rng rng(1);
+  const double floor_ms =
+      p.propagation_ms + p.quirk.extra_base_ms + p.src_access.base_ms + p.dst_access.base_ms;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(p.sample_one_way_ms(rng), p.floor_ms());
+    EXPECT_GE(p.sample_one_way_ms(rng), floor_ms);
   }
 }
 

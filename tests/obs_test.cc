@@ -127,9 +127,6 @@ TEST(Metrics, CountersGaugesDistributions) {
   EXPECT_EQ(m.counter("netsim.datagrams_sent"), 4u);
   EXPECT_EQ(m.counter("never.registered"), 0u);
 
-  m.set_gauge("campaign.shards", 2.0);
-  EXPECT_DOUBLE_EQ(m.gauge("campaign.shards"), 2.0);
-
   m.observe("campaign.response_ms", 10.0);
   m.observe("campaign.response_ms", 30.0);
   const stats::Welford* d = m.distribution("campaign.response_ms");
@@ -160,13 +157,11 @@ TEST(Metrics, MergeWithEmptyShards) {
   // vantage issued no queries.
   obs::Metrics populated;
   populated.add("x.count", 3);
-  populated.set_gauge("g.shards", 2.0);
   populated.observe("lat_ms", 12.5);
 
   obs::Metrics empty;
   populated.merge(empty);
   EXPECT_EQ(populated.counter("x.count"), 3u);
-  EXPECT_DOUBLE_EQ(populated.gauge("g.shards"), 2.0);
   ASSERT_NE(populated.distribution("lat_ms"), nullptr);
   EXPECT_EQ(populated.distribution("lat_ms")->count(), 1u);
 
@@ -181,26 +176,58 @@ TEST(Metrics, MergeWithEmptyShards) {
   EXPECT_TRUE(a.jsonl().empty());
 }
 
+// The names in one JSONL dump, in line order; every line must parse.
+std::vector<std::string> jsonl_names(const std::string& jsonl) {
+  std::vector<std::string> names;
+  std::size_t start = 0;
+  while (start < jsonl.size()) {
+    std::size_t end = jsonl.find('\n', start);
+    if (end == std::string::npos) end = jsonl.size();
+    const auto parsed = util::Json::parse(jsonl.substr(start, end - start));
+    EXPECT_TRUE(parsed) << jsonl.substr(start, end - start);
+    if (!parsed || !parsed.value().at("name").is_string()) return names;
+    names.push_back(parsed.value().at("name").as_string());
+    start = end + 1;
+  }
+  return names;
+}
+
 TEST(Metrics, JsonlIsSortedAndParses) {
   obs::Metrics m;
   m.add("zz.last", 1);
   m.add("aa.first", 2);
   m.observe("mm.lat_ms", 4.5);
-  const std::string jsonl = m.jsonl();
-  // Every line parses as a JSON object with kind/name.
-  std::size_t start = 0;
-  std::vector<std::string> names;
-  while (start < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    const auto parsed = util::Json::parse(jsonl.substr(start, end - start));
-    ASSERT_TRUE(parsed) << jsonl.substr(start, end - start);
-    ASSERT_TRUE(parsed.value().at("name").is_string());
-    names.push_back(parsed.value().at("name").as_string());
-    start = end + 1;
-  }
+  const std::vector<std::string> names = jsonl_names(m.jsonl());
   ASSERT_EQ(names.size(), 3u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+
+  // A shard file can carry any metric name: quotes, backslashes and control
+  // bytes are escaped, and the name reads back intact.
+  obs::Metrics hostile;
+  const std::string counter_name = "c\"q\\b\nn\x01";
+  const std::string dist_name = "d\"q\\b\nn\x01";
+  hostile.add(counter_name, 1);
+  hostile.observe(dist_name, 2.0);
+  EXPECT_EQ(jsonl_names(hostile.jsonl()), (std::vector<std::string>{counter_name, dist_name}));
+}
+
+TEST(Metrics, JsonKeepsAnEmptyGaugesArrayAndRejectsGauges) {
+  obs::Metrics m;
+  m.add("x.count", 3);
+  m.observe("lat_ms", 12.5);
+  const util::Json j = m.to_json();
+  ASSERT_TRUE(j.at("gauges").is_array());
+  EXPECT_TRUE(j.at("gauges").as_array().empty());
+  const auto back = obs::Metrics::from_json(j);
+  ASSERT_TRUE(back) << back.error();
+  EXPECT_EQ(back.value().jsonl(), m.jsonl());
+
+  auto with_gauge = util::Json::parse(
+      R"({"counters": [], "dists": [], "gauges": [["campaign.shards", 2]]})");
+  ASSERT_TRUE(with_gauge);
+  const auto rejected = obs::Metrics::from_json(with_gauge.value());
+  ASSERT_FALSE(rejected);
+  EXPECT_NE(rejected.error().find("gauges"), std::string::npos) << rejected.error();
 }
 
 TEST(MergedTrace, ChromeJsonParsesAndFilters) {

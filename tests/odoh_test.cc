@@ -63,7 +63,7 @@ struct OdohWorld {
 
   client::QueryOutcome ask(const std::string& target_host,
                            client::QueryOptions options = {}) {
-    client::OdohClient odoh(net, *pool, options);
+    client::OdohClient odoh(net, *pool, client::SessionTarget{}, options);
     std::optional<client::QueryOutcome> out;
     odoh.query(relay->address(), "relay.example", target_host,
                dns::Name::parse("example.com").value(), dns::RecordType::A,

@@ -118,14 +118,6 @@ TEST(Cache, ReinsertUpdatesEntry) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(Cache, ClearEmptiesEverything) {
-  Cache cache;
-  cache.insert(key("a.com"), dns::Rcode::NoError, {record("a.com", 300)}, SimTime(0));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(key("a.com"), SimTime(0)).has_value());
-}
-
 // Parameterized sweep: entries inserted at t=0 with TTL T are visible at
 // T-1s and gone at T, for a range of TTLs.
 class CacheTtlSweep : public ::testing::TestWithParam<std::uint32_t> {};

@@ -15,7 +15,6 @@ namespace c = geo::city;
 
 TEST(Anycast, UnicastHasSingleSite) {
   const Deployment d = Deployment::unicast({"Munich", c::kMunich});
-  EXPECT_FALSE(d.is_anycast());
   EXPECT_EQ(d.sites().size(), 1u);
   EXPECT_EQ(d.site_for(c::kSeoul).city, "Munich");
 }
@@ -39,11 +38,6 @@ TEST(Anycast, IspBackboneThinInAsia) {
   EXPECT_EQ(d.site_for(c::kSeoul).city, "Tokyo");
   // Dense in the US: Chicago client served from Chicago.
   EXPECT_EQ(d.site_for(c::kChicago).city, "Chicago");
-}
-
-TEST(Anycast, PrimarySiteIsFirst) {
-  const Deployment d = Deployment::anycast({{"X", c::kParis}, {"Y", c::kTokyo}});
-  EXPECT_EQ(d.primary_site().city, "X");
 }
 
 // ---- upstream ------------------------------------------------------------------

@@ -68,15 +68,6 @@ TEST(SessionFactory, CreatesEveryProtocol) {
   }
 }
 
-TEST(SessionFactory, TargetRelayFlagsOdoh) {
-  SessionTarget direct;
-  direct.hostname = "dns.example";
-  EXPECT_FALSE(direct.via_relay());
-  SessionTarget relayed = direct;
-  relayed.relay_sni = "relay.example";
-  EXPECT_TRUE(relayed.via_relay());
-}
-
 // Every successful query must satisfy phase_sum() <= total: phases are
 // disjoint slices of the same wall-clock interval, never overlapping ones.
 TEST(SessionTiming, ColdPhasesDecomposeTotal) {

@@ -4,7 +4,6 @@
 
 #include "netsim/rng.h"
 #include "stats/correlation.h"
-#include "stats/group.h"
 #include "stats/histogram.h"
 #include "stats/quantile.h"
 #include "stats/welford.h"
@@ -185,7 +184,7 @@ TEST(Histogram, ApproxQuantileReasonable) {
   netsim::Rng rng(9);
   std::vector<double> xs;
   for (int i = 0; i < 20000; ++i) {
-    const double x = rng.uniform(0, 100);
+    const double x = 100 * rng.next_double();
     xs.push_back(x);
     h.add(x);
   }
@@ -250,48 +249,6 @@ TEST(Histogram, AddCountBulkLoadsBins) {
   EXPECT_EQ(loaded.count(), direct.count());
 }
 
-// ---- grouped samples -------------------------------------------------------------
-
-TEST(Group, AddAndSummarize) {
-  GroupedSamples g;
-  g.add("a", 1);
-  g.add("a", 3);
-  g.add("b", 10);
-  EXPECT_EQ(g.group_count(), 2u);
-  EXPECT_EQ(g.total_samples(), 3u);
-  EXPECT_DOUBLE_EQ(g.median_of("a"), 2.0);
-  EXPECT_DOUBLE_EQ(g.median_of("b"), 10.0);
-  EXPECT_TRUE(std::isnan(g.median_of("missing")));
-  EXPECT_EQ(g.summary_of("a").count, 2u);
-  EXPECT_EQ(g.summary_of("missing").count, 0u);
-}
-
-TEST(Group, KeysSorted) {
-  GroupedSamples g;
-  g.add("z", 1);
-  g.add("a", 1);
-  g.add("m", 1);
-  EXPECT_EQ(g.keys(), (std::vector<std::string>{"a", "m", "z"}));
-}
-
-TEST(Group, KeysByMedianAscending) {
-  GroupedSamples g;
-  g.add("slow", 100);
-  g.add("fast", 1);
-  g.add("mid", 50);
-  EXPECT_EQ(g.keys_by_median(), (std::vector<std::string>{"fast", "mid", "slow"}));
-}
-
-TEST(Group, SamplesPointerStable) {
-  GroupedSamples g;
-  g.add("x", 5);
-  const auto* s = g.samples("x");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->size(), 1u);
-  EXPECT_EQ(g.samples("y"), nullptr);
-}
-
-
 // ---- correlation ----------------------------------------------------------------
 
 TEST(Correlation, PearsonPerfectLinear) {
@@ -342,7 +299,7 @@ TEST(Correlation, LinearFitRecoversModel) {
   netsim::Rng rng(5);
   std::vector<double> x, y;
   for (int i = 0; i < 2000; ++i) {
-    const double xi = rng.uniform(0, 100);
+    const double xi = 100 * rng.next_double();
     x.push_back(xi);
     y.push_back(3.0 * xi + 7.0 + rng.normal(0, 0.5));
   }

@@ -71,9 +71,6 @@ TEST(Strings, IEquals) {
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(util::starts_with("dns=abc", "dns="));
   EXPECT_FALSE(util::starts_with("dn", "dns="));
-  EXPECT_TRUE(util::ends_with("dns.quad9.net", "quad9.net"));
-  EXPECT_FALSE(util::ends_with("net", "quad9.net"));
-  EXPECT_TRUE(util::ends_with("x", ""));
 }
 
 TEST(Strings, Join) {
@@ -100,31 +97,6 @@ TEST(Strings, ParseU64Invalid) {
 }
 
 // ---- bytes -----------------------------------------------------------------
-
-TEST(Bytes, HexRoundTrip) {
-  const util::Bytes data = {0x00, 0xde, 0xad, 0xbe, 0xef, 0xff};
-  const std::string hex = util::to_hex(data);
-  EXPECT_EQ(hex, "00deadbeefff");
-  util::Bytes back;
-  ASSERT_TRUE(util::from_hex(hex, back));
-  EXPECT_EQ(back, data);
-}
-
-TEST(Bytes, FromHexUppercase) {
-  util::Bytes out;
-  ASSERT_TRUE(util::from_hex("DEADBEEF", out));
-  EXPECT_EQ(out, (util::Bytes{0xde, 0xad, 0xbe, 0xef}));
-}
-
-TEST(Bytes, FromHexRejectsOddLength) {
-  util::Bytes out;
-  EXPECT_FALSE(util::from_hex("abc", out));
-}
-
-TEST(Bytes, FromHexRejectsNonHex) {
-  util::Bytes out;
-  EXPECT_FALSE(util::from_hex("zz", out));
-}
 
 TEST(Bytes, StringConversions) {
   const util::Bytes b = util::to_bytes("hello");

@@ -303,10 +303,8 @@ int tool_main(const cli::Args& args) {
     // and is skipped rather than failing the suite. Wall time only — lint
     // findings are the lint_tree ctest case's job, not the bench's.
     double lint_wall_ms = 0.0;
-    std::vector<lint::SourceFile> tree;
-    for (const char* root : {"src", "tools", "bench"}) {
-      for (lint::SourceFile& f : lint::load_tree({root})) tree.push_back(std::move(f));
-    }
+    const std::vector<lint::SourceFile> tree =
+        lint::load_tree({lint::kTreeRoots.begin(), lint::kTreeRoots.end()});
     const std::size_t lint_files = tree.size();
     for (int run = 0; !tree.empty() && run < repeat; ++run) {
       const auto start = WallClock::now();

@@ -1,8 +1,9 @@
 // ednsm_lint CLI: run the project-invariant static analyzer over source
-// roots (default: src tools bench, resolved against the current directory)
+// roots (default: lint::kTreeRoots, resolved against the current directory)
 // and exit nonzero when any unsuppressed, non-baselined violation remains.
 //
-//   ednsm_lint                          # lint src/, tools/, bench/ under $PWD
+//   ednsm_lint                          # lint src tools bench examples
+//                                       #   perfbench under $PWD
 //   ednsm_lint path/to/src ...          # explicit roots (files or directories)
 //   ednsm_lint --list-rules             # print the rule table and exit
 //   ednsm_lint --layers FILE            # module DAG config (default:
@@ -58,7 +59,7 @@ int tool_main(const ednsm::cli::Args& args) {
     return 0;
   }
   std::vector<std::string> roots = args.positionals();
-  if (roots.empty()) roots = {"src", "tools", "bench"};
+  if (roots.empty()) roots.assign(ednsm::lint::kTreeRoots.begin(), ednsm::lint::kTreeRoots.end());
   std::string layers_path = args.text("layers", "");
   std::string baseline_path = args.text("baseline", "");
   const std::string json_out_path = args.text("json-out", "");

@@ -280,7 +280,7 @@ namespace {
 // terminates it afterwards.
 void parse_fields(const Prepared& p, StructDef& s) {
   const std::string_view code = p.code;
-  bool collecting = true;  // struct scope starts public
+  bool collecting = !s.is_class;  // struct scope starts public, class scope private
   std::string chunk;
   std::size_t chunk_begin = s.body_begin;
   bool saw_braces = false;
@@ -370,40 +370,59 @@ void parse_fields(const Prepared& p, StructDef& s) {
   }
 }
 
+// Every `struct Name ... {` or `class Name ... {` body in one file.
+void collect_bodies(SymbolIndex& index, std::size_t fi, std::string_view keyword) {
+  const Prepared& p = index.files[fi];
+  const std::string_view code = p.code;
+  const bool is_class = keyword == "class";
+  for (std::size_t pos = find_word(code, keyword); pos != std::string_view::npos;
+       pos = find_word(code, keyword, pos + 1)) {
+    if (is_class) {
+      // `enum class` is an enumeration; `<class T>` a template parameter.
+      const std::size_t before = prev_nonspace(code, pos);
+      if (before != std::string_view::npos &&
+          (code[before] == '<' || code[before] == ',' ||
+           (before >= 3 && word_at(code, before - 3, "enum")))) {
+        continue;
+      }
+    }
+    std::size_t after = skip_ws(code, pos + keyword.size());
+    std::size_t name_end = after;
+    const std::string name = read_ident(code, after, &name_end);
+    if (name.empty()) continue;
+    // Scan forward over `final` / base clause to '{'; a ';' first means a
+    // forward declaration, a '(' an elaborated type in a signature.
+    std::size_t brace = name_end;
+    while (brace < code.size() && code[brace] != '{' && code[brace] != ';' && code[brace] != '(') {
+      ++brace;
+    }
+    if (brace >= code.size() || code[brace] != '{') continue;
+    const std::size_t end = match_block(code, brace, '{', '}');
+    if (end == std::string_view::npos) continue;
+    StructDef s;
+    s.name = name;
+    s.is_class = is_class;
+    s.where = &p;
+    s.file = static_cast<int>(fi);
+    s.line = line_of(p, pos);
+    s.body_begin = brace + 1;
+    s.body_end = end - 1;
+    const std::string_view body = code.substr(s.body_begin, s.body_end - s.body_begin);
+    s.has_to_json = contains_word(body, "to_json");
+    s.has_from_json = contains_word(body, "from_json");
+    s.has_phase_sum = contains_word(body, "phase_sum");
+    if (s.has_to_json || s.has_from_json || s.has_phase_sum ||
+        contains_word(body, "SimDuration")) {
+      parse_fields(p, s);
+    }
+    index.structs.push_back(std::move(s));
+  }
+}
+
 void collect_structs(SymbolIndex& index) {
   for (std::size_t fi = 0; fi < index.files.size(); ++fi) {
-    const Prepared& p = index.files[fi];
-    const std::string_view code = p.code;
-    for (std::size_t pos = find_word(code, "struct"); pos != std::string_view::npos;
-         pos = find_word(code, "struct", pos + 1)) {
-      std::size_t after = skip_ws(code, pos + 6);
-      std::size_t name_end = after;
-      const std::string name = read_ident(code, after, &name_end);
-      if (name.empty()) continue;
-      // Scan forward over `final` / base clause to '{'; a ';' first means a
-      // forward declaration.
-      std::size_t brace = name_end;
-      while (brace < code.size() && code[brace] != '{' && code[brace] != ';') ++brace;
-      if (brace >= code.size() || code[brace] != '{') continue;
-      const std::size_t end = match_block(code, brace, '{', '}');
-      if (end == std::string_view::npos) continue;
-      StructDef s;
-      s.name = name;
-      s.where = &p;
-      s.file = static_cast<int>(fi);
-      s.line = line_of(p, pos);
-      s.body_begin = brace + 1;
-      s.body_end = end - 1;
-      const std::string_view body = code.substr(s.body_begin, s.body_end - s.body_begin);
-      s.has_to_json = contains_word(body, "to_json");
-      s.has_from_json = contains_word(body, "from_json");
-      s.has_phase_sum = contains_word(body, "phase_sum");
-      if (s.has_to_json || s.has_from_json || s.has_phase_sum ||
-          contains_word(body, "SimDuration")) {
-        parse_fields(p, s);
-      }
-      index.structs.push_back(std::move(s));
-    }
+    collect_bodies(index, fi, "struct");
+    collect_bodies(index, fi, "class");
   }
 }
 
@@ -512,9 +531,14 @@ void collect_functions(SymbolIndex& index) {
     const Prepared& p = index.files[fi];
     const std::string_view code = p.code;
     const std::vector<NamespaceBlock> namespaces = collect_namespaces(p);
+    // Body ends of the definitions enclosing the scan position, innermost
+    // last. Inside a body a `name(...);` is a call statement, never a
+    // declaration.
+    std::vector<std::size_t> open_bodies;
 
     for (std::size_t open = code.find('('); open != std::string_view::npos;
          open = code.find('(', open + 1)) {
+      while (!open_bodies.empty() && open_bodies.back() <= open) open_bodies.pop_back();
       // Identifier directly before the '('.
       const std::size_t last = prev_nonspace(code, open);
       if (last == std::string_view::npos || !ident_char(code[last])) continue;
@@ -605,6 +629,7 @@ void collect_functions(SymbolIndex& index) {
       f.class_name = class_name;
       f.file = static_cast<int>(fi);
       f.line = line_of(p, name_begin);
+      f.pos = name_begin;
       f.ns = namespace_at(namespaces, name_begin);
 
       if (code[t] == '{') {
@@ -613,10 +638,14 @@ void collect_functions(SymbolIndex& index) {
         f.defined = true;
         f.body_begin = t + 1;
         f.body_end = body_end - 1;
+        open_bodies.push_back(f.body_end);
       } else if (code[t] == ';' || code[t] == '=') {
+        if (!open_bodies.empty()) continue;
         // Declaration (or `= default/delete/0`). Require a type-ish token
-        // before the declaration — or a class qualifier / class-body scope —
-        // so plain call statements `foo(x);` don't register as declarations.
+        // before the declaration — or a class qualifier / class-body scope
+        // with the name starting a statement (constructors) — so call
+        // statements `foo(x);` and initializers `d = std::chrono::hours(8);`
+        // don't register as declarations.
         bool type_before =
             before != std::string_view::npos &&
             (ident_char(code[before]) || code[before] == '>' || code[before] == '*' ||
@@ -639,7 +668,11 @@ void collect_functions(SymbolIndex& index) {
             }
           }
         }
-        if (!type_before && !in_class) continue;
+        const bool starts_statement =
+            before == std::string_view::npos || code[before] == ';' || code[before] == '{' ||
+            code[before] == '}' ||
+            (code[before] == ':' && (before == 0 || code[before - 1] != ':'));
+        if (!type_before && !(in_class && starts_statement)) continue;
         f.defined = false;
       } else {
         continue;

@@ -2,9 +2,9 @@
 //
 // The analyzer runs three passes (see DESIGN.md "Static analysis"):
 //   1. index  — parse every translation unit into the lightweight model in
-//               this header: blanked source text, suppression map, structs
-//               and fields, function definitions/declarations, includes, and
-//               module ownership (the src/<module>/ directory).
+//               this header: blanked source text, suppression map, structs,
+//               classes and their fields, function definitions/declarations,
+//               includes, and module ownership (the src/<module>/ directory).
 //   2. graph  — an approximate intraproject call graph over the functions
 //               (tools/lint/graph.h).
 //   3. rules  — token rules, codec/phase checks, the determinism taint
@@ -75,8 +75,11 @@ struct Field {
   int line = 0;
 };
 
+// A `struct` or `class` body. Classes are indexed so that their methods get
+// a class name; their members start private.
 struct StructDef {
   std::string name;
+  bool is_class = false;
   const Prepared* where = nullptr;
   int file = -1;               // index into SymbolIndex::files
   int line = 0;
@@ -96,6 +99,7 @@ struct FunctionDef {
   std::string ns;          // enclosing namespace path, best-effort ("a::b")
   int file = -1;           // index into SymbolIndex::files
   int line = 0;
+  std::size_t pos = 0;     // offset of the name in the file
   bool defined = false;        // true when a body was found in the scanned set
   std::size_t body_begin = 0;  // offset just past '{' (valid when defined)
   std::size_t body_end = 0;    // offset of '}'

@@ -33,6 +33,7 @@ constexpr std::string_view kIncludeCycle = "arch-include-cycle";
 constexpr std::string_view kPragmaOnce = "hygiene-pragma-once";
 constexpr std::string_view kUsingNamespace = "hygiene-using-namespace";
 constexpr std::string_view kNodiscardResult = "hygiene-nodiscard-result";
+constexpr std::string_view kDeadFunction = "hygiene-dead-function";
 constexpr std::string_view kObsSpanBalance = "obs-span-balance";
 constexpr std::string_view kObsDomain = "obs-domain-separation";
 constexpr std::string_view kRawThread = "concurrency-raw-thread";
@@ -70,6 +71,10 @@ const std::vector<RuleInfo> kRules = {
     {kNodiscardResult,
      "function declared to return Result<...> without [[nodiscard]]: dropped "
      "errors vanish silently"},
+    {kDeadFunction,
+     "function declared in a src/ header whose name occurs nowhere in the "
+     "scanned tree except at its own declarations and definitions: delete it, "
+     "or keep a test-only helper with an allow naming the test"},
     {kObsSpanBalance,
      "manual Tracer begin_span/end_span call outside src/obs: hand-paired "
      "spans leak on early return or exception; use the OBS_SPAN RAII macro"},
@@ -612,6 +617,66 @@ void check_nodiscard_result(const Prepared& p, std::vector<Diagnostic>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: hygiene-dead-function
+// ---------------------------------------------------------------------------
+
+// Functions declared (or defined inline) in a header under src/. Helpers
+// local to a .cc file are the compiler's job (-Wunused-function).
+// Constructors and operators are exempt; destructors are never indexed.
+bool dead_function_candidate(const SymbolIndex& index, const FunctionDef& f) {
+  const std::size_t file = static_cast<std::size_t>(f.file);
+  if (index.modules[file].empty() || !is_header(index.files[file].file->path)) return false;
+  if (f.name == f.class_name) return false;
+  const std::string_view code = index.files[file].code;
+  const std::size_t before = prev_nonspace(code, f.pos);
+  return before == std::string_view::npos || before < 7 ||
+         !word_at(code, before - 7, "operator");
+}
+
+// A function is dead when its name occurs in no scanned file except at its
+// own declarations and definitions: the index entries with its name and
+// class. Every other occurrence counts as a use (a call, `&fn`, a mention in
+// a macro), so the rule cannot see unused overloads or unused functions that
+// share a name with a used one.
+void check_dead_functions(const SymbolIndex& index, std::vector<Diagnostic>& out) {
+  std::map<std::string, int, std::less<>> occurrences;  // name -> whole-word count
+  for (const FunctionDef& f : index.functions) {
+    if (dead_function_candidate(index, f)) occurrences.emplace(f.name, 0);
+  }
+  if (occurrences.empty()) return;
+  for (const Prepared& p : index.files) {
+    const std::string_view code = p.code;
+    for (std::size_t i = 0; i < code.size();) {
+      if (!ident_char(code[i])) {
+        ++i;
+        continue;
+      }
+      std::size_t end = i;
+      while (end < code.size() && ident_char(code[end])) ++end;
+      const auto it = occurrences.find(code.substr(i, end - i));
+      if (it != occurrences.end()) ++it->second;
+      i = end;
+    }
+  }
+  std::map<std::pair<std::string, std::string>, int> own;  // (class, name) -> entries
+  for (const FunctionDef& f : index.functions) {
+    if (occurrences.count(f.name) > 0) ++own[{f.class_name, f.name}];
+  }
+  for (const FunctionDef& f : index.functions) {
+    if (!dead_function_candidate(index, f)) continue;
+    if (occurrences.find(f.name)->second > own[{f.class_name, f.name}]) continue;
+    out.push_back({index.files[static_cast<std::size_t>(f.file)].file->path, f.line,
+                   std::string(kDeadFunction),
+                   "function '" + f.qualified() +
+                       "' is referenced nowhere in the scanned tree except by its own "
+                       "declarations and definitions: delete it, or, if a test uses it "
+                       "to observe live code, keep it with an allow that names the test",
+                   "",
+                   {}});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: obs-span-balance
 // ---------------------------------------------------------------------------
 
@@ -729,6 +794,7 @@ std::vector<Diagnostic> run_lint(const std::vector<SourceFile>& files, const Opt
   }
   check_codec_parity(index, graph, diags);
   check_phase_sum(index, diags);
+  check_dead_functions(index, diags);
   check_determinism_taint(index, graph, unordered_taint, diags);
   check_obs_domain_separation(index, graph, diags);
   check_include_cycles(index, diags);

@@ -24,6 +24,7 @@
 // tools/lint/baseline.h.
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,6 +74,12 @@ struct Options {
 [[nodiscard]] std::vector<Diagnostic> run_lint(const std::vector<SourceFile>& files);
 [[nodiscard]] std::vector<Diagnostic> run_lint(const std::vector<SourceFile>& files,
                                                const Options& options);
+
+// The directories a tree-level run lints, relative to the repository root:
+// the library and every program built on it, so that hygiene-dead-function
+// sees every caller.
+inline constexpr std::array<std::string_view, 5> kTreeRoots = {"src", "tools", "bench",
+                                                               "examples", "perfbench"};
 
 // Recursively collect *.h / *.hpp / *.cc / *.cpp under each root,
 // lexicographically sorted for deterministic diagnostics.
