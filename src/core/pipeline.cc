@@ -113,7 +113,7 @@ ShardOutcome run_shard(const MeasurementSpec& spec, const ShardPlan& plan,
   out.vantage = plan.vantage;
   out.seed = plan.seed;
 
-  SimWorld world(shard_spec.seed);
+  SimWorld world(shard_spec.seed, shard_spec.resolvers);
   if (obs.trace) world.tracer().enable(obs.trace_capacity);
   out.result = CampaignRunner(world, shard_spec).run();
   if (obs.trace) out.trace = world.tracer().drain();

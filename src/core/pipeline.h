@@ -118,9 +118,10 @@ struct ShardOutcome {
   obs::Metrics metrics;   // populated only when obs.metrics
 };
 
-// Simulate one plan: a fresh SimWorld seeded with plan.seed runs the
-// single-vantage spec. Pure function of (spec, plan, obs) — never touches
-// shared state, so any worker on any process may run it.
+// Simulate one plan: a fresh SimWorld seeded with plan.seed, holding only
+// the spec's resolvers, runs the single-vantage spec. Pure function of
+// (spec, plan, obs) — never touches shared state, so any worker on any
+// process may run it.
 [[nodiscard]] ShardOutcome run_shard(const MeasurementSpec& spec, const ShardPlan& plan,
                                      const CampaignObsOptions& obs);
 

@@ -2,12 +2,25 @@
 
 namespace ednsm::core {
 
-SimWorld::SimWorld(std::uint64_t seed) : SimWorld(seed, resolver::paper_resolver_list()) {}
+namespace {
 
-SimWorld::SimWorld(std::uint64_t seed, const std::vector<resolver::ResolverSpec>& specs) {
+std::vector<std::string> every_hostname() {
+  std::vector<std::string> out;
+  for (const resolver::ResolverSpec& s : resolver::paper_resolver_list()) {
+    out.push_back(s.hostname);
+  }
+  return out;
+}
+
+}  // namespace
+
+SimWorld::SimWorld(std::uint64_t seed) : SimWorld(seed, every_hostname()) {}
+
+SimWorld::SimWorld(std::uint64_t seed, const std::vector<std::string>& measured) {
   queue_.set_tracer(&tracer_);
   net_ = std::make_unique<netsim::Network>(queue_, netsim::Rng(seed));
-  fleet_ = std::make_unique<resolver::ResolverFleet>(*net_, specs);
+  fleet_ = std::make_unique<resolver::ResolverFleet>(*net_, resolver::paper_resolver_list(),
+                                                     measured);
 }
 
 void SimWorld::collect_metrics(obs::Metrics& m) const {
@@ -22,18 +35,7 @@ void SimWorld::collect_metrics(obs::Metrics& m) const {
 
   resolver::ServerQueryStats fleet_total;
   for (const resolver::ResolverSpec& spec : fleet_->specs()) {
-    const resolver::ServerQueryStats s = fleet_->stats_of(spec.hostname);
-    fleet_total.queries += s.queries;
-    fleet_total.cache_hits += s.cache_hits;
-    fleet_total.warm_hits += s.warm_hits;
-    fleet_total.cache_misses += s.cache_misses;
-    fleet_total.servfails += s.servfails;
-    fleet_total.formerrs += s.formerrs;
-    fleet_total.http_errors += s.http_errors;
-    fleet_total.doh_requests += s.doh_requests;
-    fleet_total.dot_requests += s.dot_requests;
-    fleet_total.do53_requests += s.do53_requests;
-    fleet_total.doq_requests += s.doq_requests;
+    fleet_total += fleet_->stats_of(spec.hostname);
   }
   m.add("resolver.queries", fleet_total.queries);
   m.add("resolver.cache_hits", fleet_total.cache_hits);
@@ -71,7 +73,7 @@ SimWorld::Vantage& SimWorld::vantage(const std::string& id) {
                                              : netsim::AccessLinkModel::datacenter();
   Vantage v;
   v.info = vp;
-  v.addr = net_->attach("vantage/" + id, vp.location, access);
+  v.addr = net_->attach(vp.location, access);
   v.pool = std::make_unique<transport::ConnectionPool>(*net_, v.addr);
   fleet_->apply_quirks(v.addr, id);
   return vantages_.emplace(id, std::move(v)).first->second;

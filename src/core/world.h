@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "geo/vantage.h"
 #include "netsim/event_queue.h"
@@ -20,10 +21,13 @@ namespace ednsm::core {
 
 class SimWorld {
  public:
-  // Builds the network and instantiates every resolver in `specs`
-  // (default: the paper's full Appendix A.2 population).
+  // Builds the network and the paper's full Appendix A.2 population.
   explicit SimWorld(std::uint64_t seed);
-  SimWorld(std::uint64_t seed, const std::vector<resolver::ResolverSpec>& specs);
+  // Builds the network and only the resolvers named in `measured` (a
+  // campaign's spec.resolvers). Every unbuilt site still takes its address
+  // and network-RNG draws (ResolverFleet), so a campaign over `measured`
+  // writes the same records, trace and metrics in either world.
+  SimWorld(std::uint64_t seed, const std::vector<std::string>& measured);
 
   SimWorld(const SimWorld&) = delete;
   SimWorld& operator=(const SimWorld&) = delete;
@@ -37,9 +41,9 @@ class SimWorld {
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
 
   // Snapshot simulation-side counters into `m`: network datagram totals,
-  // events executed, fleet-wide resolver cache/query stats (summed over
-  // specs() in declaration order), and pool stats summed over attached
-  // vantages (ordered by id). Deterministic for a deterministic run.
+  // events executed, resolver cache/query stats summed over the built
+  // fleet, and pool stats summed over attached vantages (ordered by id).
+  // Deterministic for a deterministic run.
   void collect_metrics(obs::Metrics& m) const;
 
   struct Vantage {

@@ -7,9 +7,9 @@
 
 namespace ednsm::netsim {
 
-IpAddr Network::attach(std::string label, geo::GeoPoint location, AccessLinkModel access) {
+IpAddr Network::attach(geo::GeoPoint location, AccessLinkModel access) {
   const IpAddr addr = allocator_.next();
-  hosts_.emplace(addr, Host{std::move(label), location, access, /*icmp=*/true});
+  hosts_.emplace(addr, Host{location, access, /*icmp=*/true});
   return addr;
 }
 

@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -51,7 +50,12 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // Register a host; returns its address.
-  IpAddr attach(std::string label, geo::GeoPoint location, AccessLinkModel access);
+  IpAddr attach(geo::GeoPoint location, AccessLinkModel access);
+
+  // Use up the next address without attaching a host, so a world that
+  // builds only part of a population gives every later host the address the
+  // whole population would.
+  void skip_address() { (void)allocator_.next(); }
 
   // Whether the host answers ICMP echo (default true). The paper notes some
   // resolvers never answered pings; the registry turns this off for them.
@@ -91,7 +95,6 @@ class Network {
 
  private:
   struct Host {
-    std::string label;
     geo::GeoPoint location;
     AccessLinkModel access;
     bool icmp_responder = true;

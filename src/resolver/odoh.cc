@@ -42,8 +42,7 @@ OdohRelay::OdohRelay(netsim::Network& net, std::string hostname, geo::GeoPoint l
                      TargetResolver resolve_target)
     : net_(net),
       hostname_(std::move(hostname)),
-      addr_(net.attach("odoh-relay/" + hostname_, location,
-                       netsim::AccessLinkModel::datacenter())),
+      addr_(net.attach(location, netsim::AccessLinkModel::datacenter())),
       resolve_target_(std::move(resolve_target)) {
   listener_ = std::make_unique<transport::TcpListener>(
       net_, Endpoint{addr_, netsim::kPortHttps});

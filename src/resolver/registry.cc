@@ -429,47 +429,58 @@ geo::GeoDb build_geodb() {
 
 // ---- fleet ------------------------------------------------------------------
 
-ResolverFleet::ResolverFleet(netsim::Network& net, const std::vector<ResolverSpec>& specs)
-    : net_(net), specs_(specs) {
-  entries_.reserve(specs_.size());
-  for (const ResolverSpec& spec : specs_) {
-    Entry entry{spec.sites.size() > 1 ? Deployment::anycast(spec.sites)
-                                      : Deployment::unicast(spec.sites.front()),
-                {}};
+ResolverFleet::ResolverFleet(netsim::Network& net, const std::vector<ResolverSpec>& specs,
+                             const std::vector<std::string>& measured)
+    : net_(net) {
+  std::vector<std::string_view> wanted(measured.begin(), measured.end());
+  std::sort(wanted.begin(), wanted.end());
+  specs_.reserve(std::min(specs.size(), wanted.size()));
+  entries_.reserve(specs_.capacity());
+  for (const ResolverSpec& spec : specs) {
     ServerBehavior behavior = behavior_for_tier(spec.tier);
     if (spec.processing_mu.has_value()) behavior.processing_mu = *spec.processing_mu;
     if (spec.warm_cache.has_value()) behavior.warm_cache_probability = *spec.warm_cache;
     if (spec.odoh_target) behavior.extra_response_ms = 25.0;
 
+    if (!std::binary_search(wanted.begin(), wanted.end(), std::string_view(spec.hostname))) {
+      for (std::size_t i = 0; i < spec.sites.size(); ++i) ResolverServer::skip(net_, behavior);
+      continue;
+    }
+    Entry entry{spec.sites.size() > 1 ? Deployment::anycast(spec.sites)
+                                      : Deployment::unicast(spec.sites.front()),
+                {}};
     for (const AnycastSite& site : entry.deployment.sites()) {
       auto server = std::make_unique<ResolverServer>(net_, spec.hostname, site, behavior);
       net_.set_icmp_responder(server->address(), spec.icmp_responder);
-      entry.server_indices.push_back(servers_.size());
-      servers_.push_back(std::move(server));
+      entry.servers.push_back(std::move(server));
     }
+    specs_.push_back(spec);
     entries_.push_back(std::move(entry));
   }
 }
 
+const ResolverFleet::Entry* ResolverFleet::find(std::string_view hostname) const {
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    if (specs_[i].hostname == hostname) return &entries_[i];
+  }
+  return nullptr;
+}
+
 std::optional<netsim::IpAddr> ResolverFleet::address_for(std::string_view hostname,
                                                          const geo::GeoPoint& from) const {
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].hostname != hostname) continue;
-    const Entry& entry = entries_[i];
-    const AnycastSite& site = entry.deployment.site_for(from);
-    // Find the server at that site.
-    for (std::size_t idx : entry.server_indices) {
-      if (servers_[idx]->site().city == site.city) return servers_[idx]->address();
-    }
+  const Entry* entry = find(hostname);
+  if (entry == nullptr) return std::nullopt;
+  const AnycastSite& site = entry->deployment.site_for(from);
+  for (const auto& server : entry->servers) {
+    if (server->site().city == site.city) return server->address();
   }
   return std::nullopt;
 }
 
 std::vector<const ResolverServer*> ResolverFleet::sites_of(std::string_view hostname) const {
   std::vector<const ResolverServer*> out;
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].hostname != hostname) continue;
-    for (std::size_t idx : entries_[i].server_indices) out.push_back(servers_[idx].get());
+  if (const Entry* entry = find(hostname)) {
+    for (const auto& server : entry->servers) out.push_back(server.get());
   }
   return out;
 }
@@ -497,37 +508,25 @@ void ResolverFleet::apply_quirks(netsim::IpAddr client, std::string_view vantage
       }
     }
     if (!any) continue;
-    for (std::size_t idx : entries_[i].server_indices) {
-      net_.set_quirk(client, servers_[idx]->address(), combined);
+    for (const auto& server : entries_[i].servers) {
+      net_.set_quirk(client, server->address(), combined);
     }
   }
 }
 
 void ResolverFleet::set_offline(std::string_view hostname, bool offline) {
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].hostname != hostname) continue;
-    for (std::size_t idx : entries_[i].server_indices) {
-      ServerBehavior behavior = servers_[idx]->behavior();
-      behavior.offline = offline;
-      servers_[idx]->set_behavior(behavior);
-    }
+  const Entry* entry = find(hostname);
+  if (entry == nullptr) return;
+  for (const auto& server : entry->servers) {
+    ServerBehavior behavior = server->behavior();
+    behavior.offline = offline;
+    server->set_behavior(behavior);
   }
 }
 
 ServerQueryStats ResolverFleet::stats_of(std::string_view hostname) const {
   ServerQueryStats total;
-  for (const ResolverServer* s : sites_of(hostname)) {
-    const ServerQueryStats& st = s->stats();
-    total.queries += st.queries;
-    total.cache_hits += st.cache_hits;
-    total.cache_misses += st.cache_misses;
-    total.servfails += st.servfails;
-    total.formerrs += st.formerrs;
-    total.http_errors += st.http_errors;
-    total.doh_requests += st.doh_requests;
-    total.dot_requests += st.dot_requests;
-    total.do53_requests += st.do53_requests;
-  }
+  for (const ResolverServer* s : sites_of(hostname)) total += s->stats();
   return total;
 }
 

@@ -95,41 +95,53 @@ struct ResolverSpec {
 // ---- fleet ------------------------------------------------------------------
 
 // Instantiates one ResolverServer per deployment site of every resolver in
-// `specs`, and answers "which address serves hostname X for a client at Y"
-// the way BGP anycast would (nearest site).
+// `specs` that `measured` names, and answers "which address serves hostname
+// X for a client at Y" the way BGP anycast would (nearest site).
+//
+// The fleet walks `specs` in order and every site of an unmeasured resolver
+// still takes its address and network-RNG draws (ResolverServer::skip), so
+// a built site, and everything attached or forked after the fleet, is the
+// same whichever resolvers are measured. Hostnames in `measured` that are
+// not in `specs` build nothing.
 class ResolverFleet {
  public:
-  ResolverFleet(netsim::Network& net, const std::vector<ResolverSpec>& specs);
+  ResolverFleet(netsim::Network& net, const std::vector<ResolverSpec>& specs,
+                const std::vector<std::string>& measured);
 
-  // Address of the site that serves `hostname` for a client at `from`.
+  // Address of the site that serves `hostname` for a client at `from`
+  // (nullopt if the resolver was not built).
   [[nodiscard]] std::optional<netsim::IpAddr> address_for(std::string_view hostname,
                                                           const geo::GeoPoint& from) const;
 
-  // All sites of one resolver (empty if unknown hostname).
+  // All sites of one resolver (empty if it was not built).
   [[nodiscard]] std::vector<const ResolverServer*> sites_of(std::string_view hostname) const;
 
   // Apply a resolver's vantage quirks for a client host (call once per
   // vantage after attaching it, before traffic flows).
   void apply_quirks(netsim::IpAddr client, std::string_view vantage_id);
 
+  // The specs of the built resolvers, in `specs` order.
   [[nodiscard]] const std::vector<ResolverSpec>& specs() const noexcept { return specs_; }
 
   // Aggregate query stats across every site of one resolver.
   [[nodiscard]] ServerQueryStats stats_of(std::string_view hostname) const;
 
   // Take every site of `hostname` offline (or back online) — longitudinal
-  // outage modeling. No-op for unknown hostnames.
+  // outage modeling. No-op for a resolver that was not built.
   void set_offline(std::string_view hostname, bool offline);
 
  private:
-  netsim::Network& net_;
-  std::vector<ResolverSpec> specs_;
-  std::vector<std::unique_ptr<ResolverServer>> servers_;
-  // parallel to specs_: deployment + indices into servers_.
+  // Parallel to specs_: the deployment and its sites, in site order.
   struct Entry {
     Deployment deployment;
-    std::vector<std::size_t> server_indices;
+    std::vector<std::unique_ptr<ResolverServer>> servers;
   };
+
+  // The entry of a built resolver (nullptr if it was not built).
+  [[nodiscard]] const Entry* find(std::string_view hostname) const;
+
+  netsim::Network& net_;
+  std::vector<ResolverSpec> specs_;
   std::vector<Entry> entries_;
 };
 

@@ -35,8 +35,7 @@ ResolverServer::ResolverServer(netsim::Network& net, std::string hostname, Anyca
       hostname_(std::move(hostname)),
       site_(std::move(site)),
       behavior_(std::move(behavior)),
-      addr_(net.attach(hostname_ + "@" + site_.city, site_.location,
-                       netsim::AccessLinkModel::datacenter())),
+      addr_(net.attach(site_.location, netsim::AccessLinkModel::datacenter())),
       rng_(net.rng().fork(util::fnv1a(hostname_ + "/" + site_.city))) {
   if (behavior_.supports_do53) setup_do53();
   if (behavior_.supports_dot) setup_dot();
@@ -45,6 +44,17 @@ ResolverServer::ResolverServer(netsim::Network& net, std::string hostname, Anyca
 }
 
 ResolverServer::~ResolverServer() = default;
+
+void ResolverServer::skip(netsim::Network& net, const ServerBehavior& behavior) {
+  net.skip_address();
+  // What the constructor draws from the network stream: one value per
+  // TcpListener (its salt: setup_dot, setup_doh) and two per QuicListener
+  // (salt and first ticket id: setup_doq). The UdpSocket of setup_do53 and
+  // the fork of rng_ draw none.
+  const int draws = (behavior.supports_dot ? 1 : 0) + (behavior.supports_doh ? 1 : 0) +
+                    (behavior.supports_doq ? 2 : 0);
+  for (int i = 0; i < draws; ++i) (void)net.rng().next_u64();
+}
 
 transport::TlsServerConfig ResolverServer::tls_config() const {
   transport::TlsServerConfig cfg;

@@ -87,6 +87,24 @@ struct ServerQueryStats {
   std::uint64_t dot_requests = 0;
   std::uint64_t do53_requests = 0;
   std::uint64_t doq_requests = 0;
+
+  // Field-wise sum. Every total (a resolver's sites, a world's fleet) adds
+  // up through here, so a field added above is summed everywhere once it is
+  // added here.
+  ServerQueryStats& operator+=(const ServerQueryStats& o) noexcept {
+    queries += o.queries;
+    cache_hits += o.cache_hits;
+    warm_hits += o.warm_hits;
+    cache_misses += o.cache_misses;
+    servfails += o.servfails;
+    formerrs += o.formerrs;
+    http_errors += o.http_errors;
+    doh_requests += o.doh_requests;
+    dot_requests += o.dot_requests;
+    do53_requests += o.do53_requests;
+    doq_requests += o.doq_requests;
+    return *this;
+  }
 };
 
 class ResolverServer {
@@ -96,6 +114,14 @@ class ResolverServer {
   ResolverServer(netsim::Network& net, std::string hostname, AnycastSite site,
                  ServerBehavior behavior);
   ~ResolverServer();
+
+  // Takes from `net` what constructing a site with `behavior` takes, and
+  // builds nothing: the site's address and its listeners' draws from the
+  // network stream. A fleet that builds only the measured resolvers calls
+  // this for every other site, so the sites it does build, the hosts
+  // attached after the fleet and every stream forked from the network's see
+  // the values the whole fleet gives them.
+  static void skip(netsim::Network& net, const ServerBehavior& behavior);
 
   ResolverServer(const ResolverServer&) = delete;
   ResolverServer& operator=(const ResolverServer&) = delete;

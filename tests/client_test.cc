@@ -29,8 +29,7 @@ struct ClientWorld {
 
   explicit ClientWorld(ServerBehavior behavior = {}) {
     behavior.warm_cache_probability = 1.0;  // deterministic fast answers
-    client_ip = net.attach("client", geo::city::kColumbusOhio,
-                           AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kColumbusOhio, AccessLinkModel::datacenter());
     server = std::make_unique<ResolverServer>(
         net, "dns.example", AnycastSite{"Chicago", geo::city::kChicago}, behavior);
     pool = std::make_unique<transport::ConnectionPool>(net, client_ip);

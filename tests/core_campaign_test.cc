@@ -256,6 +256,122 @@ TEST(World, FleetCoversWholeRegistry) {
   EXPECT_EQ(world.fleet().specs().size(), resolver::paper_resolver_list().size());
 }
 
+// ---- measured-only worlds --------------------------------------------------------
+
+// An anycast resolver, a unicast one, an ODoH target and a hostname outside
+// the registry, as run_shard builds them from spec.resolvers.
+const std::vector<std::string> kMeasured = {"dns.google", "doh.ffmuc.net",
+                                            "odoh-target.alekberg.net", "not-in.registry"};
+
+struct CampaignBytes {
+  std::size_t records = 0;
+  std::string results;
+  std::string trace;
+  std::string metrics;
+};
+
+CampaignBytes run_traced(SimWorld& world, const MeasurementSpec& spec) {
+  world.tracer().enable();
+  const CampaignResult result = CampaignRunner(world, spec).run();
+  CampaignBytes out;
+  out.records = result.records.size();
+  std::ostringstream results;
+  result.write_json(results, 0);
+  out.results = results.str();
+  out.trace = world.tracer().drain().to_json().dump();
+  obs::Metrics metrics;
+  world.collect_metrics(metrics);
+  std::ostringstream jsonl;
+  metrics.write_jsonl(jsonl);
+  out.metrics = jsonl.str();
+  return out;
+}
+
+TEST(World, MeasuredOnlyWorldMatchesFullWorldInEveryCell) {
+  for (const client::Protocol protocol :
+       {client::Protocol::Do53, client::Protocol::DoT, client::Protocol::DoH,
+        client::Protocol::DoQ, client::Protocol::ODoH}) {
+    for (const transport::ReusePolicy reuse :
+         {transport::ReusePolicy::None, transport::ReusePolicy::Keepalive,
+          transport::ReusePolicy::TicketResumption}) {
+      SCOPED_TRACE(std::string(client::to_string(protocol)) + " " +
+                   std::string(transport::to_string(reuse)));
+      MeasurementSpec spec;
+      spec.resolvers = kMeasured;
+      spec.vantage_ids = {"home-chicago-1"};
+      spec.rounds = 2;
+      spec.seed = 20260808;
+      spec.protocol = protocol;
+      spec.query_options.reuse = reuse;
+      SimWorld full(spec.seed);
+      SimWorld measured(spec.seed, spec.resolvers);
+      const CampaignBytes want = run_traced(full, spec);
+      const CampaignBytes got = run_traced(measured, spec);
+      EXPECT_EQ(want.records, 2u * kMeasured.size() * spec.domains.size());
+      EXPECT_EQ(got.results, want.results);
+      EXPECT_EQ(got.trace, want.trace);
+      EXPECT_EQ(got.metrics, want.metrics);
+    }
+  }
+}
+
+TEST(World, MeasuredOnlyWorldBuildsOnlyMeasuredSitesWhereTheFullWorldDoes) {
+  const std::uint64_t seed = 20260808;
+  SimWorld full(seed);
+  SimWorld measured(seed, kMeasured);
+
+  // The network stream stands where the full fleet leaves it: every skipped
+  // site took its listeners' draws (1 DoT + 1 DoH + 2 DoQ).
+  EXPECT_EQ(measured.net().rng().next_u64(), full.net().rng().next_u64());
+
+  // Every skipped site took its address: built sites and the vantage hosts
+  // attached after the fleet keep theirs.
+  for (const geo::VantagePoint& vp : geo::paper_vantage_points()) {
+    for (const std::string& hostname : kMeasured) {
+      EXPECT_EQ(measured.fleet().address_for(hostname, vp.location),
+                full.fleet().address_for(hostname, vp.location))
+          << hostname << " from " << vp.id;
+    }
+    EXPECT_EQ(measured.vantage(vp.id).addr, full.vantage(vp.id).addr) << vp.id;
+  }
+
+  std::size_t built = 0;
+  for (const resolver::ResolverSpec& spec : resolver::paper_resolver_list()) {
+    const bool is_measured =
+        std::find(kMeasured.begin(), kMeasured.end(), spec.hostname) != kMeasured.end();
+    EXPECT_EQ(measured.fleet().sites_of(spec.hostname).size(),
+              is_measured ? spec.sites.size() : 0u)
+        << spec.hostname;
+    if (is_measured) ++built;
+  }
+  EXPECT_EQ(built, 3u);
+  EXPECT_EQ(measured.fleet().specs().size(), built);
+  EXPECT_FALSE(measured.fleet().address_for("ordns.he.net", geo::city::kChicago).has_value());
+}
+
+TEST(World, ResolverMetricsAccountForEveryQuery) {
+  CampaignObsOptions obs_options;
+  obs_options.metrics = true;
+  for (const client::Protocol protocol : {client::Protocol::DoH, client::Protocol::DoQ}) {
+    SCOPED_TRACE(std::string(client::to_string(protocol)));
+    MeasurementSpec spec = tiny_spec();
+    spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt"};
+    spec.rounds = 3;
+    spec.protocol = protocol;
+    CampaignObsData data;
+    (void)run_parallel_campaign(spec, 1, obs_options, &data);
+    const obs::Metrics& m = data.metrics;
+    EXPECT_GT(m.counter("resolver.queries"), 0u);
+    EXPECT_GT(m.counter("resolver.warm_hits"), 0u);
+    EXPECT_EQ(m.counter("resolver.cache_hits") + m.counter("resolver.warm_hits") +
+                  m.counter("resolver.cache_misses") + m.counter("resolver.formerrs"),
+              m.counter("resolver.queries"));
+    const std::string per_protocol =
+        protocol == client::Protocol::DoQ ? "resolver.doq_requests" : "resolver.doh_requests";
+    EXPECT_GT(m.counter(per_protocol), 0u);
+  }
+}
+
 
 TEST(Campaign, SequentialCampaignsInOneWorld) {
   // The paper's follow-up spans: campaigns run back-to-back in one world,

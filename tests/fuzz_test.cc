@@ -155,9 +155,9 @@ TEST_P(FuzzSeeds, GarbageOverEstablishedTlsIsSurvivable) {
   netsim::EventQueue queue;
   netsim::Network net(queue, netsim::Rng(GetParam()));
   const auto client_ip =
-      net.attach("c", geo::city::kChicago, netsim::AccessLinkModel::datacenter());
+      net.attach(geo::city::kChicago, netsim::AccessLinkModel::datacenter());
   const auto server_ip =
-      net.attach("s", geo::city::kChicago, netsim::AccessLinkModel::datacenter());
+      net.attach(geo::city::kChicago, netsim::AccessLinkModel::datacenter());
   transport::TcpListener listener(net, netsim::Endpoint{server_ip, 443});
   std::vector<std::unique_ptr<transport::TlsServerSession>> sessions;
   transport::TlsServerConfig cfg;

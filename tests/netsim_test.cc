@@ -170,8 +170,8 @@ struct World {
   IpAddr a, b;
 
   World() {
-    a = net.attach("a", geo::city::kChicago, AccessLinkModel::datacenter());
-    b = net.attach("b", geo::city::kFrankfurt, AccessLinkModel::datacenter());
+    a = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+    b = net.attach(geo::city::kFrankfurt, AccessLinkModel::datacenter());
   }
 };
 
@@ -258,8 +258,8 @@ TEST(Network, LossyPathDropsSomeDatagrams) {
   Network net(queue, Rng(5));
   AccessLinkModel lossy = AccessLinkModel::datacenter();
   lossy.loss_probability = 0.5;
-  const IpAddr a = net.attach("a", geo::city::kChicago, lossy);
-  const IpAddr b = net.attach("b", geo::city::kChicago, AccessLinkModel::datacenter());
+  const IpAddr a = net.attach(geo::city::kChicago, lossy);
+  const IpAddr b = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
   int received = 0;
   net.bind({b, 1}, [&](const Datagram&) { ++received; });
   const int n = 2000;
@@ -283,10 +283,9 @@ TEST(Network, PathModelFloor) {
 TEST(Network, ResidentialAccessAddsLatencyAndJitter) {
   EventQueue queue;
   Network net(queue, Rng(6));
-  const IpAddr home =
-      net.attach("home", geo::city::kChicago, AccessLinkModel::residential());
-  const IpAddr dc = net.attach("dc", geo::city::kChicago, AccessLinkModel::datacenter());
-  const IpAddr dc2 = net.attach("dc2", geo::city::kChicago, AccessLinkModel::datacenter());
+  const IpAddr home = net.attach(geo::city::kChicago, AccessLinkModel::residential());
+  const IpAddr dc = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+  const IpAddr dc2 = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
 
   auto median_rtt = [&](IpAddr src, IpAddr dst) {
     std::vector<double> rtts;

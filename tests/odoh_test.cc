@@ -47,8 +47,7 @@ struct OdohWorld {
   OdohWorld() {
     ServerBehavior behavior;
     behavior.warm_cache_probability = 1.0;
-    client_ip = net.attach("client", geo::city::kColumbusOhio,
-                           AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kColumbusOhio, AccessLinkModel::datacenter());
     // Target in New York, relay in Chicago: the relay detour is visible.
     target = std::make_unique<ResolverServer>(
         net, "odoh-target.example", AnycastSite{"New York", geo::city::kNewYork}, behavior);

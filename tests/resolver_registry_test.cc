@@ -187,10 +187,16 @@ TEST(Browsers, Names) {
 
 // ---- fleet ---------------------------------------------------------------------
 
+std::vector<std::string> every_hostname() {
+  std::vector<std::string> out;
+  for (const ResolverSpec& s : paper_resolver_list()) out.push_back(s.hostname);
+  return out;
+}
+
 TEST(Fleet, InstantiatesAllSites) {
   netsim::EventQueue queue;
   netsim::Network net(queue, netsim::Rng(3));
-  ResolverFleet fleet(net, paper_resolver_list());
+  ResolverFleet fleet(net, paper_resolver_list(), every_hostname());
   // Mainstream resolvers have many sites, the rest one.
   EXPECT_EQ(fleet.sites_of("dns.google").size(), global_anycast_sites().size());
   EXPECT_EQ(fleet.sites_of("doh.ffmuc.net").size(), 1u);
@@ -200,7 +206,7 @@ TEST(Fleet, InstantiatesAllSites) {
 TEST(Fleet, AddressForPicksNearestSite) {
   netsim::EventQueue queue;
   netsim::Network net(queue, netsim::Rng(3));
-  ResolverFleet fleet(net, paper_resolver_list());
+  ResolverFleet fleet(net, paper_resolver_list(), every_hostname());
 
   const auto from_seoul = fleet.address_for("dns.google", geo::city::kSeoul);
   ASSERT_TRUE(from_seoul.has_value());

@@ -22,7 +22,7 @@ struct ServerWorld {
   std::unique_ptr<transport::ConnectionPool> pool;
 
   explicit ServerWorld(ServerBehavior behavior = {}) {
-    client_ip = net.attach("client", geo::city::kChicago, AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
     server = std::make_unique<ResolverServer>(net, "dns.example",
                                               AnycastSite{"Chicago", geo::city::kChicago},
                                               behavior);

@@ -22,8 +22,8 @@ struct PoolWorld {
   std::unique_ptr<ConnectionPool> pool;
 
   PoolWorld() {
-    client_ip = net.attach("client", geo::city::kChicago, AccessLinkModel::datacenter());
-    server_ip = net.attach("server", geo::city::kChicago, AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+    server_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, 443};
     listener = std::make_unique<TcpListener>(net, server_ep);
     TlsServerConfig cfg;

@@ -24,8 +24,8 @@ struct QuicWorld {
   std::unique_ptr<QuicListener> listener;
 
   explicit QuicWorld(geo::GeoPoint server_loc = geo::city::kAshburn) {
-    client_ip = net.attach("client", geo::city::kChicago, AccessLinkModel::datacenter());
-    server_ip = net.attach("server", server_loc, AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+    server_ip = net.attach(server_loc, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, netsim::kPortDoq};
     QuicServerConfig cfg;
     cfg.certificate_names = {"dns.example"};
@@ -334,8 +334,7 @@ struct DoqWorld {
 
   explicit DoqWorld(resolver::ServerBehavior behavior = {}) {
     behavior.warm_cache_probability = 1.0;
-    client_ip = net.attach("client", geo::city::kColumbusOhio,
-                           AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kColumbusOhio, AccessLinkModel::datacenter());
     server = std::make_unique<resolver::ResolverServer>(
         net, "dns.example", resolver::AnycastSite{"Chicago", geo::city::kChicago},
         behavior);

@@ -21,8 +21,8 @@ struct TcpWorld {
   std::unique_ptr<TcpListener> listener;
 
   explicit TcpWorld(geo::GeoPoint server_loc = geo::city::kFrankfurt) {
-    client_ip = net.attach("client", geo::city::kChicago, AccessLinkModel::datacenter());
-    server_ip = net.attach("server", server_loc, AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+    server_ip = net.attach(server_loc, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, 443};
     listener = std::make_unique<TcpListener>(net, server_ep);
   }
@@ -103,9 +103,8 @@ TEST(Tcp, SynDropStillConnectsViaRetransmit) {
   netsim::Network net(queue, Rng(21));
   AccessLinkModel lossy = AccessLinkModel::datacenter();
   lossy.loss_probability = 0.9;  // drop most packets... client side only
-  const IpAddr client_ip = net.attach("c", geo::city::kChicago, lossy);
-  const IpAddr server_ip = net.attach("s", geo::city::kChicago,
-                                      AccessLinkModel::datacenter());
+  const IpAddr client_ip = net.attach(geo::city::kChicago, lossy);
+  const IpAddr server_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
   TcpListener listener(net, {server_ip, 443});
   // With 3 SYN transmissions at 90% loss, success is unlikely per-connection,
   // but over many attempts some must succeed and none may hang forever.
@@ -183,8 +182,8 @@ TEST(Tcp, EmptyMessageDelivered) {
 TEST(Tcp, LossRecoveredByRetransmission) {
   EventQueue queue;
   netsim::Network net(queue, Rng(33));
-  const IpAddr c = net.attach("c", geo::city::kChicago, AccessLinkModel::datacenter());
-  const IpAddr s = net.attach("s", geo::city::kChicago, AccessLinkModel::datacenter());
+  const IpAddr c = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+  const IpAddr s = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
   TcpListener listener(net, {s, 443});
   util::Bytes big(20 * kTcpMss);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i & 0xff);

@@ -23,8 +23,8 @@ struct TlsWorld {
   TlsServerConfig server_config;
 
   TlsWorld() {
-    client_ip = net.attach("client", geo::city::kChicago, AccessLinkModel::datacenter());
-    server_ip = net.attach("server", geo::city::kAshburn, AccessLinkModel::datacenter());
+    client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
+    server_ip = net.attach(geo::city::kAshburn, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, 443};
     listener = std::make_unique<TcpListener>(net, server_ep);
     server_config.certificate_names = {"dns.example"};

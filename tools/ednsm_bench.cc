@@ -46,12 +46,14 @@
 
 #include "cli.h"
 #include "core/parallel_campaign.h"
+#include "lint/baseline.h"
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
 #include "util/bytes.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 using namespace ednsm;
@@ -297,22 +299,40 @@ int tool_main(const cli::Args& args) {
     }
 
     // Static-analyzer lane: the full-tree lint cost CI pays on every push
-    // (pass 1 index + pass 2 call graph + pass 3 rules). Roots are resolved
-    // against the current directory like the ednsm_lint CLI; when the tree is
-    // not there (bench run from an install dir) the lane reports zero files
-    // and is skipped rather than failing the suite. Wall time only — lint
-    // findings are the lint_tree ctest case's job, not the bench's.
+    // (pass 1 index + pass 2 call graph + pass 3 rules), under the committed
+    // layers config and baseline that ednsm_lint applies by default. Roots
+    // and config are resolved against the current directory like the
+    // ednsm_lint CLI; when the tree is not there (bench run from an install
+    // dir) the lane reports zero files and is skipped rather than failing
+    // the suite. Wall time only — lint findings are the lint_tree ctest
+    // case's job, not the bench's.
     double lint_wall_ms = 0.0;
     const std::vector<lint::SourceFile> tree =
         lint::load_tree({lint::kTreeRoots.begin(), lint::kTreeRoots.end()});
     const std::size_t lint_files = tree.size();
+    lint::Options lint_options;
+    if (auto layers = util::read_file(std::string(lint::kLayersPath))) {
+      lint_options.layers_text = std::move(layers).value();
+    }
+    std::vector<lint::BaselineEntry> lint_baseline;
+    if (auto baseline = util::read_file(std::string(lint::kBaselinePath))) {
+      std::string error;
+      if (!lint::parse_baseline(baseline.value(), &lint_baseline, &error)) {
+        std::fprintf(stderr, "note: lint lane ignores %s: %s\n",
+                     std::string(lint::kBaselinePath).c_str(), error.c_str());
+      }
+    }
     for (int run = 0; !tree.empty() && run < repeat; ++run) {
       const auto start = WallClock::now();
-      const std::vector<lint::Diagnostic> diags = lint::run_lint(tree);
+      std::vector<lint::Diagnostic> diags = lint::run_lint(tree, lint_options);
       const double wall_ms = elapsed_ms(start);
-      if (run == 0 && !diags.empty()) {
-        std::fprintf(stderr, "note: lint lane saw %zu findings (not a bench failure)\n",
-                     diags.size());
+      if (run == 0) {
+        const std::size_t findings =
+            lint::apply_baseline(std::move(diags), lint_baseline).remaining.size();
+        if (findings > 0) {
+          std::fprintf(stderr, "note: lint lane saw %zu findings (not a bench failure)\n",
+                       findings);
+        }
       }
       if (run == 0 || wall_ms < lint_wall_ms) lint_wall_ms = wall_ms;
     }

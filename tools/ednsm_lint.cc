@@ -67,12 +67,12 @@ int tool_main(const ednsm::cli::Args& args) {
   const bool json_stdout = args.has("json");
   // Committed defaults, picked up when running from the repo root.
   if (layers_path.empty() && !args.has("no-layers") &&
-      std::filesystem::is_regular_file("tools/lint/layers.conf")) {
-    layers_path = "tools/lint/layers.conf";
+      std::filesystem::is_regular_file(ednsm::lint::kLayersPath)) {
+    layers_path = ednsm::lint::kLayersPath;
   }
   if (baseline_path.empty() && !args.has("no-baseline") &&
-      std::filesystem::is_regular_file("tools/lint/baseline.json")) {
-    baseline_path = "tools/lint/baseline.json";
+      std::filesystem::is_regular_file(ednsm::lint::kBaselinePath)) {
+    baseline_path = ednsm::lint::kBaselinePath;
   }
 
   std::vector<ednsm::lint::SourceFile> files;

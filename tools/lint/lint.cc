@@ -804,7 +804,7 @@ std::vector<Diagnostic> run_lint(const std::vector<SourceFile>& files, const Opt
     if (!LayerConfig::parse(options.layers_text, &config, &error)) {
       // A broken config is itself a finding — the tree cannot claim
       // conformance to a DAG that does not parse or is not a DAG.
-      diags.push_back({"tools/lint/layers.conf", 1, std::string(kLayering), error, "", {}});
+      diags.push_back({std::string(kLayersPath), 1, std::string(kLayering), error, "", {}});
     } else {
       check_layering(index, config, diags);
     }

@@ -81,6 +81,12 @@ struct Options {
 inline constexpr std::array<std::string_view, 5> kTreeRoots = {"src", "tools", "bench",
                                                                "examples", "perfbench"};
 
+// The committed module DAG and accepted findings, relative to the repository
+// root: what a tree-level run applies by default (ednsm_lint, ednsm_bench's
+// lint lane).
+inline constexpr std::string_view kLayersPath = "tools/lint/layers.conf";
+inline constexpr std::string_view kBaselinePath = "tools/lint/baseline.json";
+
 // Recursively collect *.h / *.hpp / *.cc / *.cpp under each root,
 // lexicographically sorted for deterministic diagnostics.
 [[nodiscard]] std::vector<SourceFile> load_tree(const std::vector<std::string>& roots);
