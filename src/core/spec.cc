@@ -78,6 +78,9 @@ Result<void> MeasurementSpec::validate() const {
   }
   for (const FaultWindow& w : fault_windows) {
     if (w.resolver.empty()) return Err{std::string("spec: fault window needs a resolver")};
+    if (std::find(resolvers.begin(), resolvers.end(), w.resolver) == resolvers.end()) {
+      return Err{"spec: fault window names a resolver the spec does not measure: " + w.resolver};
+    }
     if (w.from_round < 0 || w.to_round <= w.from_round) {
       return Err{std::string("spec: fault window rounds must satisfy 0 <= from < to")};
     }

@@ -19,7 +19,6 @@ namespace ednsm::geo {
 
 struct GeoRecord {
   std::string city;
-  std::string country_code;  // ISO 3166-1 alpha-2
   Continent continent = Continent::Unknown;
   GeoPoint point;
 };

@@ -9,16 +9,16 @@ namespace ednsm::geo {
 const std::vector<VantagePoint>& paper_vantage_points() {
   static const std::vector<VantagePoint> kPoints = [] {
     std::vector<VantagePoint> v;
-    v.push_back({"ec2-ohio", "Amazon EC2 us-east-2 (Ohio), t2.xlarge", city::kColumbusOhio,
-                 Continent::NorthAmerica, AccessProfile::Datacenter});
-    v.push_back({"ec2-frankfurt", "Amazon EC2 eu-central-1 (Frankfurt), t2.xlarge",
-                 city::kFrankfurt, Continent::Europe, AccessProfile::Datacenter});
-    v.push_back({"ec2-seoul", "Amazon EC2 ap-northeast-2 (Seoul), t2.xlarge", city::kSeoul,
-                 Continent::Asia, AccessProfile::Datacenter});
+    // Amazon EC2 t2.xlarge instances in us-east-2 (Ohio), eu-central-1
+    // (Frankfurt) and ap-northeast-2 (Seoul).
+    v.push_back({"ec2-ohio", city::kColumbusOhio, Continent::NorthAmerica,
+                 AccessProfile::Datacenter});
+    v.push_back({"ec2-frankfurt", city::kFrankfurt, Continent::Europe, AccessProfile::Datacenter});
+    v.push_back({"ec2-seoul", city::kSeoul, Continent::Asia, AccessProfile::Datacenter});
+    // Raspberry Pis in four units of one Chicagoland apartment complex.
     for (int unit = 1; unit <= 4; ++unit) {
-      v.push_back({"home-chicago-" + std::to_string(unit),
-                   "Raspberry Pi, Chicagoland apartment complex unit " + std::to_string(unit),
-                   city::kChicago, Continent::NorthAmerica, AccessProfile::Residential});
+      v.push_back({"home-chicago-" + std::to_string(unit), city::kChicago,
+                   Continent::NorthAmerica, AccessProfile::Residential});
     }
     return v;
   }();

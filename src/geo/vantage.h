@@ -20,8 +20,7 @@ enum class AccessProfile {
 };
 
 struct VantagePoint {
-  std::string id;          // "ec2-ohio", "home-chicago-1", ...
-  std::string description;
+  std::string id;  // "ec2-ohio", "home-chicago-1", ...
   GeoPoint location;
   Continent continent = Continent::Unknown;
   AccessProfile access = AccessProfile::Datacenter;

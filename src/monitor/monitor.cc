@@ -1,5 +1,6 @@
 #include "monitor/monitor.h"
 
+#include <algorithm>
 #include <ostream>
 
 namespace ednsm::monitor {
@@ -55,6 +56,10 @@ Result<void> MonitorSpec::validate() const {
   if (auto v = slo.validate(); !v) return Err{v.error()};
   for (const OutageScript& o : outages) {
     if (o.resolver.empty()) return Err{std::string("monitor: outage script needs a resolver")};
+    if (std::find(base.resolvers.begin(), base.resolvers.end(), o.resolver) ==
+        base.resolvers.end()) {
+      return Err{"monitor: outage names a resolver the spec does not measure: " + o.resolver};
+    }
     if (o.from_epoch < 0 || o.to_epoch <= o.from_epoch) {
       return Err{std::string("monitor: outage epochs must satisfy 0 <= from < to")};
     }

@@ -48,7 +48,7 @@ OdohRelay::OdohRelay(netsim::Network& net, std::string hostname, geo::GeoPoint l
       net_, Endpoint{addr_, netsim::kPortHttps});
   upstream_pool_ = std::make_unique<transport::ConnectionPool>(net_, addr_);
 
-  transport::TlsServerConfig tls_cfg;
+  transport::ServerHandshakeConfig tls_cfg;
   tls_cfg.certificate_names = {hostname_};
 
   listener_->on_accept([this, tls_cfg](transport::TcpServerConn& conn) {

@@ -69,7 +69,7 @@ class OdohRelay {
   struct ConnState {
     transport::TlsServerSession tls;
     ConnState(netsim::EventQueue& q, netsim::Rng& rng, transport::TcpServerConn& conn,
-              transport::TlsServerConfig cfg)
+              transport::ServerHandshakeConfig cfg)
         : tls(q, rng, conn, std::move(cfg)) {}
   };
 

@@ -41,6 +41,7 @@ ResolverServer::ResolverServer(netsim::Network& net, std::string hostname, Anyca
   if (behavior_.supports_dot) setup_dot();
   if (behavior_.supports_doh) setup_doh();
   if (behavior_.supports_doq) setup_doq();
+  configure_listeners();
 }
 
 ResolverServer::~ResolverServer() = default;
@@ -56,8 +57,8 @@ void ResolverServer::skip(netsim::Network& net, const ServerBehavior& behavior) 
   for (int i = 0; i < draws; ++i) (void)net.rng().next_u64();
 }
 
-transport::TlsServerConfig ResolverServer::tls_config() const {
-  transport::TlsServerConfig cfg;
+transport::ServerHandshakeConfig ResolverServer::tls_config() const {
+  transport::ServerHandshakeConfig cfg;
   cfg.certificate_names = {hostname_};
   cfg.handshake_failure_probability = behavior_.tls_failure_probability;
   return cfg;
@@ -65,20 +66,19 @@ transport::TlsServerConfig ResolverServer::tls_config() const {
 
 void ResolverServer::set_behavior(const ServerBehavior& behavior) {
   behavior_ = behavior;
-  const double drop =
-      behavior_.offline ? 1.0 : behavior_.connect_drop_probability;
-  if (dot_listener_) {
-    dot_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-    dot_listener_->set_drop_syn_probability(drop);
-  }
-  if (doh_listener_) {
-    doh_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-    doh_listener_->set_drop_syn_probability(drop);
-  }
-  if (doq_listener_) {
-    doq_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-    doq_listener_->set_drop_probability(drop);
-  }
+  configure_listeners();
+}
+
+void ResolverServer::configure_listeners() {
+  const double drop = behavior_.offline ? 1.0 : behavior_.connect_drop_probability;
+  auto configure = [&](auto& listener) {
+    if (!listener) return;
+    listener->set_refuse_probability(behavior_.connect_refuse_probability);
+    listener->set_drop_probability(drop);
+  };
+  configure(dot_listener_);
+  configure(doh_listener_);
+  configure(doq_listener_);
 }
 
 // ---- query engine -----------------------------------------------------------
@@ -173,8 +173,6 @@ void ResolverServer::setup_do53() {
 void ResolverServer::setup_dot() {
   dot_listener_ =
       std::make_unique<transport::TcpListener>(net_, Endpoint{addr_, netsim::kPortDot});
-  dot_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-  dot_listener_->set_drop_syn_probability(behavior_.connect_drop_probability);
 
   dot_listener_->on_accept([this](transport::TcpServerConn& conn) {
     auto state = std::make_shared<DotConnState>(net_.queue(), rng_, conn, tls_config());
@@ -199,13 +197,8 @@ void ResolverServer::setup_dot() {
 // ---- DoQ --------------------------------------------------------------------
 
 void ResolverServer::setup_doq() {
-  transport::QuicServerConfig cfg;
-  cfg.certificate_names = {hostname_};
-  cfg.handshake_failure_probability = behavior_.tls_failure_probability;
   doq_listener_ = std::make_unique<transport::QuicListener>(
-      net_, Endpoint{addr_, netsim::kPortDoq}, cfg);
-  doq_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-  doq_listener_->set_drop_probability(behavior_.connect_drop_probability);
+      net_, Endpoint{addr_, netsim::kPortDoq}, tls_config());
 
   doq_listener_->on_accept([this](const std::shared_ptr<transport::QuicServerConn>& conn) {
     std::weak_ptr<transport::QuicServerConn> weak = conn;
@@ -229,17 +222,14 @@ void ResolverServer::setup_doq() {
 void ResolverServer::setup_doh() {
   doh_listener_ =
       std::make_unique<transport::TcpListener>(net_, Endpoint{addr_, netsim::kPortHttps});
-  doh_listener_->set_refuse_probability(behavior_.connect_refuse_probability);
-  doh_listener_->set_drop_syn_probability(behavior_.connect_drop_probability);
 
   doh_listener_->on_accept([this](transport::TcpServerConn& conn) {
     auto state = std::make_shared<DohConnState>(net_.queue(), rng_, conn, tls_config());
-    transport::TcpServerConn* conn_ptr = &conn;
-    doh_conns_[conn_ptr] = state;
+    doh_conns_[&conn] = state;
     std::weak_ptr<DohConnState> weak = state;
 
-    state->tls.on_data([this, weak, conn_ptr](util::Bytes data) {
-      if (auto locked = weak.lock()) handle_doh_payload(locked, *conn_ptr, std::move(data));
+    state->tls.on_data([this, weak](util::Bytes data) {
+      if (auto locked = weak.lock()) handle_doh_payload(locked, std::move(data));
     });
   });
   doh_listener_->on_close(
@@ -247,8 +237,7 @@ void ResolverServer::setup_doh() {
 }
 
 void ResolverServer::handle_doh_payload(const std::shared_ptr<DohConnState>& st,
-                                        transport::TcpServerConn& conn, util::Bytes data) {
-  (void)conn;
+                                        util::Bytes data) {
   // Protocol sniff on the first decrypted record: HTTP/2 begins with the
   // fixed preface, HTTP/1.1 with a method token.
   if (!st->decided) {

@@ -142,13 +142,13 @@ class ResolverServer {
     bool saw_h2_preface = false;
     bool decided = false;  // protocol sniffed on first record
     DohConnState(netsim::EventQueue& q, netsim::Rng& rng, transport::TcpServerConn& conn,
-                 transport::TlsServerConfig cfg)
+                 transport::ServerHandshakeConfig cfg)
         : tls(q, rng, conn, std::move(cfg)) {}
   };
   struct DotConnState {
     transport::TlsServerSession tls;
     DotConnState(netsim::EventQueue& q, netsim::Rng& rng, transport::TcpServerConn& conn,
-                 transport::TlsServerConfig cfg)
+                 transport::ServerHandshakeConfig cfg)
         : tls(q, rng, conn, std::move(cfg)) {}
   };
 
@@ -160,10 +160,12 @@ class ResolverServer {
   void setup_dot();
   void setup_doh();
   void setup_doq();
-  void handle_doh_payload(const std::shared_ptr<DohConnState>& st,
-                          transport::TcpServerConn& conn, util::Bytes data);
+  void handle_doh_payload(const std::shared_ptr<DohConnState>& st, util::Bytes data);
 
-  [[nodiscard]] transport::TlsServerConfig tls_config() const;
+  // The handshake settings of every DoT, DoH and DoQ connection.
+  [[nodiscard]] transport::ServerHandshakeConfig tls_config() const;
+  // Maps behavior_ onto the DoT, DoH and DoQ listeners' failure model.
+  void configure_listeners();
 
   netsim::Network& net_;
   std::string hostname_;

@@ -132,100 +132,36 @@ struct ServerInitialPayload {
   }
 };
 
+// ---- stream messages ------------------------------------------------------------
+
+// Wraps one of MessageCore's chunks or acks in a Stream or StreamAck packet.
+QuicPacket stream_packet(const Chunk& chunk, bool ack, std::uint64_t conn_id) {
+  QuicPacket p;
+  p.type = ack ? QuicPacketType::StreamAck : QuicPacketType::Stream;
+  p.conn_id = conn_id;
+  p.stream_id = chunk.id;
+  p.seq = chunk.seq;
+  p.total = chunk.total;
+  p.data = chunk.data;
+  return p;
+}
+
+// Hands a Stream or StreamAck packet to the message engine; other types are
+// the connection's business.
+void feed(MessageCore& core, QuicPacket& p) {
+  if (p.type == QuicPacketType::Stream) {
+    core.handle_chunk(p.stream_id, p.seq, p.total, std::move(p.data));
+  } else if (p.type == QuicPacketType::StreamAck) {
+    core.handle_ack(p.stream_id, p.seq);
+  }
+}
+
+// Server handshake CPU cost (exponential mean, ms): one combined flight,
+// cheaper than TCP+TLS's full handshake; the PSK path costs the same as TLS's.
+constexpr double kQuicHandshakeCpuMs = 0.5;
+constexpr double kQuicResumeCpuMs = 0.08;
+
 }  // namespace
-
-// ---- stream core ----------------------------------------------------------------
-
-QuicStreamCore::QuicStreamCore(netsim::EventQueue& queue, SendFn send)
-    : queue_(queue), send_(std::move(send)) {}
-
-QuicStreamCore::~QuicStreamCore() { shutdown(); }
-
-void QuicStreamCore::shutdown() {
-  dead_ = true;
-  for (auto& [id, out] : outbound_) {
-    if (out.pto_timer.has_value()) queue_.cancel(*out.pto_timer);
-    out.pto_timer.reset();
-  }
-}
-
-void QuicStreamCore::send_stream(std::uint64_t stream_id, util::Bytes data) {
-  Outbound out;
-  const std::size_t nchunks = data.empty() ? 1 : (data.size() + kQuicMaxPayload - 1) / kQuicMaxPayload;
-  for (std::size_t i = 0; i < nchunks; ++i) {
-    QuicPacket p;
-    p.type = QuicPacketType::Stream;
-    p.stream_id = stream_id;
-    p.seq = static_cast<std::uint16_t>(i);
-    p.total = static_cast<std::uint16_t>(nchunks);
-    const std::size_t begin = i * kQuicMaxPayload;
-    const std::size_t end = std::min(data.size(), begin + kQuicMaxPayload);
-    p.data.assign(data.begin() + static_cast<std::ptrdiff_t>(begin),
-                  data.begin() + static_cast<std::ptrdiff_t>(end));
-    out.unacked.insert(p.seq);
-    out.chunks.push_back(std::move(p));
-  }
-  for (const QuicPacket& p : out.chunks) {
-    ++stats_.stream_packets_sent;
-    send_(p);
-  }
-  outbound_[stream_id] = std::move(out);
-  arm_pto(stream_id);
-}
-
-void QuicStreamCore::arm_pto(std::uint64_t stream_id) {
-  auto it = outbound_.find(stream_id);
-  if (it == outbound_.end() || it->second.unacked.empty()) return;
-  it->second.pto_timer = queue_.schedule(kPto, [this, stream_id] { on_pto(stream_id); });
-}
-
-void QuicStreamCore::on_pto(std::uint64_t stream_id) {
-  if (dead_) return;
-  auto it = outbound_.find(stream_id);
-  if (it == outbound_.end() || it->second.unacked.empty()) return;
-  Outbound& out = it->second;
-  out.pto_timer.reset();
-  if (++out.retries > kMaxRetries) return;  // stream abandoned; caller times out
-  for (std::uint16_t seq : out.unacked) {
-    ++stats_.stream_retransmissions;
-    send_(out.chunks[seq]);
-  }
-  arm_pto(stream_id);
-}
-
-void QuicStreamCore::handle(const QuicPacket& packet) {
-  if (packet.type == QuicPacketType::StreamAck) {
-    auto it = outbound_.find(packet.stream_id);
-    if (it == outbound_.end()) return;
-    it->second.unacked.erase(packet.seq);
-    if (it->second.unacked.empty()) {
-      if (it->second.pto_timer.has_value()) queue_.cancel(*it->second.pto_timer);
-      outbound_.erase(it);
-    }
-    return;
-  }
-  if (packet.type != QuicPacketType::Stream) return;
-
-  QuicPacket ack;
-  ack.type = QuicPacketType::StreamAck;
-  ack.conn_id = packet.conn_id;
-  ack.stream_id = packet.stream_id;
-  ack.seq = packet.seq;
-  send_(ack);
-
-  Inbound& in = inbound_[packet.stream_id];
-  if (in.delivered) return;
-  in.total = packet.total;
-  in.chunks.emplace(packet.seq, packet.data);
-  if (in.chunks.size() == in.total) {
-    in.delivered = true;
-    util::Bytes whole;
-    for (auto& [s, chunk] : in.chunks) whole.insert(whole.end(), chunk.begin(), chunk.end());
-    in.chunks.clear();
-    ++stats_.streams_delivered;
-    if (on_stream_) on_stream_(packet.stream_id, std::move(whole));
-  }
-}
 
 // ---- client ----------------------------------------------------------------------
 
@@ -236,7 +172,9 @@ QuicConnection::QuicConnection(netsim::Network& net, Endpoint local, Endpoint re
       remote_(remote),
       sni_(std::move(sni)),
       conn_id_(conn_id),
-      core_(net.queue(), [this](const QuicPacket& p) { send_packet(p); }) {
+      core_(net.queue(), kQuicMaxPayload, kQuicPto, [this](const Chunk& chunk, bool ack) {
+        send_packet(stream_packet(chunk, ack, conn_id_));
+      }) {
   net_.bind(local_, [this](const Datagram& d) { handle_datagram(d); });
 }
 
@@ -260,10 +198,9 @@ void QuicConnection::close() {
   }
 }
 
-void QuicConnection::send_packet(const QuicPacket& p) {
-  QuicPacket out = p;
-  out.conn_id = conn_id_;
-  net_.send(Datagram{local_, remote_, out.encode()});
+void QuicConnection::send_packet(QuicPacket p) {
+  p.conn_id = conn_id_;
+  net_.send(Datagram{local_, remote_, p.encode()});
 }
 
 void QuicConnection::connect(TlsMode mode, std::optional<SessionTicket> ticket,
@@ -326,14 +263,14 @@ void QuicConnection::fail_connect(const std::string& why) {
 std::uint64_t QuicConnection::send_stream(util::Bytes data) {
   const std::uint64_t sid = next_stream_id_;
   next_stream_id_ += 4;
-  core_.send_stream(sid, std::move(data));
+  core_.send(sid, std::move(data));
   return sid;
 }
 
 void QuicConnection::handle_datagram(const Datagram& d) {
   auto packet_r = QuicPacket::decode(d.payload);
   if (!packet_r) return;
-  const QuicPacket& p = packet_r.value();
+  QuicPacket& p = packet_r.value();
   if (p.conn_id != conn_id_) return;
 
   switch (p.type) {
@@ -361,7 +298,7 @@ void QuicConnection::handle_datagram(const Datagram& d) {
       // Early data rejected? Replay it as a regular stream 0 message.
       if (mode_ == TlsMode::EarlyData && !info.early_data_accepted &&
           !pending_early_.empty()) {
-        core_.send_stream(0, std::move(pending_early_));
+        core_.send(0, std::move(pending_early_));
       }
       pending_early_.clear();
       if (connect_cb_) {
@@ -375,8 +312,8 @@ void QuicConnection::handle_datagram(const Datagram& d) {
       reordered.swap(reordered_);
       bool destroyed = false;
       destroyed_during_replay_ = &destroyed;
-      for (const QuicPacket& early_pkt : reordered) {
-        core_.handle(early_pkt);
+      for (QuicPacket& early_pkt : reordered) {
+        feed(core_, early_pkt);
         if (destroyed) return;
       }
       destroyed_during_replay_ = nullptr;
@@ -388,9 +325,9 @@ void QuicConnection::handle_datagram(const Datagram& d) {
     case QuicPacketType::Stream:
     case QuicPacketType::StreamAck:
       if (established_) {
-        core_.handle(p);
+        feed(core_, p);
       } else if (connect_cb_ != nullptr) {
-        reordered_.push_back(p);  // outran the ServerInitial
+        reordered_.push_back(std::move(p));  // outran the ServerInitial
       }
       return;
     case QuicPacketType::Close:
@@ -403,14 +340,12 @@ void QuicConnection::handle_datagram(const Datagram& d) {
 
 // ---- server ----------------------------------------------------------------------
 
-QuicServerConn::QuicServerConn(netsim::Network& net, Endpoint peer, QuicStreamCore::SendFn send)
-    : peer_(peer), core_(net.queue(), std::move(send)) {}
+QuicServerConn::QuicServerConn(netsim::EventQueue& queue, MessageCore::SendFn send)
+    : core_(queue, kQuicMaxPayload, kQuicPto, std::move(send)) {}
 
-void QuicServerConn::send_stream(std::uint64_t stream_id, util::Bytes data) {
-  core_.send_stream(stream_id, std::move(data));
-}
+void QuicServerConn::handle(QuicPacket& p) { feed(core_, p); }
 
-QuicListener::QuicListener(netsim::Network& net, Endpoint local, QuicServerConfig config)
+QuicListener::QuicListener(netsim::Network& net, Endpoint local, ServerHandshakeConfig config)
     : net_(net),
       local_(local),
       config_(std::move(config)),
@@ -425,18 +360,15 @@ void QuicListener::handle_datagram(const Datagram& d) {
   auto packet_r = QuicPacket::decode(d.payload);
   if (!packet_r) return;
   QuicPacket& p = packet_r.value();
-  const auto key = std::make_pair(d.src, p.conn_id);
+  const ConnKey key{d.src, p.conn_id};
 
   if (p.type == QuicPacketType::Initial) {
     const auto existing = conns_.find(key);
     if (existing == conns_.end()) {
-      // Per-attempt failure decision (deterministic across retransmits).
-      std::uint64_t state = salt_ ^ (static_cast<std::uint64_t>(d.src.ip.value) << 24) ^
-                            (static_cast<std::uint64_t>(d.src.port) << 8) ^ p.conn_id;
-      const double u_refuse =
-          static_cast<double>(netsim::splitmix64(state) >> 11) * 0x1.0p-53;
-      const double u_drop = static_cast<double>(netsim::splitmix64(state) >> 11) * 0x1.0p-53;
-      const double u_hs = static_cast<double>(netsim::splitmix64(state) >> 11) * 0x1.0p-53;
+      AttemptDraw draw(salt_, d.src, p.conn_id);
+      const double u_refuse = draw.next();
+      const double u_drop = draw.next();
+      const double u_hs = draw.next();
       if (u_refuse < refuse_probability_ ||
           u_hs < config_.handshake_failure_probability) {
         QuicPacket retry;
@@ -463,10 +395,8 @@ void QuicListener::handle_datagram(const Datagram& d) {
       const Endpoint peer = d.src;
       const std::uint64_t conn_id = p.conn_id;
       conn = std::make_shared<QuicServerConn>(
-          net_, peer, [this, peer, conn_id](const QuicPacket& out) {
-            QuicPacket o = out;
-            o.conn_id = conn_id;
-            net_.send(Datagram{local_, peer, o.encode()});
+          net_.queue(), [this, peer, conn_id](const Chunk& chunk, bool ack) {
+            net_.send(Datagram{local_, peer, stream_packet(chunk, ack, conn_id).encode()});
           });
       conns_[key] = conn;
       if (on_accept_) on_accept_(conn);
@@ -477,9 +407,8 @@ void QuicListener::handle_datagram(const Datagram& d) {
     // Effective mode: a PSK needs a ticket.
     TlsMode mode = payload.mode;
     if (mode != TlsMode::Full && payload.ticket_id == 0) mode = TlsMode::Full;
-    const double cpu_ms = mode == TlsMode::Full
-                              ? net_.rng().exponential(config_.handshake_cpu_ms)
-                              : net_.rng().exponential(config_.resume_cpu_ms);
+    const double cpu_ms = mode == TlsMode::Full ? net_.rng().exponential(kQuicHandshakeCpuMs)
+                                                : net_.rng().exponential(kQuicResumeCpuMs);
 
     ServerInitialPayload reply;
     reply.early_accepted = mode == TlsMode::EarlyData && config_.accept_early_data &&

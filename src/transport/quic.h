@@ -9,7 +9,8 @@
 //   - each application message rides its own stream: packets of different
 //     streams are delivered independently, so one lost packet never blocks
 //     another stream (no transport head-of-line blocking);
-//   - packet loss is recovered by PTO-style retransmission;
+//   - packet loss is recovered by PTO-style retransmission
+//     (transport::MessageCore, shared with TCP);
 //   - connection IDs demultiplex on a single UDP port; SNI is verified.
 //
 // Simplified (like the TCP/TLS sims): no congestion control, no real
@@ -18,20 +19,21 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 
 #include "netsim/network.h"
+#include "transport/messages.h"
 #include "transport/tls.h"  // SessionTicket, TlsMode
 #include "util/result.h"
 
 namespace ednsm::transport {
 
+// The message engine's (MessageCore) constants for QUIC.
 inline constexpr std::size_t kQuicMaxPayload = 1200;  // QUIC datagram budget
+inline constexpr netsim::SimDuration kQuicPto = std::chrono::milliseconds(250);
 
 enum class QuicPacketType : std::uint8_t {
   Initial = 1,        // client hello (flags: mode, sni, ticket, early stream)
@@ -57,66 +59,12 @@ struct QuicPacket {
 // QUIC's crypto handshake is TLS 1.3 (RFC 9001), with the same outcome.
 using QuicHandshakeInfo = TlsHandshakeInfo;
 
-struct QuicStats {
-  std::uint64_t initial_transmissions = 0;
-  std::uint64_t stream_packets_sent = 0;
-  std::uint64_t stream_retransmissions = 0;
-  std::uint64_t streams_delivered = 0;
-};
-
-// Reliable per-stream message delivery shared by both connection halves.
-class QuicStreamCore {
- public:
-  using SendFn = std::function<void(const QuicPacket&)>;
-  using StreamHandler = std::function<void(std::uint64_t stream_id, util::Bytes)>;
-
-  QuicStreamCore(netsim::EventQueue& queue, SendFn send);
-  ~QuicStreamCore();
-
-  void on_stream(StreamHandler h) { on_stream_ = std::move(h); }
-
-  // Send one whole message on `stream_id` (chunked; PTO-retransmitted).
-  void send_stream(std::uint64_t stream_id, util::Bytes data);
-
-  void handle(const QuicPacket& packet);
-  void shutdown();
-
-  [[nodiscard]] const QuicStats& stats() const noexcept { return stats_; }
-
- private:
-  struct Outbound {
-    std::vector<QuicPacket> chunks;
-    std::set<std::uint16_t> unacked;
-    int retries = 0;
-    std::optional<netsim::EventQueue::EventId> pto_timer;
-  };
-  struct Inbound {
-    std::map<std::uint16_t, util::Bytes> chunks;
-    std::uint16_t total = 0;
-    bool delivered = false;
-  };
-
-  void arm_pto(std::uint64_t stream_id);
-  void on_pto(std::uint64_t stream_id);
-
-  netsim::EventQueue& queue_;
-  SendFn send_;
-  StreamHandler on_stream_;
-  std::map<std::uint64_t, Outbound> outbound_;
-  std::map<std::uint64_t, Inbound> inbound_;
-  QuicStats stats_;
-  bool dead_ = false;
-
-  static constexpr netsim::SimDuration kPto = std::chrono::milliseconds(250);
-  static constexpr int kMaxRetries = 6;
-};
-
 // ---- client ------------------------------------------------------------------
 
 class QuicConnection {
  public:
   using ConnectCallback = std::function<void(Result<QuicHandshakeInfo>)>;
-  using StreamHandler = QuicStreamCore::StreamHandler;
+  using StreamHandler = MessageCore::MessageHandler;
 
   QuicConnection(netsim::Network& net, netsim::Endpoint local, netsim::Endpoint remote,
                  std::string sni, std::uint64_t conn_id);
@@ -133,11 +81,11 @@ class QuicConnection {
   // Returns the new stream's id (client streams: 0, 4, 8, ... per RFC 9000).
   std::uint64_t send_stream(util::Bytes data);
 
-  void on_stream(StreamHandler h) { core_.on_stream(std::move(h)); }
+  void on_stream(StreamHandler h) { core_.on_message(std::move(h)); }
   void close();
 
   [[nodiscard]] bool established() const noexcept { return established_; }
-  [[nodiscard]] const QuicStats& stats() const noexcept { return core_.stats(); }
+  [[nodiscard]] const MessageStats& stats() const noexcept { return core_.stats(); }
 
   // Phase stamp: Initial sent -> ServerInitial accepted (zero until
   // established). Feeds QueryTiming::quic_handshake.
@@ -147,7 +95,7 @@ class QuicConnection {
 
  private:
   void handle_datagram(const netsim::Datagram& d);
-  void send_packet(const QuicPacket& p);
+  void send_packet(QuicPacket p);
   void retransmit_initial();
   void fail_connect(const std::string& why);
 
@@ -156,7 +104,7 @@ class QuicConnection {
   netsim::Endpoint remote_;
   std::string sni_;
   std::uint64_t conn_id_;
-  QuicStreamCore core_;
+  MessageCore core_;
   ConnectCallback connect_cb_;
   bool established_ = false;
   std::uint64_t next_stream_id_ = 0;
@@ -181,27 +129,20 @@ class QuicConnection {
 
 // ---- server ------------------------------------------------------------------
 
-struct QuicServerConfig {
-  std::vector<std::string> certificate_names;
-  double handshake_cpu_ms = 0.5;   // cheaper than TCP+TLS (one combined flight)
-  double resume_cpu_ms = 0.08;
-  double handshake_failure_probability = 0.0;  // Retry/close instead of accept
-  bool accept_early_data = true;
-};
-
 class QuicServerConn {
  public:
-  QuicServerConn(netsim::Network& net, netsim::Endpoint peer, QuicStreamCore::SendFn send);
+  QuicServerConn(netsim::EventQueue& queue, MessageCore::SendFn send);
 
-  void on_stream(QuicStreamCore::StreamHandler h) { core_.on_stream(std::move(h)); }
-  void send_stream(std::uint64_t stream_id, util::Bytes data);
-  void handle(const QuicPacket& p) { core_.handle(p); }
-
-  [[nodiscard]] const netsim::Endpoint& peer() const noexcept { return peer_; }
+  void on_stream(MessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
+  // Replies go out on the request's stream id.
+  void send_stream(std::uint64_t stream_id, util::Bytes data) {
+    core_.send(stream_id, std::move(data));
+  }
+  // Feed a Stream or StreamAck packet demuxed by the listener.
+  void handle(QuicPacket& p);
 
  private:
-  netsim::Endpoint peer_;
-  QuicStreamCore core_;
+  MessageCore core_;
 };
 
 class QuicListener {
@@ -210,7 +151,7 @@ class QuicListener {
   // a recursion stall) can hold a weak reference and detect teardown.
   using AcceptHandler = std::function<void(const std::shared_ptr<QuicServerConn>&)>;
 
-  QuicListener(netsim::Network& net, netsim::Endpoint local, QuicServerConfig config);
+  QuicListener(netsim::Network& net, netsim::Endpoint local, ServerHandshakeConfig config);
   ~QuicListener();
 
   QuicListener(const QuicListener&) = delete;
@@ -219,8 +160,8 @@ class QuicListener {
   void on_accept(AcceptHandler h) { on_accept_ = std::move(h); }
   void on_close(AcceptHandler h) { on_close_ = std::move(h); }
 
-  // Failure injection, mirroring the TCP listener semantics: decided
-  // deterministically per connection attempt.
+  // Failure injection, as on the TCP listener: decided once per connection
+  // attempt (AttemptDraw).
   void set_refuse_probability(double p) noexcept { refuse_probability_ = p; }
   void set_drop_probability(double p) noexcept { drop_probability_ = p; }
 
@@ -233,23 +174,14 @@ class QuicListener {
 
   netsim::Network& net_;
   netsim::Endpoint local_;
-  QuicServerConfig config_;
+  ServerHandshakeConfig config_;
   AcceptHandler on_accept_;
   AcceptHandler on_close_;
   double refuse_probability_ = 0.0;
   double drop_probability_ = 0.0;
   std::uint64_t salt_;
   std::uint64_t next_ticket_id_;
-  // Hot per-datagram lookup; point access only (never iterated), so a hashed
-  // map keyed by (peer endpoint, connection id) is order-safe.
-  struct ConnKeyHash {
-    std::size_t operator()(const std::pair<netsim::Endpoint, std::uint64_t>& k) const noexcept {
-      return netsim::EndpointHash{}(k.first) ^ (std::hash<std::uint64_t>{}(k.second) << 1);
-    }
-  };
-  std::unordered_map<std::pair<netsim::Endpoint, std::uint64_t>, std::shared_ptr<QuicServerConn>,
-                     ConnKeyHash>
-      conns_;
+  std::unordered_map<ConnKey, std::shared_ptr<QuicServerConn>, ConnKeyHash> conns_;
 };
 
 }  // namespace ednsm::transport

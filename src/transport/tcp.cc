@@ -47,105 +47,30 @@ Result<TcpSegment> TcpSegment::decode(std::span<const std::uint8_t> wire) {
   return seg;
 }
 
-// ---- reliable-message core --------------------------------------------------
+namespace {
 
-TcpMessageCore::TcpMessageCore(netsim::EventQueue& queue, SendFn send)
-    : queue_(queue), send_(std::move(send)) {}
+// Wraps one of MessageCore's chunks or acks in a Data or DataAck segment.
+TcpSegment data_segment(const Chunk& chunk, bool ack) {
+  TcpSegment seg;
+  seg.type = ack ? TcpSegmentType::DataAck : TcpSegmentType::Data;
+  seg.msg_id = static_cast<std::uint32_t>(chunk.id);
+  seg.seq = chunk.seq;
+  seg.total = chunk.total;
+  seg.data = chunk.data;
+  return seg;
+}
 
-TcpMessageCore::~TcpMessageCore() { shutdown(); }
-
-void TcpMessageCore::shutdown() {
-  dead_ = true;
-  for (auto& [id, msg] : outbound_) {
-    if (msg.rto_timer.has_value()) queue_.cancel(*msg.rto_timer);
-    msg.rto_timer.reset();
+// Hands a Data or DataAck segment to the message engine; other types are
+// the connection's business.
+void feed(MessageCore& core, TcpSegment& seg) {
+  if (seg.type == TcpSegmentType::Data) {
+    core.handle_chunk(seg.msg_id, seg.seq, seg.total, std::move(seg.data));
+  } else if (seg.type == TcpSegmentType::DataAck) {
+    core.handle_ack(seg.msg_id, seg.seq);
   }
 }
 
-void TcpMessageCore::send_message(util::Bytes data) {
-  const std::uint32_t msg_id = next_msg_id_++;
-  OutboundMessage out;
-  const std::size_t nsegs = data.empty() ? 1 : (data.size() + kTcpMss - 1) / kTcpMss;
-  for (std::size_t i = 0; i < nsegs; ++i) {
-    TcpSegment seg;
-    seg.type = TcpSegmentType::Data;
-    seg.msg_id = msg_id;
-    seg.seq = static_cast<std::uint16_t>(i);
-    seg.total = static_cast<std::uint16_t>(nsegs);
-    const std::size_t begin = i * kTcpMss;
-    const std::size_t end = std::min(data.size(), begin + kTcpMss);
-    seg.data.assign(data.begin() + static_cast<std::ptrdiff_t>(begin),
-                    data.begin() + static_cast<std::ptrdiff_t>(end));
-    out.unacked.insert(seg.seq);
-    out.segments.push_back(std::move(seg));
-  }
-  for (const TcpSegment& seg : out.segments) {
-    ++stats_.data_segments_sent;
-    send_(seg);
-  }
-  outbound_.emplace(msg_id, std::move(out));
-  arm_rto(msg_id);
-}
-
-void TcpMessageCore::arm_rto(std::uint32_t msg_id) {
-  auto it = outbound_.find(msg_id);
-  if (it == outbound_.end() || it->second.unacked.empty()) return;
-  it->second.rto_timer = queue_.schedule(kDataRto, [this, msg_id] { on_rto(msg_id); });
-}
-
-void TcpMessageCore::on_rto(std::uint32_t msg_id) {
-  if (dead_) return;
-  auto it = outbound_.find(msg_id);
-  if (it == outbound_.end() || it->second.unacked.empty()) return;
-  OutboundMessage& msg = it->second;
-  msg.rto_timer.reset();
-  // Out of retries: the message is abandoned, and the query waiting on it
-  // fails at its own deadline.
-  if (++msg.retries > kMaxDataRetries) return;
-  for (std::uint16_t seq : msg.unacked) {
-    ++stats_.data_retransmissions;
-    send_(msg.segments[seq]);
-  }
-  arm_rto(msg_id);
-}
-
-void TcpMessageCore::handle(const TcpSegment& seg) {
-  if (seg.type == TcpSegmentType::DataAck) {
-    auto it = outbound_.find(seg.msg_id);
-    if (it == outbound_.end()) return;
-    it->second.unacked.erase(seg.seq);
-    if (it->second.unacked.empty()) {
-      if (it->second.rto_timer.has_value()) queue_.cancel(*it->second.rto_timer);
-      outbound_.erase(it);
-    }
-    return;
-  }
-  if (seg.type != TcpSegmentType::Data) return;
-
-  // Ack every received Data segment (duplicates included: the ack may have
-  // been the thing that got lost).
-  TcpSegment ack;
-  ack.type = TcpSegmentType::DataAck;
-  ack.conn_id = seg.conn_id;
-  ack.msg_id = seg.msg_id;
-  ack.seq = seg.seq;
-  send_(ack);
-
-  InboundMessage& in = inbound_[seg.msg_id];
-  if (in.delivered) return;
-  in.total = seg.total;
-  in.chunks.emplace(seg.seq, seg.data);
-  if (in.chunks.size() == in.total) {
-    in.delivered = true;
-    util::Bytes whole;
-    for (auto& [s, chunk] : in.chunks) {
-      whole.insert(whole.end(), chunk.begin(), chunk.end());
-    }
-    in.chunks.clear();
-    ++stats_.messages_delivered;
-    if (on_message_) on_message_(std::move(whole));
-  }
-}
+}  // namespace
 
 // ---- client connection ------------------------------------------------------
 
@@ -155,7 +80,8 @@ TcpConnection::TcpConnection(netsim::Network& net, Endpoint local, Endpoint remo
       local_(local),
       remote_(remote),
       conn_id_(conn_id),
-      core_(net.queue(), [this](const TcpSegment& seg) { send_segment(seg); }) {
+      core_(net.queue(), kTcpMss, kTcpDataRto,
+            [this](const Chunk& chunk, bool ack) { send_segment(data_segment(chunk, ack)); }) {
   net_.bind(local_, [this](const Datagram& d) { handle_datagram(d); });
 }
 
@@ -170,10 +96,9 @@ TcpConnection::~TcpConnection() {
   net_.unbind(local_);
 }
 
-void TcpConnection::send_segment(const TcpSegment& seg) {
-  TcpSegment out = seg;
-  out.conn_id = conn_id_;
-  net_.send(Datagram{local_, remote_, out.encode()});
+void TcpConnection::send_segment(TcpSegment seg) {
+  seg.conn_id = conn_id_;
+  net_.send(Datagram{local_, remote_, seg.encode()});
 }
 
 void TcpConnection::connect(ConnectCallback cb) {
@@ -215,7 +140,7 @@ void TcpConnection::fail_connect(const std::string& why) {
 void TcpConnection::handle_datagram(const Datagram& d) {
   auto seg_r = TcpSegment::decode(d.payload);
   if (!seg_r) return;  // garbage on the wire: drop, like a real stack
-  const TcpSegment& seg = seg_r.value();
+  TcpSegment& seg = seg_r.value();
   if (seg.conn_id != conn_id_) return;
 
   switch (seg.type) {
@@ -249,7 +174,7 @@ void TcpConnection::handle_datagram(const Datagram& d) {
     }
     case TcpSegmentType::Data:
     case TcpSegmentType::DataAck:
-      if (state_ == State::Established) core_.handle(seg);
+      if (state_ == State::Established) feed(core_, seg);
       return;
     case TcpSegmentType::Fin:
       state_ = State::Closed;
@@ -259,8 +184,6 @@ void TcpConnection::handle_datagram(const Datagram& d) {
   }
 }
 
-void TcpConnection::send_message(util::Bytes data) { core_.send_message(std::move(data)); }
-
 // ---- server conn ------------------------------------------------------------
 
 TcpServerConn::TcpServerConn(netsim::Network& net, Endpoint local, Endpoint peer,
@@ -269,21 +192,13 @@ TcpServerConn::TcpServerConn(netsim::Network& net, Endpoint local, Endpoint peer
       local_(local),
       peer_(peer),
       conn_id_(conn_id),
-      core_(net.queue(), [this](const TcpSegment& seg) { send_segment(seg); }) {}
+      core_(net.queue(), kTcpMss, kTcpDataRto, [this](const Chunk& chunk, bool ack) {
+        TcpSegment seg = data_segment(chunk, ack);
+        seg.conn_id = conn_id_;
+        net_.send(Datagram{local_, peer_, seg.encode()});
+      }) {}
 
-void TcpServerConn::send_segment(const TcpSegment& seg) {
-  TcpSegment out = seg;
-  out.conn_id = conn_id_;
-  net_.send(Datagram{local_, peer_, out.encode()});
-}
-
-void TcpServerConn::send_message(util::Bytes data) { core_.send_message(std::move(data)); }
-
-void TcpServerConn::handle(const TcpSegment& seg) {
-  if (seg.type == TcpSegmentType::Data || seg.type == TcpSegmentType::DataAck) {
-    core_.handle(seg);
-  }
-}
+void TcpServerConn::handle(TcpSegment& seg) { feed(core_, seg); }
 
 // ---- listener ---------------------------------------------------------------
 
@@ -297,21 +212,14 @@ TcpListener::~TcpListener() { net_.unbind(local_); }
 void TcpListener::handle_datagram(const Datagram& d) {
   auto seg_r = TcpSegment::decode(d.payload);
   if (!seg_r) return;
-  const TcpSegment& seg = seg_r.value();
-  const auto key = std::make_pair(d.src, seg.conn_id);
+  TcpSegment& seg = seg_r.value();
+  const ConnKey key{d.src, seg.conn_id};
 
   if (seg.type == TcpSegmentType::Syn) {
-    // Failure is decided once per connection *attempt*, not per SYN packet:
-    // the decision is derived deterministically from (peer, conn_id, salt),
-    // so a retransmitted SYN of a doomed attempt stays doomed and the
-    // configured probability is the true per-attempt failure rate.
     if (!conns_.contains(key)) {
-      std::uint64_t state = salt_ ^ (static_cast<std::uint64_t>(d.src.ip.value) << 24) ^
-                            (static_cast<std::uint64_t>(d.src.port) << 8) ^ seg.conn_id;
-      const double u_refuse =
-          static_cast<double>(netsim::splitmix64(state) >> 11) * 0x1.0p-53;
-      const double u_drop =
-          static_cast<double>(netsim::splitmix64(state) >> 11) * 0x1.0p-53;
+      AttemptDraw draw(salt_, d.src, seg.conn_id);
+      const double u_refuse = draw.next();
+      const double u_drop = draw.next();
       if (u_refuse < refuse_probability_) {
         TcpSegment rst;
         rst.type = TcpSegmentType::Rst;
@@ -319,7 +227,7 @@ void TcpListener::handle_datagram(const Datagram& d) {
         net_.send(Datagram{local_, d.src, rst.encode()});
         return;
       }
-      if (u_drop < drop_syn_probability_) {
+      if (u_drop < drop_probability_) {
         return;  // listener under duress: SYN silently dropped
       }
     }

@@ -5,7 +5,8 @@
 // "failure to establish a connection" errors the paper reports; segment loss
 // triggers retransmission timeouts that create the latency tail; every
 // message is chunked into MSS-sized segments that are individually delayed,
-// lost, reordered, and reassembled.
+// lost, reordered, and reassembled (transport::MessageCore, shared with
+// QUIC).
 //
 // What is simplified (documented in DESIGN.md): the byte-stream is modeled as
 // a sequence of framed messages (one per application write), there is no
@@ -18,20 +19,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "netsim/network.h"
+#include "transport/messages.h"
 #include "util/result.h"
 
 namespace ednsm::transport {
 
+// The message engine's (MessageCore) constants for TCP.
 inline constexpr std::size_t kTcpMss = 1400;  // data bytes per segment
+inline constexpr netsim::SimDuration kTcpDataRto = std::chrono::milliseconds(300);
 
 enum class TcpSegmentType : std::uint8_t {
   Syn = 1,
@@ -56,65 +57,6 @@ struct TcpSegment {
   [[nodiscard]] static Result<TcpSegment> decode(std::span<const std::uint8_t> wire);
 };
 
-struct TcpStats {
-  std::uint64_t syn_transmissions = 0;
-  std::uint64_t data_segments_sent = 0;
-  std::uint64_t data_retransmissions = 0;
-  std::uint64_t messages_delivered = 0;
-};
-
-// Reliable-message engine shared by the client and server halves: chunking,
-// per-segment ack tracking, RTO-driven retransmission, reassembly, dedup.
-class TcpMessageCore {
- public:
-  using SendFn = std::function<void(const TcpSegment&)>;
-  using MessageHandler = std::function<void(util::Bytes)>;
-
-  TcpMessageCore(netsim::EventQueue& queue, SendFn send);
-  ~TcpMessageCore();
-
-  void on_message(MessageHandler h) { on_message_ = std::move(h); }
-
-  // Send one framed application message (chunks + arms the RTO).
-  void send_message(util::Bytes data);
-
-  // Feed an incoming Data/DataAck segment.
-  void handle(const TcpSegment& seg);
-
-  // Cancel all timers (connection closing).
-  void shutdown();
-
-  [[nodiscard]] const TcpStats& stats() const noexcept { return stats_; }
-
- private:
-  struct OutboundMessage {
-    std::vector<TcpSegment> segments;
-    std::set<std::uint16_t> unacked;
-    int retries = 0;
-    std::optional<netsim::EventQueue::EventId> rto_timer;
-  };
-  struct InboundMessage {
-    std::map<std::uint16_t, util::Bytes> chunks;
-    std::uint16_t total = 0;
-    bool delivered = false;
-  };
-
-  void arm_rto(std::uint32_t msg_id);
-  void on_rto(std::uint32_t msg_id);
-
-  netsim::EventQueue& queue_;
-  SendFn send_;
-  MessageHandler on_message_;
-  std::uint32_t next_msg_id_ = 1;
-  std::map<std::uint32_t, OutboundMessage> outbound_;
-  std::map<std::uint32_t, InboundMessage> inbound_;
-  TcpStats stats_;
-  bool dead_ = false;
-
-  static constexpr netsim::SimDuration kDataRto = std::chrono::milliseconds(300);
-  static constexpr int kMaxDataRetries = 6;
-};
-
 // Client-side connection. Binds `local` for the connection's lifetime.
 class TcpConnection {
  public:
@@ -132,13 +74,13 @@ class TcpConnection {
   // RST fails the connect.
   void connect(ConnectCallback cb);
 
-  void send_message(util::Bytes data);
-  void on_message(TcpMessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
+  void send_message(util::Bytes data) { core_.send(next_msg_id_++, std::move(data)); }
+  void on_message(MessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
 
   [[nodiscard]] bool established() const noexcept { return state_ == State::Established; }
   [[nodiscard]] const netsim::Endpoint& local() const noexcept { return local_; }
   [[nodiscard]] const netsim::Endpoint& remote() const noexcept { return remote_; }
-  [[nodiscard]] const TcpStats& stats() const noexcept { return core_.stats(); }
+  [[nodiscard]] const MessageStats& stats() const noexcept { return core_.stats(); }
   [[nodiscard]] std::uint32_t conn_id() const noexcept { return conn_id_; }
 
   // Phase stamp: SYN sent -> SYNACK received (zero until established). Feeds
@@ -154,7 +96,7 @@ class TcpConnection {
   enum class State { Closed, SynSent, Established };
 
   void handle_datagram(const netsim::Datagram& d);
-  void send_segment(const TcpSegment& seg);
+  void send_segment(TcpSegment seg);
   void retransmit_syn();
   void fail_connect(const std::string& why);
 
@@ -164,10 +106,10 @@ class TcpConnection {
   std::uint32_t conn_id_;
   State state_ = State::Closed;
   ConnectCallback connect_cb_;
-  TcpMessageCore core_;
+  MessageCore core_;
+  std::uint32_t next_msg_id_ = 1;
   std::optional<netsim::EventQueue::EventId> syn_timer_;
   int syn_transmissions_ = 0;
-  std::string pending_error_;
   netsim::SimTime connect_started_{0};
   netsim::SimDuration handshake_duration_{0};
 
@@ -181,23 +123,21 @@ class TcpServerConn {
   TcpServerConn(netsim::Network& net, netsim::Endpoint local, netsim::Endpoint peer,
                 std::uint32_t conn_id);
 
-  void send_message(util::Bytes data);
-  void on_message(TcpMessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
+  void send_message(util::Bytes data) { core_.send(next_msg_id_++, std::move(data)); }
+  void on_message(MessageCore::MessageHandler h) { core_.on_message(std::move(h)); }
 
   // Feed a segment demuxed by the listener.
-  void handle(const TcpSegment& seg);
+  void handle(TcpSegment& seg);
 
-  [[nodiscard]] const netsim::Endpoint& peer() const noexcept { return peer_; }
   [[nodiscard]] std::uint32_t conn_id() const noexcept { return conn_id_; }
 
  private:
-  void send_segment(const TcpSegment& seg);
-
   netsim::Network& net_;
   netsim::Endpoint local_;
   netsim::Endpoint peer_;
   std::uint32_t conn_id_;
-  TcpMessageCore core_;
+  MessageCore core_;
+  std::uint32_t next_msg_id_ = 1;
 };
 
 // Listening socket: demuxes segments to per-(peer, conn_id) server conns.
@@ -217,15 +157,12 @@ class TcpListener {
   // per-connection state can release it.
   void on_close(AcceptHandler h) { on_close_ = std::move(h); }
 
-  // Failure injection (driven by the resolver availability model):
-  // refuse_probability -> RST in response to SYN ("connection refused");
-  // drop_syn_probability -> SYN silently ignored ("connection timeout").
-  // Both are sampled per incoming SYN.
-  // ednsm-lint: allow(hygiene-dead-function) — Tcp.RefusedConnectionReportsRst and
-  // Pool.ConnectFailureSurfacesError refuse every SYN with it.
-  void set_refuse(bool refuse) noexcept { refuse_probability_ = refuse ? 1.0 : 0.0; }
+  // Failure injection (driven by the resolver availability model), decided
+  // once per connection attempt (AttemptDraw): refuse_probability -> RST in
+  // response to SYN ("connection refused"); drop_probability -> SYN silently
+  // ignored ("connection timeout").
   void set_refuse_probability(double p) noexcept { refuse_probability_ = p; }
-  void set_drop_syn_probability(double p) noexcept { drop_syn_probability_ = p; }
+  void set_drop_probability(double p) noexcept { drop_probability_ = p; }
 
   // ednsm-lint: allow(hygiene-dead-function) — Tcp.FinReleasesServerConnection checks that a FIN
   // frees the server connection.
@@ -239,18 +176,9 @@ class TcpListener {
   AcceptHandler on_accept_;
   AcceptHandler on_close_;
   double refuse_probability_ = 0.0;
-  double drop_syn_probability_ = 0.0;
+  double drop_probability_ = 0.0;
   std::uint64_t salt_ = 0;  // per-listener seed for the per-attempt failure hash
-  // Hot per-segment lookup; point access only (never iterated), so a hashed
-  // map keyed by (peer endpoint, peer port generation) is order-safe.
-  struct ConnKeyHash {
-    std::size_t operator()(const std::pair<netsim::Endpoint, std::uint32_t>& k) const noexcept {
-      return netsim::EndpointHash{}(k.first) ^ (std::hash<std::uint32_t>{}(k.second) << 1);
-    }
-  };
-  std::unordered_map<std::pair<netsim::Endpoint, std::uint32_t>, std::unique_ptr<TcpServerConn>,
-                     ConnKeyHash>
-      conns_;
+  std::unordered_map<ConnKey, std::unique_ptr<TcpServerConn>, ConnKeyHash> conns_;
 };
 
 }  // namespace ednsm::transport

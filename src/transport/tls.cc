@@ -15,6 +15,11 @@ enum class HsType : std::uint8_t {
   ClientFinished = 20,
 };
 
+// Server handshake CPU cost (exponential mean, ms): the full handshake's
+// asymmetric crypto, and the PSK path.
+constexpr double kTlsHandshakeCpuMs = 0.6;
+constexpr double kTlsResumeCpuMs = 0.08;
+
 struct ClientHello {
   TlsMode mode = TlsMode::Full;
   std::string sni;
@@ -141,7 +146,7 @@ Result<TlsRecord> TlsRecord::decode(std::span<const std::uint8_t> wire) {
 
 TlsClient::TlsClient(TcpConnection& conn, TlsClientConfig config)
     : conn_(conn), config_(std::move(config)) {
-  conn_.on_message([this](util::Bytes raw) { handle_message(std::move(raw)); });
+  conn_.on_message([this](std::uint64_t, util::Bytes raw) { handle_message(std::move(raw)); });
 }
 
 void TlsClient::handshake(TlsMode mode, std::optional<SessionTicket> ticket,
@@ -253,13 +258,13 @@ void TlsClient::handle_message(util::Bytes raw) {
 // ---- server ----------------------------------------------------------------
 
 TlsServerSession::TlsServerSession(netsim::EventQueue& queue, netsim::Rng& rng,
-                                   TcpServerConn& conn, TlsServerConfig config)
+                                   TcpServerConn& conn, ServerHandshakeConfig config)
     : queue_(queue),
       rng_(rng),
       conn_(conn),
       config_(std::move(config)),
       next_ticket_id_(rng_.next_u64() | 1) {
-  conn_.on_message([this](util::Bytes raw) { handle_message(std::move(raw)); });
+  conn_.on_message([this](std::uint64_t, util::Bytes raw) { handle_message(std::move(raw)); });
 }
 
 TlsServerSession::~TlsServerSession() { alive_.reset(); }
@@ -307,10 +312,8 @@ void TlsServerSession::handle_message(util::Bytes raw) {
     TlsMode mode = ch.mode;
     if (mode != TlsMode::Full && ch.ticket_id == 0) mode = TlsMode::Full;
 
-    const double cpu_ms =
-        (mode == TlsMode::Full)
-            ? rng_.exponential(config_.handshake_cpu_ms)
-            : rng_.exponential(config_.resume_cpu_ms);
+    const double cpu_ms = mode == TlsMode::Full ? rng_.exponential(kTlsHandshakeCpuMs)
+                                                : rng_.exponential(kTlsResumeCpuMs);
     util::Bytes early = std::move(ch.early_data);
     queue_.schedule(netsim::from_ms(cpu_ms),
                     [this, alive = std::weak_ptr<bool>(alive_), mode,

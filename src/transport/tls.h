@@ -111,14 +111,6 @@ class TlsClient {
 
 // ---- server ----------------------------------------------------------------
 
-struct TlsServerConfig {
-  std::vector<std::string> certificate_names;  // acceptable SNI values
-  double handshake_cpu_ms = 0.6;    // full-handshake asymmetric crypto cost
-  double resume_cpu_ms = 0.08;      // PSK path
-  double handshake_failure_probability = 0.0;  // alert instead of ServerHello
-  bool accept_early_data = true;
-};
-
 // Wraps one accepted TCP server connection; answers handshakes and delivers
 // decrypted application data. The resolver server owns one per connection.
 class TlsServerSession {
@@ -126,7 +118,7 @@ class TlsServerSession {
   using DataHandler = std::function<void(util::Bytes)>;
 
   TlsServerSession(netsim::EventQueue& queue, netsim::Rng& rng, TcpServerConn& conn,
-                   TlsServerConfig config);
+                   ServerHandshakeConfig config);
   ~TlsServerSession();
 
   void on_data(DataHandler h) { on_data_ = std::move(h); }
@@ -142,7 +134,7 @@ class TlsServerSession {
   netsim::EventQueue& queue_;
   netsim::Rng& rng_;
   TcpServerConn& conn_;
-  TlsServerConfig config_;
+  ServerHandshakeConfig config_;
   DataHandler on_data_;
   bool established_ = false;
   std::uint64_t next_ticket_id_;

@@ -160,7 +160,7 @@ TEST_P(FuzzSeeds, GarbageOverEstablishedTlsIsSurvivable) {
       net.attach(geo::city::kChicago, netsim::AccessLinkModel::datacenter());
   transport::TcpListener listener(net, netsim::Endpoint{server_ip, 443});
   std::vector<std::unique_ptr<transport::TlsServerSession>> sessions;
-  transport::TlsServerConfig cfg;
+  transport::ServerHandshakeConfig cfg;
   cfg.certificate_names = {"dns.example"};
   util::Bytes garbage = random_bytes(seed_rng, 80);
   listener.on_accept([&](transport::TcpServerConn& conn) {

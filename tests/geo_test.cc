@@ -55,7 +55,7 @@ TEST(Coords, ContinentNames) {
 
 TEST(GeoDb, LookupHitAndMiss) {
   GeoDb db;
-  db.add("dns.example", {"Frankfurt", "DE", Continent::Europe, city::kFrankfurt});
+  db.add("dns.example", {"Frankfurt", Continent::Europe, city::kFrankfurt});
   auto hit = db.lookup("dns.example");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->city, "Frankfurt");
@@ -64,7 +64,7 @@ TEST(GeoDb, LookupHitAndMiss) {
 
 TEST(GeoDb, UnknownContinentBehavesLikeNoLocation) {
   GeoDb db;
-  db.add("nowhere.example", {"", "", Continent::Unknown, {}});
+  db.add("nowhere.example", {"", Continent::Unknown, {}});
   EXPECT_FALSE(db.lookup("nowhere.example").has_value());
   EXPECT_EQ(db.size(), 1u);
 }

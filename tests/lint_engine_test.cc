@@ -654,4 +654,59 @@ std::string render(const ednsm::report::Table& t) { return t.to_text(); }
   EXPECT_NE(diags[0].message.find("Table::to_markdown"), std::string::npos) << diags[0].message;
 }
 
+// ---------------------------------------------------------------------------
+// Pass 3: hygiene-dead-field.
+// ---------------------------------------------------------------------------
+
+std::vector<Diagnostic> dead_fields(const std::vector<SourceFile>& files) {
+  std::vector<Diagnostic> out;
+  for (Diagnostic& d : ednsm::lint::run_lint(files)) {
+    if (d.rule == "hygiene-dead-field") out.push_back(std::move(d));
+  }
+  return out;
+}
+
+// A field written in one file and read in none is still named outside its
+// declaration, so it counts as used; one named nowhere else is dead, even
+// when the struct is only ever built by positional aggregate initialization.
+TEST(DeadField, WrittenOrReadAnywhereIsUsed) {
+  const SourceFile h{"src/geo/point.h", R"cc(
+#pragma once
+#include <string>
+namespace ednsm::geo {
+struct Site {
+  std::string city;
+  std::string country_code;
+  double lat = 0;
+};
+}  // namespace ednsm::geo
+)cc"};
+  const SourceFile cc{"src/geo/point.cc", R"cc(
+namespace ednsm::geo {
+Site make() { Site s{"Chicago", "US", 41.9}; s.lat += 0.0; return s; }
+}  // namespace ednsm::geo
+)cc"};
+  const SourceFile tool{"tools/where.cc", R"cc(
+std::string where(const ednsm::geo::Site& s) { return s.city; }
+)cc"};
+  const auto diags = dead_fields({h, cc, tool});
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  EXPECT_EQ(diags[0].line, 7);
+  EXPECT_NE(diags[0].message.find("Site::country_code"), std::string::npos) << diags[0].message;
+}
+
+TEST(DeadField, AllowedLineIsSilent) {
+  const SourceFile h{"src/util/probe.h", R"cc(
+#pragma once
+namespace ednsm::util {
+struct Probe {
+  // ednsm-lint: allow(hygiene-dead-field) — Probe.Counts reads it.
+  int probe_count = 0;
+};
+}  // namespace ednsm::util
+)cc"};
+  const auto diags = dead_fields({h});
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
 }  // namespace

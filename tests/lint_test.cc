@@ -245,6 +245,30 @@ TEST(LintFixtures, DeadFunctionOutsideSrcIsExempt) {
   EXPECT_TRUE(diags.empty()) << dump(diags);
 }
 
+std::vector<Diagnostic> lint_dead_field_fixture() {
+  return ednsm::lint::run_lint(
+      {SourceFile{"src/util/dead_field_bad.h",
+                  read_file(std::string(EDNSM_LINT_FIXTURE_DIR) + "/dead_field_bad.h")}});
+}
+
+TEST(LintFixtures, DeadFieldBad) {
+  const auto diags = lint_dead_field_fixture();
+  ASSERT_EQ(diags.size(), 2u) << dump(diags);
+  for (const Diagnostic& d : diags) EXPECT_EQ(d.rule, "hygiene-dead-field");
+  EXPECT_EQ(diags[0].line, 15);
+  EXPECT_NE(diags[0].message.find("Record::unused_count"), std::string::npos)
+      << diags[0].message;
+  EXPECT_EQ(diags[1].line, 24);
+  EXPECT_NE(diags[1].message.find("Widget::unused_label"), std::string::npos)
+      << diags[1].message;
+}
+
+// Outside src/ (tools, tests, examples) the rule stays silent.
+TEST(LintFixtures, DeadFieldOutsideSrcIsExempt) {
+  const auto diags = lint_fixture("dead_field_bad.h");
+  EXPECT_TRUE(diags.empty()) << dump(diags);
+}
+
 // Every advertised rule ID is exercised by at least one bad fixture. Most
 // fixtures lint standalone; the architectural rules need a little staging —
 // layering wants a src/<module>/ path plus a layers config, and the include
@@ -262,8 +286,10 @@ TEST(LintFixtures, EveryRuleCovered) {
     for (const Diagnostic& d : lint_fixture(name)) triggered.insert(d.rule);
   }
 
-  // hygiene-dead-function: only headers under src/ are in scope.
+  // hygiene-dead-function and hygiene-dead-field: only headers under src/
+  // are in scope.
   for (const Diagnostic& d : lint_dead_function_fixture()) triggered.insert(d.rule);
+  for (const Diagnostic& d : lint_dead_field_fixture()) triggered.insert(d.rule);
 
   // arch-layering: the fixture inverts a layer edge once placed in src/util/.
   ednsm::lint::Options layer_options;
@@ -364,6 +390,27 @@ TEST(LintTree, UnreferencedPublicFunctionFails) {
   EXPECT_EQ(diags[0].rule, "hygiene-dead-function");
   EXPECT_TRUE(diags[0].path.ends_with("src/util/strings.h")) << diags[0].path;
   EXPECT_NE(diags[0].message.find("shout_label"), std::string::npos) << diags[0].message;
+}
+
+// A public field nothing writes or reads must trip hygiene-dead-field, and
+// nothing else.
+TEST(LintTree, UnreferencedPublicFieldFails) {
+  auto files = load_repo_tree();
+  std::size_t mutated = 0;
+  for (SourceFile& f : files) {
+    if (!f.path.ends_with("src/geo/vantage.h")) continue;
+    const std::size_t pos = f.content.find("  GeoPoint location;");
+    ASSERT_NE(pos, std::string::npos);
+    f.content.insert(pos, "  std::string site_nickname;\n");
+    ++mutated;
+  }
+  ASSERT_EQ(mutated, 1u);
+  const auto diags = lint_minus_baseline(files);
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  EXPECT_EQ(diags[0].rule, "hygiene-dead-field");
+  EXPECT_TRUE(diags[0].path.ends_with("src/geo/vantage.h")) << diags[0].path;
+  EXPECT_NE(diags[0].message.find("VantagePoint::site_nickname"), std::string::npos)
+      << diags[0].message;
 }
 
 // Removing a field from the ResultRecord JSON writer must trip codec-parity:

@@ -269,6 +269,11 @@ TEST(FaultWindow, SpecCodecAndValidation) {
   EXPECT_FALSE(spec.validate());
   spec.fault_windows[0] = core::FaultWindow{"", 0, 2};
   EXPECT_FALSE(spec.validate());
+  // A window on a resolver the spec does not measure would do nothing.
+  spec.fault_windows[0] = core::FaultWindow{"dns.gooogle", 0, 2};
+  const auto unmeasured = spec.validate();
+  ASSERT_FALSE(unmeasured);
+  EXPECT_NE(unmeasured.error().find("dns.gooogle"), std::string::npos) << unmeasured.error();
 }
 
 TEST(FaultWindow, CampaignOutageCoversExactRounds) {
@@ -316,6 +321,21 @@ TEST(Monitor, SpecJsonRoundTripAndValidation) {
   spec.epochs = 6;
   spec.outages[0].to_epoch = 2;  // empty window
   EXPECT_FALSE(spec.validate());
+}
+
+// The monitor's base spec carries no fault windows, so an outage on a
+// resolver outside the watchlist needs its own check; it would do nothing.
+TEST(Monitor, SpecRejectsOutageOnUnmeasuredResolver) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.outages.push_back(monitor::OutageScript{"dns.gooogle", 1, 3});
+  const auto v = spec.validate();
+  ASSERT_FALSE(v);
+  EXPECT_NE(v.error().find("dns.gooogle"), std::string::npos) << v.error();
+  EXPECT_FALSE(monitor::MonitorSpec::from_json(spec.to_json()));
+  EXPECT_FALSE(monitor::run_monitor(spec, 1));
+
+  spec.outages[0].resolver = "ordns.he.net";  // on the watchlist
+  EXPECT_TRUE(spec.validate());
 }
 
 TEST(Monitor, ScriptedOutageYieldsExactlyOneOutageEvent) {

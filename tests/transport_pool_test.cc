@@ -26,7 +26,7 @@ struct PoolWorld {
     server_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, 443};
     listener = std::make_unique<TcpListener>(net, server_ep);
-    TlsServerConfig cfg;
+    ServerHandshakeConfig cfg;
     cfg.certificate_names = {"dns.example"};
     listener->on_accept([this, cfg](TcpServerConn& conn) {
       sessions.push_back(std::make_unique<TlsServerSession>(queue, net.rng(), conn, cfg));
@@ -124,7 +124,7 @@ TEST(Pool, EarlyDataDeliveredWithResumption) {
 
 TEST(Pool, ConnectFailureSurfacesError) {
   PoolWorld w;
-  w.listener->set_refuse(true);
+  w.listener->set_refuse_probability(1.0);
   w.pool->invalidate(w.server_ep, "dns.example");
   std::string error;
   w.pool->acquire(w.server_ep, "dns.example", ReusePolicy::None, {},

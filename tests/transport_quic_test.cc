@@ -27,7 +27,7 @@ struct QuicWorld {
     client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());
     server_ip = net.attach(server_loc, AccessLinkModel::datacenter());
     server_ep = Endpoint{server_ip, netsim::kPortDoq};
-    QuicServerConfig cfg;
+    ServerHandshakeConfig cfg;
     cfg.certificate_names = {"dns.example"};
     listener = std::make_unique<QuicListener>(net, server_ep, cfg);
     // Echo every stream back.
@@ -123,7 +123,7 @@ TEST(Quic, LargeStreamChunksAndReassembles) {
   });
   w.queue.run_until_idle();
   EXPECT_EQ(echoed, big);
-  EXPECT_GE(conn.stats().stream_packets_sent, 6u);
+  EXPECT_GE(conn.stats().chunks_sent, 6u);
 }
 
 TEST(Quic, LossRecoveredByPto) {
@@ -141,7 +141,7 @@ TEST(Quic, LossRecoveredByPto) {
   });
   w.queue.run_until_idle();
   EXPECT_EQ(echoed.size(), big.size());
-  EXPECT_GT(conn.stats().stream_retransmissions, 0u);
+  EXPECT_GT(conn.stats().retransmissions, 0u);
 }
 
 TEST(Quic, TicketEnablesResumption) {
@@ -205,7 +205,7 @@ TEST(Quic, ZeroRttDeliversQueryInFirstFlight) {
 
 TEST(Quic, RejectedEarlyDataIsReplayed) {
   QuicWorld w;
-  QuicServerConfig cfg;
+  ServerHandshakeConfig cfg;
   cfg.certificate_names = {"dns.example"};
   cfg.accept_early_data = false;
   w.listener.reset();  // unbind the old listener before binding the new one
@@ -263,6 +263,65 @@ TEST(Quic, RefusalSurfacesAsRefused) {
   });
   w.queue.run_until_idle();
   EXPECT_NE(error.find("refused"), std::string::npos);
+}
+
+// Counterpart of Tcp.ProbabilisticRefusalIsPerAttempt. Refusal is drawn once
+// per attempt (AttemptDraw), so on a lossy path, where Retries get lost and
+// clients resend their Initial, every attempt refused on a clean path stays
+// refused (or times out) and no accepted attempt is ever refused.
+TEST(Quic, ProbabilisticRefusalIsPerAttempt) {
+  constexpr int kAttempts = 200;
+  struct Outcome {
+    bool ok = false;
+    bool refused = false;
+    double at_ms = 0;
+  };
+  auto run = [](double extra_loss) {
+    QuicWorld w;
+    w.listener->set_refuse_probability(0.5);
+    if (extra_loss > 0.0) {
+      netsim::PathQuirk lossy;
+      lossy.extra_loss = extra_loss;
+      w.net.set_quirk(w.client_ip, w.server_ip, lossy);
+    }
+    std::vector<Outcome> out(kAttempts);
+    std::vector<std::unique_ptr<QuicConnection>> conns;
+    for (int i = 0; i < kAttempts; ++i) {
+      conns.push_back(std::make_unique<QuicConnection>(
+          w.net, Endpoint{w.client_ip, static_cast<std::uint16_t>(54000 + i)}, w.server_ep,
+          "dns.example", static_cast<std::uint64_t>(2000 + i)));
+      conns.back()->connect(TlsMode::Full, std::nullopt, {},
+                            [&out, &w, i](Result<QuicHandshakeInfo> r) {
+                              out[i].ok = r.has_value();
+                              out[i].refused =
+                                  !r && r.error().find("refused") != std::string::npos;
+                              out[i].at_ms = to_ms(w.queue.now());
+                            });
+    }
+    w.queue.run_until_idle();
+    return out;
+  };
+
+  const std::vector<Outcome> clean = run(0.0);
+  int refused = 0;
+  for (const Outcome& o : clean) {
+    EXPECT_TRUE(o.ok || o.refused);
+    refused += o.refused ? 1 : 0;
+  }
+  EXPECT_GT(refused, 60);
+  EXPECT_LT(refused, 140);
+
+  const std::vector<Outcome> lossy = run(0.5);
+  int refused_after_resend = 0;
+  for (int i = 0; i < kAttempts; ++i) {
+    if (clean[i].refused) {
+      EXPECT_FALSE(lossy[i].ok) << "attempt " << i;
+      if (lossy[i].refused && lossy[i].at_ms > 1000.0) ++refused_after_resend;
+    } else {
+      EXPECT_FALSE(lossy[i].refused) << "attempt " << i;
+    }
+  }
+  EXPECT_GT(refused_after_resend, 0);  // retransmitted Initials were drawn again
 }
 
 TEST(Quic, SilentDropTimesOut) {

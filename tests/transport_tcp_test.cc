@@ -70,7 +70,7 @@ TEST(Tcp, HandshakeCostsOneRtt) {
 
 TEST(Tcp, RefusedConnectionReportsRst) {
   TcpWorld w;
-  w.listener->set_refuse(true);
+  w.listener->set_refuse_probability(1.0);
   TcpConnection conn(w.net, {w.client_ip, 50001}, w.server_ep, 2);
   std::string error;
   conn.connect([&](Result<void> r) {
@@ -124,7 +124,7 @@ TEST(Tcp, MessageRoundTrip) {
   TcpWorld w;
   util::Bytes server_received;
   w.listener->on_accept([&](TcpServerConn& sc) {
-    sc.on_message([&, &sc = sc](util::Bytes data) {
+    sc.on_message([&, &sc = sc](std::uint64_t, util::Bytes data) {
       server_received = data;
       sc.send_message(util::to_bytes("response"));
     });
@@ -132,7 +132,7 @@ TEST(Tcp, MessageRoundTrip) {
 
   TcpConnection conn(w.net, {w.client_ip, 50003}, w.server_ep, 4);
   util::Bytes client_received;
-  conn.on_message([&](util::Bytes data) { client_received = data; });
+  conn.on_message([&](std::uint64_t, util::Bytes data) { client_received = data; });
   conn.connect([&](Result<void> r) {
     ASSERT_TRUE(r.has_value());
     conn.send_message(util::to_bytes("request"));
@@ -149,7 +149,7 @@ TEST(Tcp, LargeMessageSegmentsAndReassembles) {
 
   util::Bytes received;
   w.listener->on_accept([&](TcpServerConn& sc) {
-    sc.on_message([&](util::Bytes data) { received = std::move(data); });
+    sc.on_message([&](std::uint64_t, util::Bytes data) { received = std::move(data); });
   });
   TcpConnection conn(w.net, {w.client_ip, 50004}, w.server_ep, 5);
   conn.connect([&](Result<void> r) {
@@ -158,14 +158,14 @@ TEST(Tcp, LargeMessageSegmentsAndReassembles) {
   });
   w.queue.run_until_idle();
   EXPECT_EQ(received, big);
-  EXPECT_GE(conn.stats().data_segments_sent, 11u);
+  EXPECT_GE(conn.stats().chunks_sent, 11u);
 }
 
 TEST(Tcp, EmptyMessageDelivered) {
   TcpWorld w;
   bool got = false;
   w.listener->on_accept([&](TcpServerConn& sc) {
-    sc.on_message([&](util::Bytes data) {
+    sc.on_message([&](std::uint64_t, util::Bytes data) {
       got = true;
       EXPECT_TRUE(data.empty());
     });
@@ -190,7 +190,7 @@ TEST(Tcp, LossRecoveredByRetransmission) {
 
   util::Bytes received;
   listener.on_accept([&](TcpServerConn& sc) {
-    sc.on_message([&](util::Bytes data) { received = std::move(data); });
+    sc.on_message([&](std::uint64_t, util::Bytes data) { received = std::move(data); });
   });
   TcpConnection conn(net, {c, 50006}, {s, 443}, 7);
   conn.connect([&](Result<void> r) {
@@ -204,14 +204,15 @@ TEST(Tcp, LossRecoveredByRetransmission) {
   });
   queue.run_until_idle();
   EXPECT_EQ(received, big);
-  EXPECT_GT(conn.stats().data_retransmissions, 0u);
+  EXPECT_GT(conn.stats().retransmissions, 0u);
 }
 
 TEST(Tcp, SequentialMessagesStayOrderedPerMessage) {
   TcpWorld w;
   std::vector<std::string> messages;
   w.listener->on_accept([&](TcpServerConn& sc) {
-    sc.on_message([&](util::Bytes data) { messages.push_back(util::as_string(data)); });
+    sc.on_message(
+        [&](std::uint64_t, util::Bytes data) { messages.push_back(util::as_string(data)); });
   });
   TcpConnection conn(w.net, {w.client_ip, 50007}, w.server_ep, 8);
   conn.connect([&](Result<void> r) {

@@ -20,7 +20,7 @@ struct TlsWorld {
   Endpoint server_ep;
   std::unique_ptr<TcpListener> listener;
   std::vector<std::unique_ptr<TlsServerSession>> server_sessions;
-  TlsServerConfig server_config;
+  ServerHandshakeConfig server_config;
 
   TlsWorld() {
     client_ip = net.attach(geo::city::kChicago, AccessLinkModel::datacenter());

@@ -295,6 +295,12 @@ void parse_fields(const Prepared& p, StructDef& s) {
       if (end == std::string_view::npos || end > s.body_end) break;
       if (c == '(') {
         chunk += "()";
+      } else if (const std::size_t call = chunk.find("()");
+                 call != std::string::npos && call < chunk.find('=')) {
+        // An inline function body ends its member without a ';': start the
+        // next member here, so an access specifier after it is recognized.
+        chunk.clear();
+        chunk_begin = end;
       } else {
         saw_braces = true;
       }
@@ -411,10 +417,7 @@ void collect_bodies(SymbolIndex& index, std::size_t fi, std::string_view keyword
     s.has_to_json = contains_word(body, "to_json");
     s.has_from_json = contains_word(body, "from_json");
     s.has_phase_sum = contains_word(body, "phase_sum");
-    if (s.has_to_json || s.has_from_json || s.has_phase_sum ||
-        contains_word(body, "SimDuration")) {
-      parse_fields(p, s);
-    }
+    parse_fields(p, s);
     index.structs.push_back(std::move(s));
   }
 }

@@ -34,6 +34,7 @@ constexpr std::string_view kPragmaOnce = "hygiene-pragma-once";
 constexpr std::string_view kUsingNamespace = "hygiene-using-namespace";
 constexpr std::string_view kNodiscardResult = "hygiene-nodiscard-result";
 constexpr std::string_view kDeadFunction = "hygiene-dead-function";
+constexpr std::string_view kDeadField = "hygiene-dead-field";
 constexpr std::string_view kObsSpanBalance = "obs-span-balance";
 constexpr std::string_view kObsDomain = "obs-domain-separation";
 constexpr std::string_view kRawThread = "concurrency-raw-thread";
@@ -75,6 +76,10 @@ const std::vector<RuleInfo> kRules = {
      "function declared in a src/ header whose name occurs nowhere in the "
      "scanned tree except at its own declarations and definitions: delete it, "
      "or keep a test-only helper with an allow naming the test"},
+    {kDeadField,
+     "public field of a struct in a src/ header whose name occurs nowhere in the "
+     "scanned tree except at its own declaration: nothing writes or reads it, so "
+     "delete it, or keep it with an allow naming its reader"},
     {kObsSpanBalance,
      "manual Tracer begin_span/end_span call outside src/obs: hand-paired "
      "spans leak on early return or exception; use the OBS_SPAN RAII macro"},
@@ -633,17 +638,12 @@ bool dead_function_candidate(const SymbolIndex& index, const FunctionDef& f) {
          !word_at(code, before - 7, "operator");
 }
 
-// A function is dead when its name occurs in no scanned file except at its
-// own declarations and definitions: the index entries with its name and
-// class. Every other occurrence counts as a use (a call, `&fn`, a mention in
-// a macro), so the rule cannot see unused overloads or unused functions that
-// share a name with a used one.
-void check_dead_functions(const SymbolIndex& index, std::vector<Diagnostic>& out) {
-  std::map<std::string, int, std::less<>> occurrences;  // name -> whole-word count
-  for (const FunctionDef& f : index.functions) {
-    if (dead_function_candidate(index, f)) occurrences.emplace(f.name, 0);
-  }
-  if (occurrences.empty()) return;
+// name -> whole-word occurrences in the comment- and string-blanked code of
+// every scanned file.
+using WordCounts = std::map<std::string, int, std::less<>>;
+
+void count_words(const SymbolIndex& index, WordCounts& counts) {
+  if (counts.empty()) return;
   for (const Prepared& p : index.files) {
     const std::string_view code = p.code;
     for (std::size_t i = 0; i < code.size();) {
@@ -653,11 +653,24 @@ void check_dead_functions(const SymbolIndex& index, std::vector<Diagnostic>& out
       }
       std::size_t end = i;
       while (end < code.size() && ident_char(code[end])) ++end;
-      const auto it = occurrences.find(code.substr(i, end - i));
-      if (it != occurrences.end()) ++it->second;
+      const auto it = counts.find(code.substr(i, end - i));
+      if (it != counts.end()) ++it->second;
       i = end;
     }
   }
+}
+
+// A function is dead when its name occurs in no scanned file except at its
+// own declarations and definitions: the index entries with its name and
+// class. Every other occurrence counts as a use (a call, `&fn`, a mention in
+// a macro), so the rule cannot see unused overloads or unused functions that
+// share a name with a used one.
+void check_dead_functions(const SymbolIndex& index, std::vector<Diagnostic>& out) {
+  WordCounts occurrences;
+  for (const FunctionDef& f : index.functions) {
+    if (dead_function_candidate(index, f)) occurrences.emplace(f.name, 0);
+  }
+  count_words(index, occurrences);
   std::map<std::pair<std::string, std::string>, int> own;  // (class, name) -> entries
   for (const FunctionDef& f : index.functions) {
     if (occurrences.count(f.name) > 0) ++own[{f.class_name, f.name}];
@@ -671,6 +684,39 @@ void check_dead_functions(const SymbolIndex& index, std::vector<Diagnostic>& out
                        "' is referenced nowhere in the scanned tree except by its own "
                        "declarations and definitions: delete it, or, if a test uses it "
                        "to observe live code, keep it with an allow that names the test",
+                   "",
+                   {}});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rule: hygiene-dead-field
+// ---------------------------------------------------------------------------
+
+// A public field of a struct or class in a header under src/ is dead when its
+// name occurs as a whole word nowhere in the scanned tree except at its own
+// declaration: nothing writes it and nothing reads it. Any other occurrence
+// (an access, a designated initializer, the same name on another struct or
+// a local) counts as a use, so common names escape, as with functions.
+void check_dead_fields(const SymbolIndex& index, std::vector<Diagnostic>& out) {
+  std::vector<std::pair<const StructDef*, const Field*>> candidates;
+  WordCounts occurrences;
+  for (const StructDef& s : index.structs) {
+    const std::size_t file = static_cast<std::size_t>(s.file);
+    if (index.modules[file].empty() || !is_header(index.files[file].file->path)) continue;
+    for (const Field& f : s.fields) {
+      candidates.emplace_back(&s, &f);
+      occurrences.emplace(f.name, 0);
+    }
+  }
+  count_words(index, occurrences);
+  for (const auto& [s, f] : candidates) {
+    if (occurrences.find(f->name)->second > 1) continue;
+    out.push_back({std::string(s->where->file->path), f->line, std::string(kDeadField),
+                   "field '" + s->name + "::" + f->name +
+                       "' is named nowhere in the scanned tree except by its own "
+                       "declaration: nothing writes or reads it; delete it, or keep it "
+                       "with an allow that names its reader",
                    "",
                    {}});
   }
@@ -795,6 +841,7 @@ std::vector<Diagnostic> run_lint(const std::vector<SourceFile>& files, const Opt
   check_codec_parity(index, graph, diags);
   check_phase_sum(index, diags);
   check_dead_functions(index, diags);
+  check_dead_fields(index, diags);
   check_determinism_taint(index, graph, unordered_taint, diags);
   check_obs_domain_separation(index, graph, diags);
   check_include_cycles(index, diags);
